@@ -36,7 +36,7 @@ from .numerics import (
     prob0_states,
     solve_linear,
 )
-from .scheduling import Scheduler, extract_max_scheduler, induced_mc
+from .scheduling import Scheduler, SchedulerError, extract_max_scheduler, induced_mc
 from .transform import (
     AcyclicReduction,
     SccInfo,

@@ -24,7 +24,7 @@ from .oracle import (
     monte_carlo_classify,
 )
 from .props import PropertyError, format_property, parse_property, sat_states
-from .scheduling import extract_max_scheduler, induced_mc
+from .scheduling import SchedulerError, extract_max_scheduler, induced_mc
 from .search import SearchLimitError, most_indicative, ranked_rails
 from .transform import acyclic_reduce, make_absorbing
 
@@ -39,6 +39,7 @@ _FAILURES = (
     PropertyError,
     SingularMatrixError,
     ConvergenceError,
+    SchedulerError,
     SearchLimitError,
     OracleLimitError,
     OSError,
@@ -73,11 +74,12 @@ def run_check(
         stage = "pre-processing"
         tick = time.perf_counter()
         psi = sat_states(m, spec.target)
-        max_prob = float(max_reach(m, psi)[m.initial])
+        values = max_reach(m, psi)
+        max_prob = float(values[m.initial])
         sched = None
         mc = m
         if not is_markov_chain(m):
-            sched = extract_max_scheduler(m, psi)
+            sched = extract_max_scheduler(m, psi, values)
             mc = induced_mc(m, sched)
         mc_psi = make_absorbing(mc, psi)
         timings["pre-processing"] = time.perf_counter() - tick
@@ -98,8 +100,11 @@ def run_check(
             tick = time.perf_counter()
             verification = _verification_block(m, mc_psi, red, psi, max_prob, seed)
             timings["verification"] = time.perf_counter() - tick
-    except _FAILURES as err:
-        return 2, {"error": {"stage": stage, "message": str(err)}}
+    except Exception as err:
+        # Exit 1 means "violated", so no exception may escape; the
+        # unexpected ones keep their type name in the message.
+        message = str(err) if isinstance(err, _FAILURES) else f"{type(err).__name__}: {err}"
+        return 2, {"error": {"stage": stage, "message": message}}
 
     report: Dict = {
         "model": {

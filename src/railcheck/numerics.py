@@ -100,26 +100,32 @@ def max_reach(
     x = np.zeros(n)
     if not target:
         return x
-    for s in target:
-        x[s] = 1.0
+    x[list(target)] = 1.0
     zero = prob0_states(m, target)
     free = [s for s in range(n) if s not in target and s not in zero]
-    rows = {
-        s: [
-            (np.array([t for t, _ in dist]), np.array([p for _, p in dist]))
-            for dist in m.actions[s]
-        ]
-        for s in free
-    }
+    if not free:
+        return x
+    # The free states' distributions, flattened: distribution k covers
+    # entries row_start[k]..row_start[k+1] and free state i covers
+    # distributions state_start[i]..state_start[i+1].
+    targets, probs, row_start, state_start = [], [], [], []
+    for s in free:
+        state_start.append(len(row_start))
+        for dist in m.actions[s]:
+            row_start.append(len(targets))
+            for t, p in dist:
+                targets.append(t)
+                probs.append(p)
+    free, targets, probs = np.array(free), np.array(targets), np.array(probs)
+    row_start, state_start = np.array(row_start), np.array(state_start)
     delta = 0.0
     for _ in range(max_iter):
-        delta = 0.0
-        for s in free:
-            best = max(float(ps @ x[ts]) for ts, ps in rows[s])
-            diff = abs(best - x[s])
-            if diff > delta:
-                delta = diff
-            x[s] = best
+        # One Jacobi sweep over every free state at once; from 0 the
+        # iterates rise monotonically to the least fixed point.
+        values = np.add.reduceat(probs * x[targets], row_start)
+        best = np.maximum.reduceat(values, state_start)
+        delta = float(np.max(np.abs(best - x[free])))
+        x[free] = best
         if delta < tol:
             return np.clip(x, 0.0, 1.0)
     raise ConvergenceError(delta, max_iter)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
+
+import numpy as np
 
 from .model import Model
 from .numerics import max_reach, prob0_states
@@ -11,12 +13,19 @@ from .numerics import max_reach, prob0_states
 OPT_TOL = 1e-7
 
 
+class SchedulerError(ArithmeticError):
+    """No optimal distribution leads towards the settled states, so the
+    given values are not the maximal reachability probabilities."""
+
+
 @dataclass(frozen=True)
 class Scheduler:
     choice: Tuple[int, ...]  # state index to distribution index
 
 
-def extract_max_scheduler(m: Model, target: Iterable[int]) -> Scheduler:
+def extract_max_scheduler(
+    m: Model, target: Iterable[int], values: Optional[np.ndarray] = None
+) -> Scheduler:
     """Deterministic memoryless scheduler attaining the maximal
     reachability probability at every state.
 
@@ -26,9 +35,11 @@ def extract_max_scheduler(m: Model, target: Iterable[int]) -> Scheduler:
     receiving the lowest-index optimal distribution that moves with
     positive probability into the settled region; the induced chain then
     reaches the absorbing boundary almost surely and realizes the values.
+    ``values`` is the ``max_reach`` vector for this target, computed here
+    when not given.
     """
-    x = max_reach(m, target)
     target = set(target)
+    x = max_reach(m, target) if values is None else values
     zero = prob0_states(m, target)
     n = m.num_states
     choice = [0] * n
@@ -50,7 +61,10 @@ def extract_max_scheduler(m: Model, target: Iterable[int]) -> Scheduler:
                 choice[s] = picked
                 settled.add(s)
                 progressed = True
-        assert progressed, "no optimal distribution makes progress"
+        if not progressed:
+            raise SchedulerError(
+                f"no optimal distribution makes progress at {len(pending)} states"
+            )
         pending = remaining
     return Scheduler(choice=tuple(choice))
 

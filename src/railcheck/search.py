@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .model import FinitePath, mc_row
+from .numerics import prob0_states
 from .props import PropertySpec
 from .rails import Witness, rail_mass, representant
 from .transform import AcyclicReduction
@@ -84,22 +85,6 @@ class _SuffixStreams:
         return items[i] if i < len(items) else None
 
 
-def _live_states(chain, targets: Set[int]) -> Set[int]:
-    preds: Dict[int, List[int]] = {}
-    for s in range(chain.num_states):
-        for t, _ in mc_row(chain, s):
-            preds.setdefault(t, []).append(s)
-    live = set(targets)
-    stack = list(targets)
-    while stack:
-        t = stack.pop()
-        for s in preds.get(t, ()):
-            if s not in live:
-                live.add(s)
-                stack.append(s)
-    return live
-
-
 def ranked_rails(
     red: AcyclicReduction, targets: Iterable[int]
 ) -> Iterator[Tuple[FinitePath, float]]:
@@ -108,7 +93,7 @@ def ranked_rails(
     targets = set(targets)
     chain = red.chain
     s0 = chain.initial
-    live = _live_states(chain, targets)
+    live = set(range(chain.num_states)) - prob0_states(chain, targets)
 
     def stream():
         if s0 not in live:

@@ -11,7 +11,7 @@ and reachability probabilities from the initial state are preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -114,25 +114,38 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
     return infos
 
 
-def scc_io(mc: Model, info: SccInfo) -> SccInfo:
-    """Fill the component's input states (reachable from outside, plus the
-    initial state if it lies inside) and output states (targets of edges
-    leaving the component)."""
-    members = info.members
-    ins: Set[int] = set()
-    outs: Set[int] = set()
-    for s in range(mc.num_states):
-        inside = s in members
-        for t in successors(mc, s):
-            if inside and t not in members:
-                outs.add(t)
-            elif not inside and t in members:
-                ins.add(t)
-    if mc.initial in members:
-        ins.add(mc.initial)
-    info.inputs = frozenset(ins)
-    info.outputs = frozenset(outs)
-    return info
+def _scc_index(sccs: Sequence[SccInfo], n: int) -> List[int]:
+    scc_of = [0] * n
+    for info in sccs:
+        for s in info.members:
+            scc_of[s] = info.id
+    return scc_of
+
+
+def scc_io(mc: Model, sccs: Sequence[SccInfo]) -> Sequence[SccInfo]:
+    """Fill every nontrivial component's input states (reachable from
+    outside, plus the initial state if it lies inside) and output states
+    (targets of edges leaving the component), in one pass over the edges."""
+    scc_of = _scc_index(sccs, mc.num_states)
+    ins: Dict[int, Set[int]] = {info.id: set() for info in sccs if info.nontrivial}
+    outs: Dict[int, Set[int]] = {c: set() for c in ins}
+    for s, dists in enumerate(mc.actions):
+        c = scc_of[s]
+        for dist in dists:
+            for t, _ in dist:
+                d = scc_of[t]
+                if d != c:
+                    if c in outs:
+                        outs[c].add(t)
+                    if d in ins:
+                        ins[d].add(t)
+    if scc_of[mc.initial] in ins:
+        ins[scc_of[mc.initial]].add(mc.initial)
+    for info in sccs:
+        if info.nontrivial:
+            info.inputs = frozenset(ins[info.id])
+            info.outputs = frozenset(outs[info.id])
+    return sccs
 
 
 def scc_reach(mc: Model, info: SccInfo) -> SccInfo:
@@ -185,12 +198,10 @@ def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
         raise ModelError("acyclic_reduce expects a Markov chain")
     n = mc_psi.num_states
     sccs = scc_decompose(mc_psi)
-    scc_of = [0] * n
+    scc_of = _scc_index(sccs, n)
+    scc_io(mc_psi, sccs)
     for info in sccs:
-        for s in info.members:
-            scc_of[s] = info.id
         if info.nontrivial:
-            scc_io(mc_psi, info)
             scc_reach(mc_psi, info)
     kept: Set[int] = set()
     for info in sccs:

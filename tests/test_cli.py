@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from railcheck import cli
 from railcheck.cli import main, render_report, run_check
+from railcheck.scheduling import SchedulerError
 
 
 def _run(path, prop, **kw):
@@ -180,3 +182,29 @@ def test_main_json_is_report_plus_newline(m0_path, capsys):
     out = capsys.readouterr().out
     assert out.endswith("}\n")
     json.loads(out)
+
+
+def test_scheduler_failure_exits_2(mdp2_path, monkeypatch):
+    def stuck(m, target, values=None):
+        raise SchedulerError("no optimal distribution makes progress at 2 states")
+
+    monkeypatch.setattr(cli, "extract_max_scheduler", stuck)
+    code, report = _run(mdp2_path, "P<=0.75 [ F goal ]")
+    assert code == 2
+    assert report["error"] == {
+        "stage": "pre-processing",
+        "message": "no optimal distribution makes progress at 2 states",
+    }
+
+
+def test_unexpected_exception_exits_2_with_stage(m0_path, monkeypatch, capsys):
+    def deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "most_indicative", deep)
+    code, report = _run(m0_path, "P<=0.5 [ F psi ]")
+    assert code == 2
+    assert report["error"]["stage"] == "searching"
+    assert report["error"]["message"] == "RecursionError: maximum recursion depth exceeded"
+    assert main([str(m0_path), "--prop", "P<=0.5 [ F psi ]"]) == 2
+    assert "error in searching: RecursionError" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import json
 
+import pytest
+
 from railcheck.model import is_markov_chain, mc_row, parse_model
 from railcheck.numerics import max_reach
-from railcheck.scheduling import extract_max_scheduler, induced_mc
+from railcheck.scheduling import SchedulerError, extract_max_scheduler, induced_mc
 
 
 def test_mdp2_scheduler(mdp2):
@@ -60,3 +62,10 @@ def test_ties_take_lowest_action_index():
 def test_unreachable_target_defaults_to_first_action(mdp2):
     sched = extract_max_scheduler(mdp2, set())
     assert sched.choice == (0, 0, 0, 0, 0)
+
+
+def test_unattainable_values_raise_scheduler_error(mdp2):
+    values = max_reach(mdp2, {3})
+    values[:3] += 0.1
+    with pytest.raises(SchedulerError):
+        extract_max_scheduler(mdp2, {3}, values)

@@ -65,12 +65,12 @@ def test_fig5_components(fig5):
 
 
 def test_fig5_io(fig5):
-    infos = scc_decompose(fig5)
+    infos = scc_io(fig5, scc_decompose(fig5))
     by_members = {frozenset(i.members): i for i in infos}
-    k1 = scc_io(fig5, by_members[frozenset({1, 3, 4, 7})])
+    k1 = by_members[frozenset({1, 3, 4, 7})]
     assert k1.inputs == frozenset({1})
     assert k1.outputs == frozenset({9, 10})
-    k2 = scc_io(fig5, by_members[frozenset({5, 6, 8})])
+    k2 = by_members[frozenset({5, 6, 8})]
     assert k2.inputs == frozenset({5, 6})
     assert k2.outputs == frozenset({11, 14})
 
@@ -87,22 +87,21 @@ def test_initial_state_counts_as_input():
         },
     }
     m = parse_model(json.dumps(doc))
-    info = next(i for i in scc_decompose(m) if len(i.members) == 2)
-    info = scc_io(m, info)
+    info = next(i for i in scc_io(m, scc_decompose(m)) if len(i.members) == 2)
     assert 0 in info.inputs
 
 
 def test_scc_reach_values(m0, big1):
     m = make_absorbing(m0, {3, 4})
-    infos = scc_decompose(m)
+    infos = scc_io(m, scc_decompose(m))
     by_members = {frozenset(i.members): i for i in infos}
-    k = scc_reach(m, scc_io(m, by_members[frozenset({2})]))
+    k = scc_reach(m, by_members[frozenset({2})])
     assert k.reach[(2, 4)] == 1.0
-    k = scc_reach(m, scc_io(m, by_members[frozenset({1})]))
+    k = scc_reach(m, by_members[frozenset({1})])
     assert k.reach[(1, 3)] == 1.0
     b = make_absorbing(big1, {3})
-    info = next(i for i in scc_decompose(b) if len(i.members) == 2)
-    info = scc_reach(b, scc_io(b, info))
+    info = next(i for i in scc_io(b, scc_decompose(b)) if len(i.members) == 2)
+    info = scc_reach(b, info)
     assert info.members == frozenset({1, 2})
     assert info.reach[(1, 3)] == 1.0
 
