@@ -15,7 +15,6 @@ from .model import (
     cylinder_prob,
     is_markov_chain,
     parse_model,
-    serialize_model,
     successors,
 )
 from .props import (
@@ -48,12 +47,10 @@ from .transform import (
 )
 from .rails import Witness, behaves_as, generator_member, rail_mass, representant
 from .search import (
-    NoPathError,
     SearchLimitError,
     TorrentCounterexample,
     most_indicative,
     ranked_rails,
-    strongest_torrent_evidence,
 )
 from .oracle import (
     OracleLimitError,

@@ -49,6 +49,7 @@ _FAILURES = (
 def run_check(
     model_path: str,
     prop_text: str,
+    *,
     dump_scc: bool = False,
     verify: bool = False,
     seed: int = DEFAULT_SEED,

@@ -3,7 +3,7 @@
 Models are parsed from a JSON document and validated once; afterwards they
 are immutable. State names are mapped to dense integer indices at parse
 time (document order of the ``states`` array); every algorithm works on
-indices and only the parse/serialize boundary deals in display names.
+indices and only parsing and reporting deal in display names.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Set, Tuple
 
 ROW_SUM_TOL = 1e-9
 
@@ -56,7 +56,8 @@ def mc_row(m: Model, s: int) -> Distribution:
     dists = m.actions[s]
     if len(dists) != 1:
         raise ModelError(
-            f"state {m.names[s]!r} has {len(dists)} distributions, not a Markov chain"
+            f"state {m.names[s]!r} has {len(dists)} distributions: one-step and"
+            " cylinder probabilities are defined for Markov chains only"
         )
     return dists[0]
 
@@ -76,9 +77,8 @@ def successors(m: Model, s: int) -> Set[int]:
 
 def cylinder_prob(m: Model, path: Sequence[int]) -> float:
     """Measure of the cone of all infinite extensions of a finite path,
-    i.e. the product of one-step probabilities along it."""
-    if not is_markov_chain(m):
-        raise ModelError("cylinder probabilities are defined for Markov chains only")
+    i.e. the product of one-step probabilities along it, in O(path length):
+    `mc_row` rejects a state on the path with several distributions."""
     if not path:
         raise ModelError("empty path has no cylinder")
     prob = 1.0
@@ -182,28 +182,6 @@ def _parse_distribution(state, k, row, index, tol) -> Distribution:
         raise ModelError(f"state {state!r} distribution {k} sums to {total!r}, expected 1")
     entries.sort()
     return tuple(entries)
-
-
-def serialize_model(m: Model) -> str:
-    """Emit the JSON document for a model, keys sorted at every level.
-
-    parse_model(serialize_model(m)) reproduces m exactly; state order is
-    kept by the ``states`` array, which json key sorting never touches.
-    """
-    doc = {
-        "states": list(m.names),
-        "initial": m.names[m.initial],
-        "labels": {m.names[i]: sorted(atoms) for i, atoms in enumerate(m.labels) if atoms},
-        "transitions": {
-            m.names[i]: [{m.names[t]: p for t, p in dist} for dist in dists]
-            for i, dists in enumerate(m.actions)
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def path_of_names(m: Model, names: Iterable[str]) -> FinitePath:
-    return tuple(m.index_of(x) for x in names)
 
 
 def names_of_path(m: Model, path: Sequence[int]) -> List[str]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
@@ -217,14 +218,13 @@ def monte_carlo_classify(
     unclassified = int(active.sum())
     classified = {rail: 0 for rail in rails}
     done = np.flatnonzero(~active)
-    if done.size:
-        uniq, counts = np.unique(foot[done], axis=0, return_counts=True)
-        for row, cnt in zip(uniq, counts):
-            rail = tuple(int(x) for x in row if x >= 0)
-            if rail in rail_set:
-                classified[rail] += int(cnt)
-            else:
-                unclassified += int(cnt)
+    width = flen.max(initial=1)  # columns past the longest footprint are padding
+    for row, cnt in Counter(map(tuple, foot[done, :width].tolist())).items():
+        rail = tuple(x for x in row if x >= 0)
+        if rail in rail_set:
+            classified[rail] += cnt
+        else:
+            unclassified += cnt
     _cross_check(mc, red, rails, seed, absorbing=[bool(x) for x in absorbing])
     return SampleRun(seed=seed, count=n, classified=classified, unclassified=unclassified)
 

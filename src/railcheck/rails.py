@@ -75,7 +75,7 @@ def generator_member(red: AcyclicReduction, rail: Sequence[int], rho: Sequence[i
 
 def rail_mass(red: AcyclicReduction, rail: Sequence[int]) -> float:
     """Probability mass of the rail's torrent: the product of reduced-chain
-    step probabilities along the rail."""
+    step probabilities along the rail, in O(rail length)."""
     return cylinder_prob(red.chain, tuple(rail))
 
 

@@ -10,6 +10,7 @@ Work is proportional to the number of rails actually consumed.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
@@ -21,14 +22,11 @@ from .rails import Witness, rail_mass, representant
 from .transform import AcyclicReduction
 
 TIE_WINDOW = 1e-12
+_PENDING = object()  # a stream item that is not materialized yet
 
 
 class SearchLimitError(RuntimeError):
     """Witness count exceeded the configured safety limit."""
-
-
-class NoPathError(ValueError):
-    """The target set is unreachable, no rail exists."""
 
 
 class _Key:
@@ -48,41 +46,62 @@ class _Key:
 
 
 class _SuffixStreams:
-    """Per state, the paths to the first target hit, best first."""
+    """Per state, the paths to the first target hit, best first.
+
+    A state's stream pops from a heap of its successors' next items, each
+    prefixed by the step to that successor. `waiting` holds, last first, the
+    successor items to push before the next pop: at the start all first
+    items in edge order, later the follow-up of the item just popped.
+    """
 
     def __init__(self, chain, targets: Set[int], live: Set[int]):
-        self.targets = targets
-        self.edges: Dict[int, List[Tuple[int, float]]] = {}
-        for u in live:
-            if u in targets:
-                continue
-            self.edges[u] = [
-                (t, -math.log(p))
-                for t, p in mc_row(chain, u)
-                if t in live and t != u
-            ]
         self.items: Dict[int, List[Tuple[float, FinitePath]]] = {}
         self.heaps: Dict[int, list] = {}
+        self.waiting: Dict[int, List[Tuple[int, int, float]]] = {}
+        for u in live:
+            self.heaps[u] = []
+            if u in targets:
+                self.items[u], self.waiting[u] = [(0.0, (u,))], []
+                continue
+            self.items[u] = []
+            self.waiting[u] = [
+                (t, 0, -math.log(p))
+                for t, p in reversed(mc_row(chain, u))
+                if t in live and t != u
+            ]
+
+    def _peek(self, u: int, i: int):
+        """Item i of u; None if u has fewer items, _PENDING if not yet known."""
+        items = self.items[u]
+        if i < len(items):
+            return items[i]
+        return _PENDING if self.heaps[u] or self.waiting[u] else None
 
     def item(self, u: int, i: int) -> Optional[Tuple[float, FinitePath]]:
-        if u in self.targets:
-            return (0.0, (u,)) if i == 0 else None
-        items = self.items.get(u)
-        if items is None:
-            items = self.items[u] = []
-            heap = self.heaps[u] = []
-            for t, w in self.edges[u]:
-                first = self.item(t, 0)
-                if first is not None:
-                    heapq.heappush(heap, (_Key(w + first[0], first[1]), t, 0, w))
-        heap = self.heaps[u]
-        while len(items) <= i and heap:
-            key, t, j, w = heapq.heappop(heap)
-            items.append((key.weight, (u,) + key.path))
-            nxt = self.item(t, j + 1)
-            if nxt is not None:
-                heapq.heappush(heap, (_Key(w + nxt[0], nxt[1]), t, j + 1, w))
-        return items[i] if i < len(items) else None
+        # A stack of requests, each waiting for the one above it, keeps the
+        # DAG's depth off the call stack. A heap's pushes and pops come in
+        # the same order whatever the order of requests, so the stream
+        # does not depend on it even where _Key is not transitive.
+        requests = [(u, i)]
+        while requests:
+            v, k = requests[-1]
+            items, heap, waiting = self.items[v], self.heaps[v], self.waiting[v]
+            if waiting:
+                t, j, w = waiting[-1]
+                nxt = self._peek(t, j)
+                if nxt is _PENDING:
+                    requests.append((t, j))
+                    continue
+                waiting.pop()
+                if nxt is not None:
+                    heapq.heappush(heap, (_Key(w + nxt[0], nxt[1]), t, j, w))
+            elif len(items) > k or not heap:
+                requests.pop()
+            else:
+                key, t, j, w = heapq.heappop(heap)
+                items.append((key.weight, (v,) + key.path))
+                waiting.append((t, j + 1, w))
+        return self._peek(u, i)
 
 
 def ranked_rails(
@@ -99,14 +118,11 @@ def ranked_rails(
         if s0 not in live:
             return
         streams = _SuffixStreams(chain, targets, live)
-        i = 0
-        while True:
+        for i in itertools.count():
             item = streams.item(s0, i)
             if item is None:
                 return
-            rail = item[1]
-            yield rail, rail_mass(red, rail)
-            i += 1
+            yield item[1], rail_mass(red, item[1])
 
     return stream()
 
@@ -136,38 +152,41 @@ def most_indicative(
     bound has minimum cardinality and, among sets of that size, maximal
     mass. If the stream runs out first the property holds and the
     accumulated rails are reported with their total mass.
+
+    The running sum is exact: Shewchuk's non-overlapping partials, as in
+    the math.fsum recipe, so total_mass is the correctly rounded sum of
+    the witness masses at O(partials) per rail, not O(witnesses).
     """
-    rails: List[FinitePath] = []
-    masses: List[float] = []
+    found: List[Tuple[FinitePath, float]] = []
+    partials: List[float] = []
     total = 0.0
     violated = _violated(spec, total)
     if not violated:
         for rail, mass in ranked_rails(red, targets):
-            if max_witnesses is not None and len(rails) >= max_witnesses:
+            if max_witnesses is not None and len(found) >= max_witnesses:
                 raise SearchLimitError(
                     f"bound still undecided after {max_witnesses} witnesses"
                 )
-            rails.append(rail)
-            masses.append(mass)
-            total = math.fsum(masses)
+            found.append((rail, mass))
+            x = mass
+            kept = 0
+            for y in partials:
+                if abs(x) < abs(y):
+                    x, y = y, x
+                hi = x + y
+                lo = y - (hi - x)
+                if lo:
+                    partials[kept] = lo
+                    kept += 1
+                x = hi
+            partials[kept:] = [x]
+            total = math.fsum(partials)
             if _violated(spec, total):
                 violated = True
                 break
-    witnesses = [
-        Witness(rail=rail, mass=mass, representant=rep, representant_prob=rep_prob)
-        for rail, mass in zip(rails, masses)
-        for rep, rep_prob in (representant(red, rail),)
-    ]
+    witnesses = [Witness(rail, mass, *representant(red, rail)) for rail, mass in found]
     return TorrentCounterexample(
         witnesses=witnesses,
         total_mass=total,
         verdict="violated" if violated else "holds",
     )
-
-
-def strongest_torrent_evidence(red: AcyclicReduction, targets: Iterable[int]) -> Witness:
-    """The single heaviest torrent reaching the target."""
-    for rail, mass in ranked_rails(red, targets):
-        rep, rep_prob = representant(red, rail)
-        return Witness(rail=rail, mass=mass, representant=rep, representant_prob=rep_prob)
-    raise NoPathError("the target set is unreachable from the initial state")

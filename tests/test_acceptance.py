@@ -31,7 +31,8 @@ def test_criterion_01_witness_masses(m0):
     ranked = list(ranked_rails(red, psi))
     code, report = run_check(
         str(FIXTURES / "m0.json"), "P<=0.5 [ F psi ]",
-        False, False, 42, 10 ** 6, 1e-9, False,
+        dump_scc=False, verify=False, seed=42, max_witnesses=10 ** 6,
+        tolerance=1e-9, with_timings=False,
     )
     elapsed = time.perf_counter() - t0
     masses = [mass for _, mass in ranked]
@@ -113,7 +114,8 @@ def test_criterion_07_torrent_membership_verdicts(fig5):
 def test_criterion_08_single_heavy_component(big1):
     code, report = run_check(
         str(FIXTURES / "big1.json"), "P<=0.9 [ F psi ]",
-        True, False, 42, 10 ** 6, 1e-9, False,
+        dump_scc=True, verify=False, seed=42, max_witnesses=10 ** 6,
+        tolerance=1e-9, with_timings=False,
     )
     assert code == 1
     assert report["verdict"] == "violated"

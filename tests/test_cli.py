@@ -1,5 +1,7 @@
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from railcheck import cli
@@ -17,16 +19,7 @@ def _run(path, prop, **kw):
         with_timings=False,
     )
     args.update(kw)
-    return run_check(
-        str(path),
-        prop,
-        args["dump_scc"],
-        args["verify"],
-        args["seed"],
-        args["max_witnesses"],
-        args["tolerance"],
-        args["with_timings"],
-    )
+    return run_check(str(path), prop, **args)
 
 
 def test_violation_report(m0_path):
@@ -123,6 +116,36 @@ def test_exact_witness_line(m0_path):
     assert "witness 1: s0 s2 s4 (mass 0.6000, representant p 0.0060)" in text
     assert text.splitlines()[-1] == "total mass: 0.6"
 
+
+
+def test_deep_chains_decide(tmp_path):
+    # Linear chains, some states with a self loop, deeper than twice the
+    # recursion limit: the single rail runs through every state.
+    rng = np.random.default_rng(1200)
+    for k in range(3):
+        n = 2 * sys.getrecursionlimit() + int(rng.integers(1, 300))
+        names = ["c%d" % i for i in range(n)]
+        rows = {}
+        for i in range(n - 1):
+            loop = float(rng.uniform(0.1, 0.5)) if rng.random() < 0.3 else 0.0
+            row = {names[i + 1]: 1.0 - loop}
+            if loop:
+                row[names[i]] = loop
+            rows[names[i]] = [row]
+        rows[names[-1]] = [{names[-1]: 1.0}]
+        doc = {
+            "states": names,
+            "initial": names[0],
+            "labels": {names[-1]: ["psi"]},
+            "transitions": rows,
+        }
+        path = tmp_path / ("deep%d.json" % k)
+        path.write_text(json.dumps(doc))
+        code, report = _run(path, "P<=0.5 [ F psi ]")
+        assert code == 1, report.get("error")
+        (w,) = report["witnesses"]
+        assert w["rail"] == names
+        assert w["representant"] == names
 
 def test_error_missing_file():
     code, report = _run("no_such_model.json", "P<=0.5 [ F psi ]")

@@ -6,13 +6,11 @@ import pytest
 from conftest import reduce_to_psi
 from railcheck.model import parse_model
 from railcheck.oracle import enumerate_freach
-from railcheck.props import parse_property
+from railcheck.props import Atom, PropertySpec, parse_property
 from railcheck.search import (
-    NoPathError,
     SearchLimitError,
     most_indicative,
     ranked_rails,
-    strongest_torrent_evidence,
 )
 from railcheck.transform import acyclic_reduce, make_absorbing
 
@@ -143,6 +141,25 @@ def test_strict_versus_weak_at_the_boundary(m0):
     assert len(weak.witnesses) == 2
 
 
+
+def test_running_sum_is_exact_at_the_boundary(dag_corpus, mc_corpus):
+    # A threshold equal to the exact sum of the first k masses: the strict
+    # bound is met by those k rails, the weak one needs one more.
+    checked = 0
+    for _, psi, red, rails in dag_corpus + mc_corpus:
+        masses = [mass for _, mass in rails]
+        for k in range(3, len(masses)):
+            threshold = math.fsum(masses[:k])
+            strict = most_indicative(red, PropertySpec("<", threshold, Atom("psi")), psi)
+            weak = most_indicative(red, PropertySpec("<=", threshold, Atom("psi")), psi)
+            assert len(strict.witnesses) == k
+            assert len(weak.witnesses) == k + 1
+            for out in (strict, weak):
+                assert out.verdict == "violated"
+                assert out.total_mass == math.fsum(w.mass for w in out.witnesses)
+            checked += 1
+    assert checked >= 10
+
 def test_witness_cap(m0):
     red, psi = reduce_to_psi(m0)
     with pytest.raises(SearchLimitError, match="after 1 witnesses"):
@@ -165,13 +182,3 @@ def test_unreachable_target():
     out = most_indicative(red, parse_property("P<=0.3 [ F psi ]"), psi)
     assert out.verdict == "holds"
     assert out.witnesses == []
-    with pytest.raises(NoPathError):
-        strongest_torrent_evidence(red, psi)
-
-
-def test_strongest_torrent_evidence(m0):
-    red, psi = reduce_to_psi(m0)
-    w = strongest_torrent_evidence(red, psi)
-    assert w.rail == (0, 2, 4)
-    assert w.mass == 0.6
-    assert w.representant == (0, 2, 4)
