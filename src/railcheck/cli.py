@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, List, Optional, Tuple
 
 from .model import Model, ModelError, is_markov_chain, names_of_path, parse_model
@@ -232,12 +233,41 @@ def _verification_block(m, mc_psi, red, psi, max_prob, seed) -> Dict:
     return checks
 
 
+def _json(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2)` for a value nested at `indent`, with
+    string dict keys. With an indent, `json.dumps` runs its pure-Python
+    encoder; this one hands strings to the C string encoder and finite
+    floats to `float.__repr__`, exactly as that encoder does."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_encode_str(k)}: {_json(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # a list of strings, such as a path, in one pass
+            body = sep.join(map(_encode_str, value))
+        except TypeError:
+            body = sep.join([_json(x, inner) for x in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    return json.dumps(value)
+
+
 def render_report(report: Dict, fmt: str = "text") -> str:
     """Render a report for stdout; json output is byte-stable for fixed
     inputs and seed (insertion order, repr floats, no wall-clock fields
-    unless timings were requested)."""
+    unless timings were requested) and equals `json.dumps(report,
+    indent=2)` plus a newline, written by `_json` in a fraction of the
+    time."""
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _json(report) + "\n"
     if "error" in report:
         err = report["error"]
         return f"error in {err['stage']}: {err['message']}\n"

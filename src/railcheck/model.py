@@ -62,14 +62,6 @@ def mc_row(m: Model, s: int) -> Distribution:
     return dists[0]
 
 
-def trans_prob(m: Model, s: int, t: int) -> float:
-    """One-step probability from s to t in a Markov chain, 0.0 if absent."""
-    for target, p in mc_row(m, s):
-        if target == t:
-            return p
-    return 0.0
-
-
 def successors(m: Model, s: int) -> Set[int]:
     """Support of the successor relation under any distribution of s."""
     return {t for dist in m.actions[s] for t, _ in dist}
@@ -77,16 +69,21 @@ def successors(m: Model, s: int) -> Set[int]:
 
 def cylinder_prob(m: Model, path: Sequence[int]) -> float:
     """Measure of the cone of all infinite extensions of a finite path,
-    i.e. the product of one-step probabilities along it, in O(path length):
-    `mc_row` rejects a state on the path with several distributions."""
+    i.e. the product of one-step probabilities along it, left to right.
+
+    Each step scans its source's row in place, so the cost is the summed
+    row length along the path; `mc_row` rejects a state on the path with
+    several distributions."""
     if not path:
         raise ModelError("empty path has no cylinder")
     prob = 1.0
     for s, t in zip(path, path[1:]):
-        p = trans_prob(m, s, t)
-        if p <= 0.0:
+        for target, p in mc_row(m, s):
+            if target == t and p > 0.0:
+                prob *= p
+                break
+        else:
             raise ModelError(f"no transition {m.names[s]} -> {m.names[t]}")
-        prob *= p
     return prob
 
 

@@ -156,6 +156,10 @@ def most_indicative(
     The running sum is exact: Shewchuk's non-overlapping partials, as in
     the math.fsum recipe, so total_mass is the correctly rounded sum of
     the witness masses at O(partials) per rail, not O(witnesses).
+
+    Only rails through a nontrivial component's input before their last
+    state need `representant`; any other rail is its own representant,
+    and its mass is the same left-to-right product of the same rows.
     """
     found: List[Tuple[FinitePath, float]] = []
     partials: List[float] = []
@@ -184,7 +188,14 @@ def most_indicative(
             if _violated(spec, total):
                 violated = True
                 break
-    witnesses = [Witness(rail, mass, *representant(red, rail)) for rail, mass in found]
+    # the reduced chain copies every other kept row from the source chain
+    entries = {s for info in red.sccs if info.nontrivial for s in info.inputs}
+    witnesses = [
+        Witness(rail, mass, rail, mass)
+        if entries.isdisjoint(rail[:-1])
+        else Witness(rail, mass, *representant(red, rail))
+        for rail, mass in found
+    ]
     return TorrentCounterexample(
         witnesses=witnesses,
         total_mass=total,

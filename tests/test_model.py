@@ -11,7 +11,6 @@ from railcheck.model import (
     names_of_path,
     parse_model,
     successors,
-    trans_prob,
 )
 
 
@@ -26,8 +25,8 @@ def test_parse_m0_shape(m0):
 
 def test_rows_and_lookups(m0):
     assert mc_row(m0, 0) == ((1, 0.4), (2, 0.6))
-    assert trans_prob(m0, 1, 1) == 0.5
-    assert trans_prob(m0, 0, 3) == 0.0
+    assert dict(mc_row(m0, 1))[1] == 0.5
+    assert 3 not in dict(mc_row(m0, 0))
     assert successors(m0, 0) == {1, 2}
     assert successors(m0, 3) == {3}
     assert dirac(3) == ((3, 1.0),)
@@ -102,6 +101,6 @@ def test_row_sum_tolerance():
         "transitions": {"a": [{"a": off}]},
     })
     m = parse_model(doc)
-    assert trans_prob(m, 0, 0) == off
+    assert dict(mc_row(m, 0))[0] == off
     with pytest.raises(ModelError, match="sums to"):
         parse_model(doc, tol=1e-12)

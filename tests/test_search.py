@@ -4,9 +4,11 @@ import math
 import pytest
 
 from conftest import reduce_to_psi
-from railcheck.model import parse_model
+from railcheck import search
+from railcheck.model import cylinder_prob, parse_model
 from railcheck.oracle import enumerate_freach
 from railcheck.props import Atom, PropertySpec, parse_property
+from railcheck.rails import representant
 from railcheck.search import (
     SearchLimitError,
     most_indicative,
@@ -159,6 +161,29 @@ def test_running_sum_is_exact_at_the_boundary(dag_corpus, mc_corpus):
                 assert out.total_mass == math.fsum(w.mass for w in out.witnesses)
             checked += 1
     assert checked >= 10
+
+def test_representant_shortcut_is_exact(dag_corpus, mc_corpus, monkeypatch):
+    # Every rail is streamed. A rail with no nontrivial input before its
+    # last state skips `representant`; its witness must still equal what
+    # `representant` returns, float for float.
+    calls = []
+
+    def counted(red, rail):
+        calls.append(rail)
+        return representant(red, rail)
+
+    monkeypatch.setattr(search, "representant", counted)
+    shortcut = 0
+    for _, psi, red, rails in dag_corpus + mc_corpus:
+        before = len(calls)
+        out = most_indicative(red, PropertySpec("<=", 1.0, Atom("psi")), psi)
+        assert [(w.rail, w.mass) for w in out.witnesses] == rails
+        for w in out.witnesses:
+            assert (w.representant, w.representant_prob) == representant(red, w.rail)
+            assert w.representant_prob == cylinder_prob(red.origin, w.representant)
+        shortcut += len(out.witnesses) - (len(calls) - before)
+    assert calls and shortcut > 0
+
 
 def test_witness_cap(m0):
     red, psi = reduce_to_psi(m0)
