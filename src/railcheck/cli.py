@@ -78,9 +78,10 @@ def run_check(
         psi = sat_states(m, spec.target)
         values = max_reach(m, psi)
         max_prob = float(values[m.initial])
+        is_mc = is_markov_chain(m)
         sched = None
         mc = m
-        if not is_markov_chain(m):
+        if not is_mc:
             sched = extract_max_scheduler(m, psi, values)
             mc = induced_mc(m, sched)
         mc_psi = make_absorbing(mc, psi)
@@ -100,7 +101,7 @@ def run_check(
         if verify:
             stage = "verification"
             tick = time.perf_counter()
-            verification = _verification_block(m, mc_psi, red, psi, max_prob, seed)
+            verification = _verification_block(m, is_mc, red, psi, max_prob, seed)
             timings["verification"] = time.perf_counter() - tick
     except Exception as err:
         # Exit 1 means "violated", so no exception may escape; the
@@ -112,7 +113,7 @@ def run_check(
         "model": {
             "states": m.num_states,
             "initial": m.names[m.initial],
-            "kind": "mc" if is_markov_chain(m) else "mdp",
+            "kind": "mc" if is_mc else "mdp",
         },
         "property": format_property(spec),
         "verdict": outcome.verdict,
@@ -158,7 +159,7 @@ def _scc_table(m: Model, red) -> List[Dict]:
     return table
 
 
-def _verification_block(m, mc_psi, red, psi, max_prob, seed) -> Dict:
+def _verification_block(m, is_mc, red, psi, max_prob, seed) -> Dict:
     checks: Dict = {"algorithm": RNG_ALGORITHM, "seed": seed}
     ok = True
 
@@ -174,7 +175,7 @@ def _verification_block(m, mc_psi, red, psi, max_prob, seed) -> Dict:
 
     all_rails = list(ranked_rails(red, psi))
     if m.num_states <= _ENUM_STATE_CAP:
-        paths, tail = enumerate_freach(mc_psi, psi, _ENUM_LEN)
+        paths, tail = enumerate_freach(red.origin, psi, _ENUM_LEN)
         enumerated = math.fsum(p for _, p in paths)
         total = math.fsum(mass for _, mass in all_rails)
         bracket = enumerated - 1e-9 <= total <= enumerated + tail + 1e-9
@@ -190,7 +191,7 @@ def _verification_block(m, mc_psi, red, psi, max_prob, seed) -> Dict:
         checks["enumeration"] = {"skipped": "model too large for enumeration"}
 
     run = monte_carlo_classify(
-        mc_psi, red, [rail for rail, _ in all_rails], VERIFY_SAMPLES, seed
+        red.origin, red, [rail for rail, _ in all_rails], VERIFY_SAMPLES, seed
     )
     mass_checks = []
     sampling_ok = True
@@ -215,7 +216,7 @@ def _verification_block(m, mc_psi, red, psi, max_prob, seed) -> Dict:
     }
     ok &= sampling_ok
 
-    if not is_markov_chain(m):
+    if not is_mc:
         try:
             exact = brute_force_max_reach(m, psi)
             diff = abs(exact - max_prob)

@@ -36,12 +36,6 @@ class Model:
     def num_states(self) -> int:
         return len(self.names)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ModelError(f"unknown state name {name!r}") from None
-
 
 def dirac(state: int) -> Distribution:
     return ((state, 1.0),)
@@ -169,11 +163,13 @@ def _parse_distribution(state, k, row, index, tol) -> Distribution:
                 f"state {state!r} distribution {k}: probability of {target!r} must be a number"
             )
         p = float(p)
-        if p <= 0.0 or p > 1.0:
+        if p <= 0.0 or p > 1.0 + tol:
             raise ModelError(
                 f"state {state!r} distribution {k}: probability {p!r} of {target!r} out of range"
             )
-        entries.append((index[target], p))
+        # a probability may overshoot 1 by rounding, as a row sum may; a
+        # stored value above 1 would let a rail's mass exceed 1
+        entries.append((index[target], min(p, 1.0)))
     total = math.fsum(p for _, p in entries)
     if abs(total - 1.0) > tol:
         raise ModelError(f"state {state!r} distribution {k} sums to {total!r}, expected 1")

@@ -31,19 +31,17 @@ class ConvergenceError(ArithmeticError):
 def solve_linear(a, b) -> np.ndarray:
     """Solve a x = b by Gaussian elimination with partial pivoting.
 
-    b may be a single right-hand side or a matrix of stacked columns; the
-    elimination factors a once either way.
+    b is an n x m matrix of stacked right-hand-side columns, all solved
+    with one factorization of a; x has the same shape as b.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"coefficient matrix must be square, got {a.shape}")
-    single = b.ndim == 1
-    rhs = b.reshape(n, 1) if single else b
-    if rhs.shape[0] != n:
-        raise ValueError("right-hand side size does not match the matrix")
-    aug = np.hstack((a, rhs))
+    if b.ndim != 2 or b.shape[0] != n:
+        raise ValueError(f"right-hand side must be {n} stacked columns, got {b.shape}")
+    aug = np.hstack((a, b))
     scale = max(1.0, float(np.max(np.abs(a)))) if n else 1.0
     for k in range(n):
         p = k + int(np.argmax(np.abs(aug[k:, k])))
@@ -53,10 +51,10 @@ def solve_linear(a, b) -> np.ndarray:
             aug[[k, p]] = aug[[p, k]]
         factors = aug[k + 1 :, k] / aug[k, k]
         aug[k + 1 :, k:] -= np.outer(factors, aug[k, k:])
-    x = np.zeros((n, rhs.shape[1]))
+    x = np.zeros(b.shape)
     for k in range(n - 1, -1, -1):
         x[k] = (aug[k, n:] - aug[k, k + 1 : n] @ x[k + 1 :]) / aug[k, k]
-    return x[:, 0] if single else x
+    return x
 
 
 def prob0_states(m: Model, target: Iterable[int]) -> Set[int]:
@@ -83,17 +81,14 @@ def prob0_states(m: Model, target: Iterable[int]) -> Set[int]:
     return set(range(n)) - reach
 
 
-def max_reach(
-    m: Model,
-    target: Iterable[int],
-    tol: float = VI_TOL,
-    max_iter: int = VI_MAX_ITER,
-) -> np.ndarray:
+def max_reach(m: Model, target: Iterable[int]) -> np.ndarray:
     """Maximal reachability probabilities, one entry per state.
 
     Target states are pinned to 1, probability-zero states to 0, and the
-    rest is iterated to the least fixed point of the one-step maximum.
-    The empty target gives the all-zero vector.
+    rest is iterated to the least fixed point of the one-step maximum,
+    until one sweep moves no value by VI_TOL or more; after VI_MAX_ITER
+    sweeps without that, ConvergenceError is raised. The empty target
+    gives the all-zero vector.
     """
     n = m.num_states
     target = set(target)
@@ -119,13 +114,13 @@ def max_reach(
     free, targets, probs = np.array(free), np.array(targets), np.array(probs)
     row_start, state_start = np.array(row_start), np.array(state_start)
     delta = 0.0
-    for _ in range(max_iter):
+    for _ in range(VI_MAX_ITER):
         # One Jacobi sweep over every free state at once; from 0 the
         # iterates rise monotonically to the least fixed point.
         values = np.add.reduceat(probs * x[targets], row_start)
         best = np.maximum.reduceat(values, state_start)
         delta = float(np.max(np.abs(best - x[free])))
         x[free] = best
-        if delta < tol:
+        if delta < VI_TOL:
             return np.clip(x, 0.0, 1.0)
-    raise ConvergenceError(delta, max_iter)
+    raise ConvergenceError(delta, VI_MAX_ITER)

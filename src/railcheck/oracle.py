@@ -229,12 +229,12 @@ def monte_carlo_classify(
     return SampleRun(seed=seed, count=n, classified=classified, unclassified=unclassified)
 
 
-def _cross_check(mc, red, rails, seed, absorbing, k=64):
-    # Replays a small derived-seed sample step by step and confronts the
+def _cross_check(mc, red, rails, seed, absorbing):
+    # Replays 64 runs from a derived seed step by step and confronts the
     # footprint shortcut with the membership predicate itself.
     rng = np.random.default_rng([seed, 1])
     rail_set = set(rails)
-    for _ in range(k):
+    for _ in range(64):
         path = [mc.initial]
         while not absorbing[path[-1]] and len(path) < SAMPLE_STEP_LIMIT:
             row = mc_row(mc, path[-1])

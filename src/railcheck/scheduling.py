@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from .model import Model
-from .numerics import max_reach, prob0_states
+from .numerics import prob0_states
 
 OPT_TOL = 1e-7
 
@@ -23,9 +23,7 @@ class Scheduler:
     choice: Tuple[int, ...]  # state index to distribution index
 
 
-def extract_max_scheduler(
-    m: Model, target: Iterable[int], values: Optional[np.ndarray] = None
-) -> Scheduler:
+def extract_max_scheduler(m: Model, target: Iterable[int], values: np.ndarray) -> Scheduler:
     """Deterministic memoryless scheduler attaining the maximal
     reachability probability at every state.
 
@@ -35,11 +33,11 @@ def extract_max_scheduler(
     receiving the lowest-index optimal distribution that moves with
     positive probability into the settled region; the induced chain then
     reaches the absorbing boundary almost surely and realizes the values.
-    ``values`` is the ``max_reach`` vector for this target, computed here
-    when not given.
+    ``values`` is the ``max_reach`` vector for this target, which every
+    caller already holds; where no optimal distribution makes progress,
+    they are not maximal and SchedulerError is raised.
     """
     target = set(target)
-    x = max_reach(m, target) if values is None else values
     zero = prob0_states(m, target)
     n = m.num_states
     choice = [0] * n
@@ -51,8 +49,8 @@ def extract_max_scheduler(
         for s in pending:
             picked = None
             for k, dist in enumerate(m.actions[s]):
-                value = sum(p * x[t] for t, p in dist)
-                if abs(value - x[s]) <= OPT_TOL and any(t in settled for t, _ in dist):
+                value = sum(p * values[t] for t, p in dist)
+                if abs(value - values[s]) <= OPT_TOL and any(t in settled for t, _ in dist):
                     picked = k
                     break
             if picked is None:

@@ -1,10 +1,11 @@
 """Ranked rail enumeration and witness-set assembly.
 
-The reduced chain restricted to states that can still reach the target is
-a DAG (its only cycles are absorbing self loops, and an absorbing
-non-target state is dead), so rails can be streamed best-first with one
-lazily materialized sorted suffix stream per state, merged along edges.
-Work is proportional to the number of rails actually consumed.
+The reduced chain is a DAG apart from absorbing self loops, so rails can be
+streamed best-first with one lazily materialized sorted suffix stream per
+state, merged along edges (the recursive enumeration scheme of Jiménez &
+Marzal). A state that cannot reach the target has an empty stream and
+never enters a heap, so no separate liveness pass is needed. Work is
+proportional to the number of rails actually consumed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .model import FinitePath, mc_row
-from .numerics import prob0_states
 from .props import PropertySpec
 from .rails import Witness, rail_mass, representant
 from .transform import AcyclicReduction
@@ -54,11 +54,11 @@ class _SuffixStreams:
     items in edge order, later the follow-up of the item just popped.
     """
 
-    def __init__(self, chain, targets: Set[int], live: Set[int]):
+    def __init__(self, chain, targets: Set[int]):
         self.items: Dict[int, List[Tuple[float, FinitePath]]] = {}
         self.heaps: Dict[int, list] = {}
         self.waiting: Dict[int, List[Tuple[int, int, float]]] = {}
-        for u in live:
+        for u in range(chain.num_states):
             self.heaps[u] = []
             if u in targets:
                 self.items[u], self.waiting[u] = [(0.0, (u,))], []
@@ -67,7 +67,7 @@ class _SuffixStreams:
             self.waiting[u] = [
                 (t, 0, -math.log(p))
                 for t, p in reversed(mc_row(chain, u))
-                if t in live and t != u
+                if t != u
             ]
 
     def _peek(self, u: int, i: int):
@@ -108,16 +108,18 @@ def ranked_rails(
     red: AcyclicReduction, targets: Iterable[int]
 ) -> Iterator[Tuple[FinitePath, float]]:
     """Rails from the initial state to the first target hit, heaviest
-    first; each item is (rail, mass) with the mass an exact product."""
+    first; each item is (rail, mass) with the mass an exact product.
+
+    Every state of the reduced chain gets a suffix stream. The stream of
+    a state that cannot reach the target is empty, whether the state is
+    absorbing or leads into a dead region, so the rails are the same with
+    or without the probability-zero states made absorbing."""
     targets = set(targets)
     chain = red.chain
     s0 = chain.initial
-    live = set(range(chain.num_states)) - prob0_states(chain, targets)
 
     def stream():
-        if s0 not in live:
-            return
-        streams = _SuffixStreams(chain, targets, live)
+        streams = _SuffixStreams(chain, targets)
         for i in itertools.count():
             item = streams.item(s0, i)
             if item is None:

@@ -171,7 +171,7 @@ def scc_reach(mc: Model, info: SccInfo) -> SccInfo:
                 a[pos[s], pos[t]] -= p
             elif t in opos:
                 b[pos[s], opos[t]] += p
-    x = solve_linear(a, b).reshape(k, len(outs))
+    x = solve_linear(a, b)
     reach: Dict[Tuple[int, int], float] = {}
     for u in sorted(info.inputs):
         row = np.clip(x[pos[u]], 0.0, None)

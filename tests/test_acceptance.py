@@ -97,7 +97,7 @@ def test_criterion_06_scheduler_optimality(mdp_corpus, mdp2):
     assert len(mdp_corpus) == 100
     for m in mdp_corpus:
         psi = {m.num_states - 2}
-        sched = extract_max_scheduler(m, psi)
+        sched = extract_max_scheduler(m, psi, max_reach(m, psi))
         value = max_reach(induced_mc(m, sched), psi)[m.initial]
         assert abs(value - brute_force_max_reach(m, psi)) <= 1e-7
     assert brute_force_max_reach(mdp2, {3}) == 0.8

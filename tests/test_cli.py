@@ -372,7 +372,7 @@ def test_main_json_is_report_plus_newline(m0_path, capsys):
 
 
 def test_scheduler_failure_exits_2(mdp2_path, monkeypatch):
-    def stuck(m, target, values=None):
+    def stuck(m, target, values):
         raise SchedulerError("no optimal distribution makes progress at 2 states")
 
     monkeypatch.setattr(cli, "extract_max_scheduler", stuck)

@@ -10,7 +10,6 @@ import pytest
 from railcheck.model import parse_model
 from railcheck.numerics import max_reach
 from railcheck.oracle import brute_force_max_reach
-from railcheck.scheduling import extract_max_scheduler
 from railcheck.transform import scc_decompose, scc_io
 
 RING_SEED = 901
@@ -73,7 +72,7 @@ def test_max_reach_matches_solve_on_ring_chains(i):
     # breadth-first numbering, then the same chain numbered in reverse
     for states in (doc["states"], doc["states"][::-1]):
         m = parse_model(json.dumps(dict(doc, states=states)))
-        goal = m.index_of(next(iter(doc["labels"])))
+        goal = m.names.index(next(iter(doc["labels"])))
         got = max_reach(m, {goal})
         assert np.max(np.abs(got - _exact_reach(m, goal))) <= 1e-8
         by_order.append({m.names[s]: got[s] for s in range(m.num_states)})
@@ -126,10 +125,3 @@ def test_scc_io_matches_networkx_condensation(i):
     infos = scc_io(m, scc_decompose(m))
     got = {info.members: (info.inputs, info.outputs) for info in infos if info.nontrivial}
     assert got == expected
-
-
-def test_scheduler_from_given_values_matches(mdp_corpus):
-    for m in mdp_corpus:
-        psi = {m.num_states - 2}
-        given = extract_max_scheduler(m, psi, max_reach(m, psi))
-        assert given.choice == extract_max_scheduler(m, psi).choice

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from railcheck.cli import run_check
 from railcheck.model import (
+    ROW_SUM_TOL,
     ModelError,
     cylinder_prob,
     dirac,
@@ -30,9 +33,6 @@ def test_rows_and_lookups(m0):
     assert successors(m0, 0) == {1, 2}
     assert successors(m0, 3) == {3}
     assert dirac(3) == ((3, 1.0),)
-    assert m0.index_of("s2") == 2
-    with pytest.raises(ModelError, match="unknown state name"):
-        m0.index_of("zz")
 
 
 def test_mdp_is_not_a_chain(mdp2):
@@ -104,3 +104,41 @@ def test_row_sum_tolerance():
     assert dict(mc_row(m, 0))[0] == off
     with pytest.raises(ModelError, match="sums to"):
         parse_model(doc, tol=1e-12)
+
+
+def _merged_weights_doc(rng):
+    # A short line of states, each row merging two normalized weights for
+    # its one successor, as a generator that adds up duplicate targets
+    # does; the sum can round to 1.0000000000000002.
+    n = int(rng.integers(2, 6))
+    names = ["x%d" % s for s in range(n)]
+    rows = {names[-1]: [{names[-1]: 1.0}]}
+    for s in range(n - 1):
+        w = rng.uniform(0.2, 1.0, 2)
+        w = w / w.sum()
+        rows[names[s]] = [{names[s + 1]: float(w[0]) + float(w[1])}]
+    return {"states": names, "initial": names[0], "labels": {names[-1]: ["psi"]}, "transitions": rows}
+
+
+def test_probability_rounded_above_one_is_stored_as_one(tmp_path):
+    # Stored as read, such a row would give the line's one rail a mass
+    # above 1, and P<=1 would be reported violated.
+    rng = np.random.default_rng(4242)
+    above_one = 0
+    for _ in range(200):
+        doc = _merged_weights_doc(rng)
+        mass = 1.0
+        for s in range(len(doc["states"]) - 1):
+            (row,) = doc["transitions"][doc["states"][s]]
+            mass *= row[doc["states"][s + 1]]
+        above_one += mass > 1.0
+        path = tmp_path / "merged.json"
+        path.write_text(json.dumps(doc))
+        m = parse_model(path.read_text())
+        assert all(0.0 < p <= 1.0 for (row,) in m.actions for _, p in row)
+        code, report = run_check(str(path), "P<=1 [ F psi ]")
+        assert code == 0, report
+    assert above_one > 0
+    doc = {"states": ["a"], "initial": "a", "transitions": {"a": [{"a": 1.0 + 2 * ROW_SUM_TOL}]}}
+    with pytest.raises(ModelError, match="out of range"):
+        parse_model(json.dumps(doc))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from railcheck import numerics
 from railcheck.numerics import (
     ConvergenceError,
     SingularMatrixError,
@@ -15,7 +16,7 @@ def test_solve_linear_matches_numpy():
     for _ in range(25):
         n = int(rng.integers(1, 9))
         a = rng.normal(size=(n, n)) + n * np.eye(n)
-        b = rng.normal(size=n)
+        b = rng.normal(size=(n, 1))
         assert np.allclose(solve_linear(a, b), np.linalg.solve(a, b), atol=1e-10)
 
 
@@ -30,7 +31,7 @@ def test_solve_linear_multi_rhs():
 
 def test_solve_linear_singular():
     with pytest.raises(SingularMatrixError):
-        solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+        solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1.0], [2.0]]))
 
 
 def test_prob0(m0, m0_trap):
@@ -69,8 +70,9 @@ def test_max_reach_empty_target(m0):
     assert np.all(max_reach(m0, set()) == 0.0)
 
 
-def test_max_reach_iteration_budget(m0):
+def test_max_reach_iteration_budget(m0, monkeypatch):
+    monkeypatch.setattr(numerics, "VI_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as err:
-        max_reach(m0, {3, 4}, max_iter=1)
+        max_reach(m0, {3, 4})
     assert err.value.iterations == 1
     assert err.value.residual > 0

@@ -8,7 +8,7 @@ from railcheck.scheduling import SchedulerError, extract_max_scheduler, induced_
 
 
 def test_mdp2_scheduler(mdp2):
-    sched = extract_max_scheduler(mdp2, {3})
+    sched = extract_max_scheduler(mdp2, {3}, max_reach(mdp2, {3}))
     assert sched.choice == (1, 0, 0, 0, 0)
     chain = induced_mc(mdp2, sched)
     assert is_markov_chain(chain)
@@ -18,7 +18,7 @@ def test_mdp2_scheduler(mdp2):
 
 
 def test_chain_passes_through(m0):
-    sched = extract_max_scheduler(m0, {3, 4})
+    sched = extract_max_scheduler(m0, {3, 4}, max_reach(m0, {3, 4}))
     assert sched.choice == (0, 0, 0, 0, 0)
     assert induced_mc(m0, sched).actions == m0.actions
 
@@ -38,7 +38,7 @@ def test_value_preserving_loop_is_left():
         },
     }
     m = parse_model(json.dumps(doc))
-    sched = extract_max_scheduler(m, {2})
+    sched = extract_max_scheduler(m, {2}, max_reach(m, {2}))
     assert sched.choice == (1, 0, 0, 0)
     value = max_reach(induced_mc(m, sched), {2})[0]
     assert abs(value - 1.0) <= 1e-7
@@ -56,11 +56,11 @@ def test_ties_take_lowest_action_index():
         },
     }
     m = parse_model(json.dumps(doc))
-    assert extract_max_scheduler(m, {1}).choice[0] == 0
+    assert extract_max_scheduler(m, {1}, max_reach(m, {1})).choice[0] == 0
 
 
 def test_unreachable_target_defaults_to_first_action(mdp2):
-    sched = extract_max_scheduler(mdp2, set())
+    sched = extract_max_scheduler(mdp2, set(), max_reach(mdp2, set()))
     assert sched.choice == (0, 0, 0, 0, 0)
 
 

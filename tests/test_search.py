@@ -1,13 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import reduce_to_psi
 from railcheck import search
 from railcheck.model import cylinder_prob, parse_model
 from railcheck.oracle import enumerate_freach
-from railcheck.props import Atom, PropertySpec, parse_property
+from railcheck.props import Atom, PropertySpec, parse_property, sat_states
 from railcheck.rails import representant
 from railcheck.search import (
     SearchLimitError,
@@ -207,3 +208,72 @@ def test_unreachable_target():
     out = most_indicative(red, parse_property("P<=0.3 [ F psi ]"), psi)
     assert out.verdict == "holds"
     assert out.witnesses == []
+
+
+def _dead_region_doc(rng):
+    """Rings of 1 to 4 live states leading forward to absorbing goals,
+    plus dead regions: closed rings without a goal, and dead trees that
+    hang off the live states and end in those rings."""
+    sizes = [int(k) for k in rng.integers(1, 5, size=int(rng.integers(2, 6)))]
+    live = int(sum(sizes))
+    goals = list(range(live, live + int(rng.integers(1, 3))))
+    rings, start = [], goals[-1] + 1
+    for k in rng.integers(2, 4, size=int(rng.integers(1, 3))):
+        rings.append(list(range(start, start + int(k))))
+        start += int(k)
+    n = start + int(rng.integers(1, 6))
+    trees = list(range(start, n))
+    ring_states = [s for ring in rings for s in ring]
+    rows = [None] * n
+    start = 0
+    for size in sizes:
+        for j in range(size):
+            out = [int(t) for t in rng.integers(start + size, goals[-1] + 1, size=int(rng.integers(1, 3)))]
+            if size > 1:
+                out.append(start + (j + 1) % size)
+            if rng.random() < 0.5:
+                out.append(int(rng.choice(trees + ring_states)))
+            rows[start + j] = out
+        start += size
+    for g in goals:
+        rows[g] = [g]
+    for ring in rings:
+        for j, s in enumerate(ring):
+            rows[s] = [ring[(j + 1) % len(ring)], int(rng.choice(ring))]
+    for i, s in enumerate(trees):
+        rows[s] = [int(t) for t in rng.choice(trees[i + 1 :] + ring_states, size=2)]
+    names = ["d%d" % s for s in range(n)]
+    transitions = {}
+    for s, targets in enumerate(rows):
+        targets = sorted(set(targets))
+        w = rng.uniform(0.2, 1.0, len(targets))
+        transitions[names[s]] = [{names[t]: float(p) for t, p in zip(targets, w / w.sum())}]
+    return {
+        "states": names,
+        "initial": names[0],
+        "labels": {names[g]: ["psi"] for g in goals},
+        "transitions": transitions,
+    }
+
+
+def test_dead_regions_need_no_absorbing():
+    # The stream needs no liveness pass: on a reduction whose dead states
+    # are not made absorbing, rails, masses and witnesses are the same as
+    # on the reduction of the absorbing chain.
+    rng = np.random.default_rng(606)
+    dead_kept = 0
+    for _ in range(60):
+        m = parse_model(json.dumps(_dead_region_doc(rng)))
+        psi = sat_states(m, Atom("psi"))
+        raw = acyclic_reduce(m)
+        absorbing = acyclic_reduce(make_absorbing(m, psi))
+        rails = list(ranked_rails(absorbing, psi))
+        assert rails and list(ranked_rails(raw, psi)) == rails
+        mass = math.fsum(mass for _, mass in rails)
+        for threshold in (1.0, float(rng.uniform(0.0, mass))):
+            spec = PropertySpec("<=", threshold, Atom("psi"))
+            assert most_indicative(raw, spec, psi) == most_indicative(absorbing, spec, psi)
+        dead_kept += sum(
+            raw.chain.actions[s] != absorbing.chain.actions[s] for s in raw.kept
+        )
+    assert dead_kept > 0
