@@ -32,6 +32,7 @@ from .transform import acyclic_reduce, make_absorbing
 DEFAULT_SEED = 42
 DEFAULT_MAX_WITNESSES = 10 ** 6
 VERIFY_SAMPLES = 10 ** 5
+SAMPLING_ALPHA = math.erfc(4 / math.sqrt(2))  # a normal deviate's two-sided 4 sigma tail
 _ENUM_STATE_CAP = 40
 _ENUM_LEN = 20
 
@@ -197,8 +198,7 @@ def _verification_block(m, is_mc, red, psi, max_prob, seed) -> Dict:
     sampling_ok = True
     for rail, mass in all_rails:
         freq = run.classified[rail] / run.count
-        sigma = math.sqrt(max(mass * (1.0 - mass), 1e-12) / run.count)
-        within = abs(freq - mass) <= 4.0 * sigma
+        within = abs(freq - mass) <= _sampling_bound(mass, run.count, len(all_rails))
         sampling_ok &= within
         mass_checks.append(
             {
@@ -232,6 +232,20 @@ def _verification_block(m, is_mc, red, psi, max_prob, seed) -> Dict:
 
     checks["pass"] = bool(ok)
     return checks
+
+
+def _sampling_bound(mass: float, count: int, n_rails: int) -> float:
+    """Largest deviation of a rail's sampled frequency from its mass that
+    the sampling check accepts. Bernstein's inequality bounds a frequency
+    of `count` draws by P(|f - m| >= t) <= 2 exp(-count t^2 / (2 m(1-m) +
+    2t/3)); this is the t at which that equals SAMPLING_ALPHA / n_rails, so
+    the check fails a correct report with probability at most
+    SAMPLING_ALPHA over all its rails together. It is never below the
+    normal approximation's 4 sigma, because sqrt(2 ln(2 / SAMPLING_ALPHA))
+    is about 4.55."""
+    log_term = math.log(2 * n_rails / SAMPLING_ALPHA)
+    a = log_term / (3 * count)
+    return a + math.sqrt(a * a + 2 * max(mass * (1.0 - mass), 0.0) * log_term / count)
 
 
 def _json(value, indent: str = "") -> str:

@@ -3,16 +3,22 @@ scheduler search, and seeded Monte Carlo classification.
 
 These routines deliberately avoid the pipeline's own machinery:
 reachability is recomputed with numpy's solver, graph closures are local,
-and sampled paths are classified by their component footprint rather than
-by replaying the search. They exist to cross-check the pipeline, so any
-shared code path would make the check circular.
+and sampled runs are classified by their component footprint, looked up
+in a prefix tree of the given rails, rather than by replaying the search.
+They share only `mc_row` and `generator_member` with the pipeline, because
+any further shared code path would make the check circular.
+
+The sampler's result is a function of the seed alone: at every step each
+live run takes one PCG64 draw, the runs ordered by (current state, run
+index), and moves to the first successor whose cumulative row probability
+exceeds it. Whole-array steps keep that order, so the same seed gives the
+same counts whichever way the steps are computed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
@@ -157,17 +163,41 @@ class SampleRun:
     unclassified: int
 
 
-def _footprint(red: AcyclicReduction, path: Sequence[int]) -> FinitePath:
-    # Keep the states that open a new component block. Components are
-    # never re-entered, so this is each nontrivial component's first visit
-    # plus every trivial-component state, and it spells the unique rail
-    # the path generates.
-    scc_of = red.scc_of
-    out = [path[0]]
-    for prev, cur in zip(path, path[1:]):
-        if scc_of[cur] != scc_of[prev]:
-            out.append(cur)
-    return tuple(out)
+class _RailTrie:
+    """Prefix tree of the rails that start at the initial state.
+
+    Node 0 is (initial,), and every other node is one state longer than
+    its parent. The edge to a child is keyed node * n_states + state, with
+    the keys sorted so that a whole array of runs looks up its children in
+    one searchsorted; a last key above all others, with child -1, stands
+    for "no such child". `rail_of` maps a node that spells a given rail
+    to it.
+    """
+
+    def __init__(self, initial: int, n_states: int, rails: Sequence[FinitePath]):
+        self.n_states = n_states
+        edges: Dict[Tuple[int, int], int] = {}
+        self.rail_of: Dict[int, FinitePath] = {}
+        for rail in rails:
+            if rail[0] != initial:
+                continue
+            node = 0
+            for s in rail[1:]:
+                node = edges.setdefault((node, s), len(edges) + 1)
+            self.rail_of[node] = rail
+        self.size = len(edges) + 1
+        keys = [u * n_states + s for u, s in edges] + [np.iinfo(np.int64).max]
+        order = np.argsort(keys)
+        self.keys = np.array(keys, dtype=np.int64)[order]
+        self.child = np.array(list(edges.values()) + [-1], dtype=np.int64)[order]
+
+    def step(self, nodes: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """The child of each node along the state at the same position;
+        -1 where there is none, or where the node is already -1 (its key
+        is negative)."""
+        keys = nodes * self.n_states + states
+        pos = np.searchsorted(self.keys, keys)
+        return np.where(self.keys[pos] == keys, self.child[pos], -1)
 
 
 def monte_carlo_classify(
@@ -175,65 +205,79 @@ def monte_carlo_classify(
 ) -> SampleRun:
     """Simulate n runs of the absorbing chain and sort them into torrents.
 
-    Sampling is vectorized; each run keeps only its component footprint,
-    which determines the one rail it can generate. Runs absorbed outside
-    the given rails, or still alive after SAMPLE_STEP_LIMIT steps, count
-    as unclassified. A deterministic subsample is re-simulated path by
-    path and checked against generator_member directly, asserting that no
-    path ever matches two rails.
+    A run's footprint keeps the states that open a new component block:
+    components are never re-entered, so that is each nontrivial
+    component's first visit plus every trivial-component state, and it
+    spells the one rail the run can generate. Each run walks a prefix tree
+    of the given rails along its footprint as it moves and counts for the
+    rail it spells when it is absorbed. Runs absorbed anywhere else, or
+    still alive after SAMPLE_STEP_LIMIT steps, count as unclassified.
+
+    The draw order is part of the result: at every step each live run
+    takes one draw, the runs ordered by (current state, run index), and
+    picks the first successor whose cumulative row probability exceeds
+    it, or the row's last one. A step is one `rng.random` over the live
+    runs, scattered into that order by a stable argsort, then a bisection
+    inside every run's row at once. Runs that have left the tree keep
+    moving, so the other runs' draws do not shift; absorbed runs leave the
+    arrays. A deterministic subsample is then re-simulated path by path
+    and checked against generator_member.
     """
     rails = [tuple(r) for r in rails]
-    rail_set = set(rails)
     n_states = mc.num_states
     scc_of = np.array(red.scc_of, dtype=np.int64)
     rows = [mc_row(mc, s) for s in range(n_states)]
-    succs = [np.array([t for t, _ in row], dtype=np.int64) for row in rows]
-    cums = [np.cumsum([p for _, p in row]) for row in rows]
+    lens = np.array([len(row) for row in rows], dtype=np.int64)
+    first = np.cumsum(lens) - lens
+    last = first + lens - 1  # a draw past every other entry picks the last
+    succ = np.array([t for row in rows for t, _ in row], dtype=np.int64)
+    cum = np.concatenate([np.cumsum([p for _, p in row]) for row in rows])
     absorbing = np.array(
         [len(row) == 1 and row[0][0] == s for s, row in enumerate(rows)]
     )
+    hops = scc_of[succ] != np.repeat(scc_of, lens)  # per edge
+    ends_at = absorbing[succ]  # per edge
+    # steps of a binary search over all entries of a row but its last
+    halves = [1 << k for k in reversed(range(int(lens.max() - 1).bit_length()))]
+    top = cum.size - 1
+    trie = _RailTrie(mc.initial, n_states, rails)
     rng = np.random.default_rng(seed)
-    cur = np.full(n, mc.initial, dtype=np.int64)
-    foot = np.full((n, len(red.sccs) + 1), -1, dtype=np.int64)
-    foot[:, 0] = mc.initial
-    flen = np.ones(n, dtype=np.int64)
-    active = ~absorbing[cur]
+    live = 0 if absorbing[mc.initial] else n
+    ends = [np.zeros(n - live, dtype=np.int64)]  # trie nodes of absorbed runs, -1 off it
+    cur = np.full(live, mc.initial, dtype=np.int64)
+    node = np.zeros(live, dtype=np.int64)
     steps = 0
-    while active.any() and steps < SAMPLE_STEP_LIMIT:
+    while cur.size and steps < SAMPLE_STEP_LIMIT:
         steps += 1
-        moving = np.flatnonzero(active)
-        states = cur[moving]
-        for s in np.unique(states):
-            sel = moving[states == s]
-            draws = rng.random(sel.size)
-            picks = np.searchsorted(cums[s], draws, side="right")
-            nxt = succs[s][np.minimum(picks, len(succs[s]) - 1)]
-            cur[sel] = nxt
-            hopped = scc_of[nxt] != scc_of[s]
-            if hopped.any():
-                rows_sel = sel[hopped]
-                foot[rows_sel, flen[rows_sel]] = nxt[hopped]
-                flen[rows_sel] += 1
-            active[sel] = ~absorbing[nxt]
-    unclassified = int(active.sum())
+        draw = np.empty(cur.size)
+        draw[np.argsort(cur, kind="stable")] = rng.random(cur.size)
+        edge, stop = first[cur], last[cur]
+        for half in halves:  # edge += half where the entry half - 1 on is <= draw
+            probe = edge + (half - 1)
+            edge += half * ((probe < stop) & (cum[np.minimum(probe, top)] <= draw))
+        nxt = succ[edge]
+        hop = np.flatnonzero(hops[edge])
+        node[hop] = trie.step(node[hop], nxt[hop])
+        done = ends_at[edge]
+        ends.append(node[done])
+        cur, node = nxt[~done], node[~done]
+    ended = np.concatenate(ends)
+    counts = np.bincount(ended[ended >= 0], minlength=trie.size)
     classified = {rail: 0 for rail in rails}
-    done = np.flatnonzero(~active)
-    width = flen.max(initial=1)  # columns past the longest footprint are padding
-    for row, cnt in Counter(map(tuple, foot[done, :width].tolist())).items():
-        rail = tuple(x for x in row if x >= 0)
-        if rail in rail_set:
-            classified[rail] += cnt
-        else:
-            unclassified += cnt
-    _cross_check(mc, red, rails, seed, absorbing=[bool(x) for x in absorbing])
+    for at, rail in trie.rail_of.items():
+        classified[rail] = int(counts[at])
+    unclassified = n - sum(classified.values())
+    _cross_check(mc, red, rails, seed, absorbing, trie)
     return SampleRun(seed=seed, count=n, classified=classified, unclassified=unclassified)
 
 
-def _cross_check(mc, red, rails, seed, absorbing):
+def _cross_check(mc, red, rails, seed, absorbing, trie) -> None:
     # Replays 64 runs from a derived seed step by step and confronts the
-    # footprint shortcut with the membership predicate itself.
+    # trie lookup with the membership predicate itself, for the rails a
+    # run from the initial state can count for. It raises rather than
+    # asserts, so that python -O keeps it.
     rng = np.random.default_rng([seed, 1])
-    rail_set = set(rails)
+    paths = []
     for _ in range(64):
         path = [mc.initial]
         while not absorbing[path[-1]] and len(path) < SAMPLE_STEP_LIMIT:
@@ -247,12 +291,21 @@ def _cross_check(mc, red, rails, seed, absorbing):
                     nxt = t
                     break
             path.append(nxt)
-        if not absorbing[path[-1]]:
-            continue
-        matches = [rail for rail in rails if generator_member(red, rail, path)]
-        assert len(matches) <= 1, "a path generated two distinct torrents"
-        foot = _footprint(red, path)
-        if foot in rail_set:
-            assert matches == [foot]
-        else:
-            assert not matches
+        if absorbing[path[-1]]:
+            paths.append(path)
+    # the paths walk the trie in lockstep, one component hop at a time
+    hops = [[t for s, t in zip(path, path[1:]) if red.scc_of[t] != red.scc_of[s]] for path in paths]
+    node = np.zeros(len(paths), dtype=np.int64)
+    for depth in range(max(map(len, hops), default=0)):
+        at = [i for i, hop in enumerate(hops) if len(hop) > depth]
+        node[at] = trie.step(node[at], np.array([hops[i][depth] for i in at], dtype=np.int64))
+    distinct = [rail for rail in dict.fromkeys(rails) if rail[0] == mc.initial]
+    for path, at in zip(paths, node.tolist()):
+        matches = [rail for rail in distinct if generator_member(red, rail, path)]
+        if len(matches) > 1:
+            raise AssertionError("a path generated two distinct torrents")
+        found = trie.rail_of.get(at)
+        if matches != ([] if found is None else [found]):
+            raise AssertionError(
+                f"the rail trie places a path in {found}, membership in {matches}"
+            )

@@ -86,7 +86,12 @@ class _SuffixStreams:
         while requests:
             v, k = requests[-1]
             items, heap, waiting = self.items[v], self.heaps[v], self.waiting[v]
-            if waiting:
+            if len(items) > k:
+                # there already; `waiting` is left for the next pop, as
+                # resolving it here would materialize successor items
+                # that resolve theirs, down the whole DAG
+                requests.pop()
+            elif waiting:
                 t, j, w = waiting[-1]
                 nxt = self._peek(t, j)
                 if nxt is _PENDING:
@@ -95,7 +100,7 @@ class _SuffixStreams:
                 waiting.pop()
                 if nxt is not None:
                     heapq.heappush(heap, (_Key(w + nxt[0], nxt[1]), t, j, w))
-            elif len(items) > k or not heap:
+            elif not heap:
                 requests.pop()
             else:
                 key, t, j, w = heapq.heappop(heap)

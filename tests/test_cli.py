@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import numpy as np
@@ -99,6 +100,87 @@ def test_verification_checks_the_scheduler(mdp2_path):
     assert v["scheduler_value"]["pass"] is True
     assert v["scheduler_value"]["brute_force"] == 0.8
     assert v["pass"] is True
+
+
+def test_sampling_bound_is_never_below_four_sigma():
+    rng = np.random.default_rng(2024)
+    masses = np.concatenate([[0.0, 1e-300, 1e-13, 0.5, 1.0 - 1e-13, 1.0], rng.random(200)])
+    for mass in masses:
+        for count in (1, 10, 10 ** 3, 10 ** 5, 10 ** 7):
+            for n_rails in (1, 2, 64, 2048, 10 ** 6):
+                sigma = math.sqrt(max(mass * (1.0 - mass), 1e-12) / count)
+                assert cli._sampling_bound(float(mass), count, n_rails) >= 4.0 * sigma
+
+
+def _layered_dag_doc(rng, layers, width=16):
+    # The benchmark's layered DAG: an initial state, then `layers` layers
+    # of `width` states, each stepping to two distinct states of the next
+    # layer, the last layer to the goal or a trap; states are numbered
+    # breadth-first, successors in ascending provisional id, and the
+    # unreachable ones last.
+    goal, trap = 1 + layers * width, 2 + layers * width
+    rows = {goal: {goal: 1.0}, trap: {trap: 1.0}}
+
+    def step(lo):
+        a, b = (int(t) for t in rng.choice(np.arange(lo, lo + width), size=2, replace=False))
+        p = float(rng.uniform(0.2, 0.8))
+        return {a: p, b: 1.0 - p}
+
+    rows[0] = step(1)
+    for layer in range(1, layers + 1):
+        base = 1 + (layer - 1) * width
+        for s in range(base, base + width):
+            if layer < layers:
+                rows[s] = step(base + width)
+            else:
+                p = float(rng.uniform(0.3, 0.9))
+                rows[s] = {goal: p, trap: 1.0 - p}
+    order, queue = {0: 0}, [0]
+    for u in queue:
+        for t in sorted(rows[u]):
+            if t not in order:
+                order[t] = len(order)
+                queue.append(t)
+    for u in sorted(rows):  # unreachable states last
+        order.setdefault(u, len(order))
+    name = {u: "s%d" % order[u] for u in rows}
+    states = sorted(rows, key=order.__getitem__)
+    return {
+        "states": [name[u] for u in states],
+        "initial": name[0],
+        "labels": {name[goal]: ["goal"]},
+        "transitions": {
+            name[u]: [{name[t]: rows[u][t] for t in sorted(rows[u], key=order.__getitem__)}]
+            for u in states
+        },
+    }
+
+
+def test_sampling_check_passes_many_rails(tmp_path):
+    # 2048 rails, each checked at 4 sigma alone, failed this correct
+    # report at both seeds; the bound now holds over all rails at once.
+    path = tmp_path / "dag.json"
+    path.write_text(json.dumps(_layered_dag_doc(np.random.default_rng(1), 11)))
+    for seed in (42, 1):
+        code, report = _run(path, "P<=0.5 [ F goal ]", verify=True, seed=seed)
+        sampling = report["verification"]["sampling"]
+        assert code == 1 and len(sampling["rails"]) == 2048
+        assert sampling["pass"] is True and report["verification"]["pass"] is True
+
+
+def test_sampling_check_fails_a_mass_ten_percent_off(m0_path, monkeypatch):
+    real = cli.ranked_rails
+
+    def skewed(red, psi):
+        for i, (rail, mass) in enumerate(real(red, psi)):
+            yield rail, mass * 1.1 if i == 0 else mass
+
+    monkeypatch.setattr(cli, "ranked_rails", skewed)
+    for seed in (42, 1, 7):
+        _, report = _run(m0_path, "P<1 [ F psi ]", verify=True, seed=seed)
+        rails = report["verification"]["sampling"]["rails"]
+        assert [r["pass"] for r in rails] == [False] + [True] * (len(rails) - 1)
+        assert report["verification"]["pass"] is False
 
 
 def test_timings_only_on_request(m0_path):

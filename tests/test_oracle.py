@@ -1,16 +1,27 @@
+import bisect
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import reduce_to_psi
-from railcheck.model import parse_model
+from railcheck import oracle
+from railcheck.model import mc_row, parse_model
+from railcheck.numerics import max_reach
 from railcheck.oracle import (
     OracleLimitError,
     brute_force_max_reach,
     enumerate_freach,
     monte_carlo_classify,
 )
+from railcheck.scheduling import extract_max_scheduler, induced_mc
+from railcheck.search import ranked_rails
+from railcheck.transform import acyclic_reduce, make_absorbing
 
 M0_TABLE = [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625, 0.006, 0.00594, 0.0058806]
 
@@ -141,3 +152,109 @@ def test_classify_is_deterministic(m0):
     b = monte_carlo_classify(red.origin, red, rails, 2000, seed=7)
     assert a.classified == b.classified
     assert a.unclassified == b.unclassified
+
+
+def _replay(mc, red, rails, n, seed):
+    """monte_carlo_classify run by run: at every step the live runs, in
+    (state, run index) order, each take one scalar draw and the first
+    successor whose cumulative probability exceeds it; a run absorbed
+    with a footprint equal to a given rail counts for that rail."""
+    rows = [mc_row(mc, s) for s in range(mc.num_states)]
+    cums = [np.cumsum([p for _, p in row]).tolist() for row in rows]
+    absorbing = [len(row) == 1 and row[0][0] == s for s, row in enumerate(rows)]
+    rng = np.random.default_rng(seed)
+    cur = [mc.initial] * n
+    foot = [[mc.initial] for _ in range(n)]
+    live = [] if absorbing[mc.initial] else list(range(n))
+    steps = 0
+    while live and steps < oracle.SAMPLE_STEP_LIMIT:
+        steps += 1
+        for i in sorted(live, key=lambda i: (cur[i], i)):
+            s = cur[i]
+            pick = bisect.bisect_right(cums[s], rng.random())
+            t = rows[s][min(pick, len(rows[s]) - 1)][0]
+            if red.scc_of[t] != red.scc_of[s]:
+                foot[i].append(t)
+            cur[i] = t
+        live = [i for i in live if not absorbing[cur[i]]]
+    ended = Counter(tuple(foot[i]) for i in range(n) if absorbing[cur[i]])
+    classified = {tuple(rail): ended[tuple(rail)] for rail in rails}
+    return classified, n - sum(classified.values())
+
+
+def _assert_replayed(mc, red, rails, n, seed):
+    run = monte_carlo_classify(mc, red, rails, n, seed)
+    classified, unclassified = _replay(mc, red, rails, n, seed)
+    assert run.classified == classified
+    assert list(run.classified) == list(classified)
+    assert run.unclassified == unclassified
+
+
+def _mdp_induced(m):
+    psi = {m.num_states - 2}
+    mc = induced_mc(m, extract_max_scheduler(m, psi, max_reach(m, psi)))
+    red = acyclic_reduce(make_absorbing(mc, psi))
+    return red, [rail for rail, _ in ranked_rails(red, psi)]
+
+
+def test_sampler_matches_replay_on_corpora(mc_corpus, dag_corpus, mdp_corpus):
+    cases = [(red, [r for r, _ in rails]) for _, _, red, rails in mc_corpus + dag_corpus]
+    cases += [_mdp_induced(m) for m in mdp_corpus]
+    for i, (red, rails) in enumerate(cases):
+        _assert_replayed(red.origin, red, rails, 300, seed=[9000, i])
+
+
+def test_sampler_matches_replay_on_edge_cases(m0, m0_trap, fig5, monkeypatch):
+    red, _ = reduce_to_psi(m0)
+    rails = [(0, 2, 4), (0, 1, 3)]
+    _assert_replayed(red.origin, red, [], 500, seed=1)
+    _assert_replayed(red.origin, red, [(0, 1, 3)], 500, seed=2)  # partial list
+    _assert_replayed(red.origin, red, rails + [(1, 3), (0, 1)], 500, seed=3)
+    red_trap, _ = reduce_to_psi(m0_trap)
+    _assert_replayed(red_trap.origin, red_trap, rails, 500, seed=4)
+    red5, psi5 = reduce_to_psi(fig5)
+    _assert_replayed(red5.origin, red5, [r for r, _ in ranked_rails(red5, psi5)], 500, seed=5)
+    monkeypatch.setattr(oracle, "SAMPLE_STEP_LIMIT", 2)
+    _assert_replayed(red5.origin, red5, [r for r, _ in ranked_rails(red5, psi5)], 500, seed=6)
+    _assert_replayed(red.origin, red, rails, 500, seed=7)
+
+
+def test_sampler_on_an_absorbing_initial_state():
+    doc = {
+        "states": ["g", "x"],
+        "initial": "g",
+        "labels": {"g": ["psi"]},
+        "transitions": {"g": [{"g": 1.0}], "x": [{"g": 1.0}]},
+    }
+    red, _ = reduce_to_psi(parse_model(json.dumps(doc)))
+    for rails in ([(0,)], [], [(0,), (1, 0)]):
+        _assert_replayed(red.origin, red, rails, 100, seed=8)
+    run = monte_carlo_classify(red.origin, red, [(0,)], 100, seed=8)
+    assert run.classified == {(0,): 100} and run.unclassified == 0
+
+
+CROSS_CHECK_SCRIPT = """
+import sys
+import numpy as np
+from railcheck import oracle
+from railcheck.model import parse_model
+from railcheck.transform import acyclic_reduce, make_absorbing
+m = parse_model(open(sys.argv[1]).read())
+red = acyclic_reduce(make_absorbing(m, {3, 4}))
+oracle._RailTrie.step = lambda self, nodes, states: np.full_like(nodes, -1)
+try:
+    oracle.monte_carlo_classify(red.origin, red, [(0, 2, 4), (0, 1, 3)], 100, 1)
+except AssertionError as err:
+    print("caught:", err)
+"""
+
+
+def test_cross_check_survives_python_O(m0_path):
+    # a trie that loses every run must be caught, asserts stripped or not
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CROSS_CHECK_SCRIPT, str(m0_path)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.startswith("caught: the rail trie places a path in None")

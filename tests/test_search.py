@@ -277,3 +277,49 @@ def test_dead_regions_need_no_absorbing():
             raw.chain.actions[s] != absorbing.chain.actions[s] for s in raw.kept
         )
     assert dead_kept > 0
+
+
+def _diamond_chain_doc(rng, k):
+    # s_i steps to a_i or b_i, both step to s_i+1; s_k is the target.
+    rows = {}
+    for i in range(k):
+        p = float(rng.uniform(0.2, 0.8))
+        rows["s%d" % i] = [{"a%d" % i: p, "b%d" % i: 1.0 - p}]
+        rows["a%d" % i] = [{"s%d" % (i + 1): 1.0}]
+        rows["b%d" % i] = [{"s%d" % (i + 1): 1.0}]
+    rows["s%d" % k] = [{"s%d" % k: 1.0}]
+    return {"states": list(rows), "initial": "s0", "labels": {"s%d" % k: ["psi"]}, "transitions": rows}
+
+
+def _ring_chain_doc(rng, rings, size=4):
+    # Rings of `size` states. A member moves on around its ring or exits
+    # forward: member 0 to the next ring, the others to one of the next
+    # three rings, and past the last ring to the target or a trap.
+    names = ["r%d" % s for s in range(rings * size)] + ["goal", "trap"]
+    rows = {"goal": [{"goal": 1.0}], "trap": [{"trap": 1.0}]}
+    for ring in range(rings):
+        for j in range(size):
+            stay = float(rng.uniform(0.5, 0.7))
+            ahead = ring + 1 + (int(rng.integers(3)) if j else 0)
+            if ahead < rings:
+                exit_to = names[ahead * size + int(rng.integers(size))]
+            else:
+                exit_to = "goal" if rng.random() < 0.7 else "trap"
+            nxt = names[ring * size + (j + 1) % size]
+            rows[names[ring * size + j]] = [{nxt: stay, exit_to: 1.0 - stay}]
+    return {"states": names, "initial": names[0], "labels": {"goal": ["psi"]}, "transitions": rows}
+
+
+@pytest.mark.parametrize("make, sizes", [(_diamond_chain_doc, (5, 40, 150)), (_ring_chain_doc, (3, 30, 120))])
+def test_first_rail_materializes_one_item_per_state(make, sizes):
+    # An item already in a stream is served without resolving the
+    # follow-up of its pop, which would cascade down the DAG: the first
+    # rail costs at most one item per state of the reduced chain.
+    rng = np.random.default_rng(1313)
+    for size in sizes:
+        m = parse_model(json.dumps(make(rng, size)))
+        red, psi = reduce_to_psi(m)
+        streams = search._SuffixStreams(red.chain, psi)
+        first = streams.item(red.chain.initial, 0)
+        assert first is not None and first[1] == next(iter(ranked_rails(red, psi)))[0]
+        assert max(len(items) for items in streams.items.values()) == 1
