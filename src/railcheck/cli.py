@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, List, Optional, Tuple
 
 from .model import Model, ModelError, is_markov_chain, names_of_path, parse_model
-from .numerics import ConvergenceError, SingularMatrixError, max_reach
+from .numerics import SingularMatrixError, max_reach
 from .oracle import (
     OracleLimitError,
     RNG_ALGORITHM,
@@ -25,7 +25,7 @@ from .oracle import (
     monte_carlo_classify,
 )
 from .props import PropertyError, format_property, parse_property, sat_states
-from .scheduling import SchedulerError, extract_max_scheduler, induced_mc
+from .scheduling import extract_max_scheduler
 from .search import SearchLimitError, most_indicative, ranked_rails
 from .transform import acyclic_reduce, make_absorbing
 
@@ -40,8 +40,6 @@ _FAILURES = (
     ModelError,
     PropertyError,
     SingularMatrixError,
-    ConvergenceError,
-    SchedulerError,
     SearchLimitError,
     OracleLimitError,
     OSError,
@@ -77,20 +75,20 @@ def run_check(
         stage = "pre-processing"
         tick = time.perf_counter()
         psi = sat_states(m, spec.target)
-        values = max_reach(m, psi)
-        max_prob = float(values[m.initial])
         is_mc = is_markov_chain(m)
         sched = None
-        mc = m
-        if not is_mc:
-            sched = extract_max_scheduler(m, psi, values)
-            mc = induced_mc(m, sched)
-        mc_psi = make_absorbing(mc, psi)
+        if is_mc:
+            mc_psi = make_absorbing(m, psi)
+        else:  # policy iteration reduces every chain it evaluates
+            sched, red, values = extract_max_scheduler(m, psi)
         timings["pre-processing"] = time.perf_counter() - tick
 
         stage = "scc-analysis"
         tick = time.perf_counter()
-        red = acyclic_reduce(mc_psi)
+        if is_mc:
+            red = acyclic_reduce(mc_psi)
+            values = max_reach(red, psi)
+        max_prob = float(values[m.initial])
         timings["scc-analysis"] = time.perf_counter() - tick
 
         stage = "searching"
@@ -164,7 +162,8 @@ def _verification_block(m, is_mc, red, psi, max_prob, seed) -> Dict:
     checks: Dict = {"algorithm": RNG_ALGORITHM, "seed": seed}
     ok = True
 
-    reduced_value = float(max_reach(red.chain, psi)[red.chain.initial])
+    # the absorbing chain the search explains, solved by numpy
+    reduced_value = brute_force_max_reach(red.origin, psi)
     diff = abs(reduced_value - max_prob)
     checks["reduction_value"] = {
         "model": max_prob,

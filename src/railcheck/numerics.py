@@ -1,15 +1,19 @@
-"""Dense linear solving, probability-zero analysis, and value iteration."""
+"""Dense linear solving, probability-zero analysis, and reachability
+values read off an acyclic reduction."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+import math
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, List, Set
 
 import numpy as np
 
-from .model import Model
+from .model import Model, mc_row
 
-VI_TOL = 1e-10
-VI_MAX_ITER = 10 ** 6
+if TYPE_CHECKING:
+    from .transform import AcyclicReduction
+
 _PIVOT_TOL = 1e-13
 
 
@@ -17,15 +21,6 @@ class SingularMatrixError(ArithmeticError):
     def __init__(self, pivot: int):
         super().__init__(f"matrix is singular at pivot {pivot}")
         self.pivot = pivot
-
-
-class ConvergenceError(ArithmeticError):
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"no fixed point within {iterations} iterations, residual {residual:.3e}"
-        )
-        self.residual = residual
-        self.iterations = iterations
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -81,46 +76,27 @@ def prob0_states(m: Model, target: Iterable[int]) -> Set[int]:
     return set(range(n)) - reach
 
 
-def max_reach(m: Model, target: Iterable[int]) -> np.ndarray:
-    """Maximal reachability probabilities, one entry per state.
+def max_reach(red: "AcyclicReduction", target: Iterable[int]) -> np.ndarray:
+    """Probability of reaching the target from every state of the chain
+    that `red` reduces, whose target states are absorbing.
 
-    Target states are pinned to 1, probability-zero states to 0, and the
-    rest is iterated to the least fixed point of the one-step maximum,
-    until one sweep moves no value by VI_TOL or more; after VI_MAX_ITER
-    sweeps without that, ConvergenceError is raised. The empty target
-    gives the all-zero vector.
+    One backward pass over the components in reverse topological order
+    (ascending `rank`): a target is 1, and every other kept state sums its
+    reduced-chain row times its successors' values, so a Dirac self loop
+    that is no target stays 0. A member the reduction drops gets its
+    escape row times the outputs' values. Rows may sum to 1 plus the parse
+    tolerance, so each value is capped at 1.
     """
-    n = m.num_states
     target = set(target)
-    x = np.zeros(n)
-    if not target:
-        return x
-    x[list(target)] = 1.0
-    zero = prob0_states(m, target)
-    free = [s for s in range(n) if s not in target and s not in zero]
-    if not free:
-        return x
-    # The free states' distributions, flattened: distribution k covers
-    # entries row_start[k]..row_start[k+1] and free state i covers
-    # distributions state_start[i]..state_start[i+1].
-    targets, probs, row_start, state_start = [], [], [], []
-    for s in free:
-        state_start.append(len(row_start))
-        for dist in m.actions[s]:
-            row_start.append(len(targets))
-            for t, p in dist:
-                targets.append(t)
-                probs.append(p)
-    free, targets, probs = np.array(free), np.array(targets), np.array(probs)
-    row_start, state_start = np.array(row_start), np.array(state_start)
-    delta = 0.0
-    for _ in range(VI_MAX_ITER):
-        # One Jacobi sweep over every free state at once; from 0 the
-        # iterates rise monotonically to the least fixed point.
-        values = np.add.reduceat(probs * x[targets], row_start)
-        best = np.maximum.reduceat(values, state_start)
-        delta = float(np.max(np.abs(best - x[free])))
-        x[free] = best
-        if delta < VI_TOL:
-            return np.clip(x, 0.0, 1.0)
-    raise ConvergenceError(delta, VI_MAX_ITER)
+    chain, kept = red.chain, red.kept
+    x = [1.0 if s in target else 0.0 for s in range(chain.num_states)]
+    for info in sorted(red.sccs, key=attrgetter("rank")):
+        if info.escape is not None:
+            outs = [x[t] for t in sorted(info.outputs)]
+            for s, v in zip(sorted(info.members), (info.escape @ outs).tolist()):
+                if s not in kept:
+                    x[s] = min(v, 1.0)
+        for s in info.members & kept:
+            if s not in target:
+                x[s] = min(math.fsum([p * x[t] for t, p in mc_row(chain, s)]), 1.0)
+    return np.array(x)

@@ -162,7 +162,9 @@ def most_indicative(
 
     The running sum is exact: Shewchuk's non-overlapping partials, as in
     the math.fsum recipe, so total_mass is the correctly rounded sum of
-    the witness masses at O(partials) per rail, not O(witnesses).
+    the witness masses at O(partials) per rail, not O(witnesses), capped
+    at 1: rows may sum to 1 plus the parse tolerance, and a probability
+    cannot, so a bound of 1 is never violated.
 
     Only rails through a nontrivial component's input before their last
     state need `representant`; any other rail is its own representant,
@@ -191,7 +193,7 @@ def most_indicative(
                     kept += 1
                 x = hi
             partials[kept:] = [x]
-            total = math.fsum(partials)
+            total = min(math.fsum(partials), 1.0)
             if _violated(spec, total):
                 violated = True
                 break

@@ -2,23 +2,22 @@
 
 Pipeline: make target and probability-zero states absorbing, decompose
 into strongly connected components, solve each nontrivial component for
-its input-to-output escape probabilities, then rebuild the chain keeping
-only states outside nontrivial components plus component inputs. The
-result has no cycles apart from Dirac self loops on absorbing states,
-and reachability probabilities from the initial state are preserved.
+its members' escape probabilities to its outputs, then rebuild the chain
+keeping only states outside nontrivial components plus component inputs.
+The result has no cycles apart from Dirac self loops on absorbing states,
+and reachability probabilities from the initial state are preserved;
+`numerics.max_reach` reads every state's probability off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .model import Distribution, Model, ModelError, dirac, is_markov_chain, mc_row, successors
 from .numerics import prob0_states, solve_linear
-
-ESCAPE_SUM_TOL = 1e-9
 
 
 @dataclass
@@ -26,9 +25,13 @@ class SccInfo:
     id: int
     members: FrozenSet[int]
     nontrivial: bool  # carries at least one internal transition
+    rank: int  # Tarjan's completion order: every component this one leads to ranks lower
     inputs: FrozenSet[int] = frozenset()
     outputs: FrozenSet[int] = frozenset()
     reach: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    # escape probabilities of every member (rows, ascending) to every
+    # output (columns, ascending); None until scc_reach, or without outputs
+    escape: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,8 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
     """Strongly connected components, iterative Tarjan.
 
     Components are numbered by their smallest member so ids are stable
-    under any traversal order.
+    under any traversal order; `rank` keeps the order Tarjan completes
+    them in, successors first.
     """
     n = mc.num_states
     adj = [sorted(successors(mc, s)) for s in range(n)]
@@ -106,11 +110,11 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
                     if t == s:
                         break
                 comps.append(comp)
-    comps.sort(key=min)
     infos = []
-    for i, members in enumerate(comps):
+    by_min = sorted(enumerate(comps), key=lambda rc: min(rc[1]))
+    for i, (rank, members) in enumerate(by_min):
         nontrivial = any(t in members for s in members for t in adj[s])
-        infos.append(SccInfo(id=i, members=frozenset(members), nontrivial=nontrivial))
+        infos.append(SccInfo(id=i, members=frozenset(members), nontrivial=nontrivial, rank=rank))
     return infos
 
 
@@ -149,12 +153,13 @@ def scc_io(mc: Model, sccs: Sequence[SccInfo]) -> Sequence[SccInfo]:
 
 
 def scc_reach(mc: Model, info: SccInfo) -> SccInfo:
-    """Fill escape probabilities from each input to each output.
+    """Fill escape probabilities from each member to each output, and the
+    inputs' rows of them as `reach`.
 
     One elimination factors the component block for all outputs at once.
     A strongly connected component with an exit escapes almost surely, so
-    each input row is renormalized to exact unit sum whenever it lands
-    within tolerance of 1; this strips solver noise off the masses.
+    each row is renormalized to unit sum. That strips solver noise off the
+    masses, and the cancellation in 1 - p of a self loop p near 1.
     """
     if not info.outputs:
         return info
@@ -171,17 +176,17 @@ def scc_reach(mc: Model, info: SccInfo) -> SccInfo:
                 a[pos[s], pos[t]] -= p
             elif t in opos:
                 b[pos[s], opos[t]] += p
-    x = solve_linear(a, b)
+    x = np.clip(solve_linear(a, b), 0.0, None)
+    totals = x.sum(axis=1)
+    x[totals > 0.0] /= totals[totals > 0.0, None]
     reach: Dict[Tuple[int, int], float] = {}
     for u in sorted(info.inputs):
-        row = np.clip(x[pos[u]], 0.0, None)
-        total = float(row.sum())
-        if total > 0.0 and abs(total - 1.0) <= ESCAPE_SUM_TOL:
-            row = row / total
+        row = x[pos[u]]
         for j, t in enumerate(outs):
             if row[j] > 0.0:
                 reach[(u, t)] = float(row[j])
     info.reach = reach
+    info.escape = x
     return info
 
 

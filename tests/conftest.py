@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from railcheck.model import Model, mc_row, parse_model
-from railcheck.numerics import max_reach
+from railcheck.oracle import brute_force_max_reach
 from railcheck.props import Atom, sat_states
 from railcheck.search import ranked_rails
 from railcheck.transform import AcyclicReduction, acyclic_reduce, make_absorbing
@@ -125,7 +125,7 @@ def _mc_doc(rng):
 def _usable_mc(doc):
     m = parse_model(json.dumps(doc))
     psi = sat_states(m, Atom("psi"))
-    if max_reach(m, psi)[m.initial] < 0.05:
+    if brute_force_max_reach(m, psi) < 0.05:
         return None
     red = acyclic_reduce(make_absorbing(m, psi))
     rails = []

@@ -7,7 +7,8 @@ import pytest
 
 from railcheck import cli
 from railcheck.cli import main, render_report, run_check
-from railcheck.scheduling import SchedulerError
+from railcheck.numerics import SingularMatrixError
+from railcheck.props import parse_property
 
 
 def _run(path, prop, **kw):
@@ -370,10 +371,9 @@ def _mdp_end_components(rng):
 
 def test_exit_code_contract_on_generated_models(tmp_path):
     # Exit 0, 1 or 2 for every model, a stage named on every exit 2, and
-    # every report renders. The first two models are known defects, kept
-    # as they are: at a 1 - 1e-6 loop value iteration exits 2 without a
-    # fixed point, at 1 - 5e-11 it stops at once and the report
-    # contradicts itself (max_prob about 2e-11, rail mass 0.43).
+    # every report renders. The first two models keep their state with
+    # probability 1 - 1e-6 and 1 - 5e-11: each has one rail, and its mass
+    # is max_prob.
     rng = np.random.default_rng(5150)
     models = [_near_one_loops(rng, 1e-6), _near_one_loops(rng, 5e-11)]
     for make, count in ((_deep_dag, 2), (_big_scc, 4), (_near_one_loops, 4), (_mdp_end_components, 6)):
@@ -387,6 +387,16 @@ def test_exit_code_contract_on_generated_models(tmp_path):
         assert code in (0, 1, 2)
         if code == 2:
             assert report["error"]["stage"] in _STAGES
+        if k < 2:
+            spec = parse_property(prop)
+            if spec.bound == "<=":
+                violated = report["max_prob"] > spec.threshold
+            else:
+                violated = report["max_prob"] >= spec.threshold
+            assert code == (1 if violated else 0)
+            assert report["verdict"] == ("violated" if violated else "holds")
+            assert len(report["witnesses"]) == 1
+            assert abs(report["max_prob"] - report["total_mass"]) <= 1e-9
         render_report(report, "text")
         json.loads(render_report(report, "json"))
         codes.append(code)
@@ -454,15 +464,15 @@ def test_main_json_is_report_plus_newline(m0_path, capsys):
 
 
 def test_scheduler_failure_exits_2(mdp2_path, monkeypatch):
-    def stuck(m, target, values):
-        raise SchedulerError("no optimal distribution makes progress at 2 states")
+    def stuck(m, target):
+        raise SingularMatrixError(3)
 
     monkeypatch.setattr(cli, "extract_max_scheduler", stuck)
     code, report = _run(mdp2_path, "P<=0.75 [ F goal ]")
     assert code == 2
     assert report["error"] == {
         "stage": "pre-processing",
-        "message": "no optimal distribution makes progress at 2 states",
+        "message": "matrix is singular at pivot 3",
     }
 
 

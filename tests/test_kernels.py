@@ -10,7 +10,8 @@ import pytest
 from railcheck.model import parse_model
 from railcheck.numerics import max_reach
 from railcheck.oracle import brute_force_max_reach
-from railcheck.transform import scc_decompose, scc_io
+from railcheck.scheduling import extract_max_scheduler, induced_mc
+from railcheck.transform import acyclic_reduce, make_absorbing, scc_decompose, scc_io
 
 RING_SEED = 901
 GRAPH_SEED = 902
@@ -73,7 +74,7 @@ def test_max_reach_matches_solve_on_ring_chains(i):
     for states in (doc["states"], doc["states"][::-1]):
         m = parse_model(json.dumps(dict(doc, states=states)))
         goal = m.names.index(next(iter(doc["labels"])))
-        got = max_reach(m, {goal})
+        got = max_reach(acyclic_reduce(make_absorbing(m, {goal})), {goal})
         assert np.max(np.abs(got - _exact_reach(m, goal))) <= 1e-8
         by_order.append({m.names[s]: got[s] for s in range(m.num_states)})
     for name, v in by_order[0].items():
@@ -81,10 +82,14 @@ def test_max_reach_matches_solve_on_ring_chains(i):
 
 
 def test_max_reach_matches_brute_force_on_mdps(mdp_corpus):
+    # the policy-iteration value, and the value of the chain its scheduler
+    # induces, both against the best of all schedulers
     for m in mdp_corpus:
         psi = {m.num_states - 2}
-        got = max_reach(m, psi)[m.initial]
-        assert abs(got - brute_force_max_reach(m, psi)) <= 1e-7
+        sched, _, values = extract_max_scheduler(m, psi)
+        exact = brute_force_max_reach(m, psi)
+        assert abs(values[m.initial] - exact) <= 1e-7
+        assert abs(brute_force_max_reach(induced_mc(m, sched), psi) - exact) <= 1e-7
 
 
 def _random_graph_doc(rng):

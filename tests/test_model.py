@@ -142,3 +142,37 @@ def test_probability_rounded_above_one_is_stored_as_one(tmp_path):
     doc = {"states": ["a"], "initial": "a", "transitions": {"a": [{"a": 1.0 + 2 * ROW_SUM_TOL}]}}
     with pytest.raises(ModelError, match="out of range"):
         parse_model(json.dumps(doc))
+
+
+def _over_one_doc(rng):
+    # A line of states, each row merging pairs of normalized weights onto
+    # the next state and one or two absorbing targets, then overshooting 1
+    # by up to ROW_SUM_TOL, which parsing accepts; the last state splits
+    # between targets only. Every run ends in a target.
+    n = int(rng.integers(1, 5))
+    names = ["x%d" % s for s in range(n)] + ["t%d" % j for j in range(2 * n)]
+    rows = {}
+    for s in range(n):
+        outs = ([names[s + 1]] if s + 1 < n else []) + names[n + 2 * s : n + 2 * s + 2]
+        parts = rng.uniform(0.2, 1.0, 2 * len(outs))
+        parts = parts / parts.sum()
+        w = (parts[0::2] + parts[1::2]) * (1.0 + float(rng.uniform(0.0, 1.0)) * ROW_SUM_TOL)
+        rows[names[s]] = [{t: float(p) for t, p in zip(outs, w)}]
+    for t in names[n:]:
+        rows[t] = [{t: 1.0}]
+    return {"states": names, "initial": names[0], "labels": {t: ["psi"] for t in names[n:]}, "transitions": rows}
+
+
+def test_rows_summing_above_one_never_break_a_bound_of_one(tmp_path):
+    # The rails' masses sum to just above 1, but a probability cannot:
+    # P<=1 holds and P<1 is violated, both with max_prob and total_mass 1.
+    rng = np.random.default_rng(4343)
+    path = tmp_path / "over.json"
+    for _ in range(200):
+        path.write_text(json.dumps(_over_one_doc(rng)))
+        code, report = run_check(str(path), "P<=1 [ F psi ]")
+        assert code == 0 and report["verdict"] == "holds", report
+        assert report["max_prob"] == 1.0 and report["total_mass"] == 1.0
+        code, report = run_check(str(path), "P<1 [ F psi ]")
+        assert code == 1 and report["verdict"] == "violated", report
+        assert report["max_prob"] == 1.0 and report["total_mass"] == 1.0

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from railcheck import numerics
-from railcheck.numerics import (
-    ConvergenceError,
-    SingularMatrixError,
-    max_reach,
-    prob0_states,
-    solve_linear,
-)
+from railcheck.numerics import SingularMatrixError, max_reach, prob0_states, solve_linear
+from railcheck.scheduling import extract_max_scheduler
+from railcheck.transform import acyclic_reduce, make_absorbing
+
+
+def _values(mc, target):
+    return max_reach(acyclic_reduce(make_absorbing(mc, target)), target)
 
 
 def test_solve_linear_matches_numpy():
@@ -42,7 +41,7 @@ def test_prob0(m0, m0_trap):
 
 
 def test_max_reach_m0(m0):
-    x = max_reach(m0, {3, 4})
+    x = _values(m0, {3, 4})
     assert x[3] == 1.0 and x[4] == 1.0
     assert abs(x[0] - 1.0) <= 1e-7
     # independent route: absorption probabilities by direct linear solve
@@ -54,25 +53,17 @@ def test_max_reach_m0(m0):
 
 
 def test_max_reach_trap(m0_trap):
-    x = max_reach(m0_trap, {3, 4})
+    x = _values(m0_trap, {3, 4})
     assert x[5] == 0.0
     assert abs(x[0] - 0.8) <= 1e-7
 
 
 def test_max_reach_picks_best_action(mdp2):
-    x = max_reach(mdp2, {3})
+    _, _, x = extract_max_scheduler(mdp2, {3})
     assert abs(x[0] - 0.8) <= 1e-10
     assert abs(x[1] - 0.3) <= 1e-10
     assert abs(x[2] - 0.8) <= 1e-10
 
 
 def test_max_reach_empty_target(m0):
-    assert np.all(max_reach(m0, set()) == 0.0)
-
-
-def test_max_reach_iteration_budget(m0, monkeypatch):
-    monkeypatch.setattr(numerics, "VI_MAX_ITER", 1)
-    with pytest.raises(ConvergenceError) as err:
-        max_reach(m0, {3, 4})
-    assert err.value.iterations == 1
-    assert err.value.residual > 0
+    assert np.all(_values(m0, set()) == 0.0)

@@ -12,16 +12,14 @@ import pytest
 from conftest import reduce_to_psi
 from railcheck import oracle
 from railcheck.model import mc_row, parse_model
-from railcheck.numerics import max_reach
 from railcheck.oracle import (
     OracleLimitError,
     brute_force_max_reach,
     enumerate_freach,
     monte_carlo_classify,
 )
-from railcheck.scheduling import extract_max_scheduler, induced_mc
+from railcheck.scheduling import extract_max_scheduler
 from railcheck.search import ranked_rails
-from railcheck.transform import acyclic_reduce, make_absorbing
 
 M0_TABLE = [0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625, 0.006, 0.00594, 0.0058806]
 
@@ -192,8 +190,7 @@ def _assert_replayed(mc, red, rails, n, seed):
 
 def _mdp_induced(m):
     psi = {m.num_states - 2}
-    mc = induced_mc(m, extract_max_scheduler(m, psi, max_reach(m, psi)))
-    red = acyclic_reduce(make_absorbing(mc, psi))
+    _, red, _ = extract_max_scheduler(m, psi)
     return red, [rail for rail, _ in ranked_rails(red, psi)]
 
 

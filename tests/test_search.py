@@ -147,7 +147,9 @@ def test_strict_versus_weak_at_the_boundary(m0):
 
 def test_running_sum_is_exact_at_the_boundary(dag_corpus, mc_corpus):
     # A threshold equal to the exact sum of the first k masses: the strict
-    # bound is met by those k rails, the weak one needs one more.
+    # bound is met by those k rails, the weak one needs one more. Products
+    # round, so all rails of a chain can sum to 1 + 2^-52; the total is a
+    # probability and stops at 1.
     checked = 0
     for _, psi, red, rails in dag_corpus + mc_corpus:
         masses = [mass for _, mass in rails]
@@ -159,7 +161,7 @@ def test_running_sum_is_exact_at_the_boundary(dag_corpus, mc_corpus):
             assert len(weak.witnesses) == k + 1
             for out in (strict, weak):
                 assert out.verdict == "violated"
-                assert out.total_mass == math.fsum(w.mass for w in out.witnesses)
+                assert out.total_mass == min(math.fsum(w.mass for w in out.witnesses), 1.0)
             checked += 1
     assert checked >= 10
 
