@@ -88,7 +88,10 @@ def parse_model(text: str, tol: float = ROW_SUM_TOL) -> Model:
     optional ``labels`` (state to array of atoms) and ``transitions``
     (state to non-empty array of distributions; Markov chains use arrays
     of length one). Absorbing states must spell out their Dirac self loop.
+    `tol` bounds how far a row sum may stray from 1.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ModelError(f"row-sum tolerance {tol!r} must be finite and non-negative")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -163,7 +166,7 @@ def _parse_distribution(state, k, row, index, tol) -> Distribution:
                 f"state {state!r} distribution {k}: probability of {target!r} must be a number"
             )
         p = float(p)
-        if p <= 0.0 or p > 1.0 + tol:
+        if not 0.0 < p <= 1.0 + tol:  # also false for the NaN that json reads
             raise ModelError(
                 f"state {state!r} distribution {k}: probability {p!r} of {target!r} out of range"
             )

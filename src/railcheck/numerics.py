@@ -1,5 +1,10 @@
-"""Dense linear solving, probability-zero analysis, and reachability
-values read off an acyclic reduction."""
+"""Linear solving, probability-zero analysis, and reachability values
+read off an acyclic reduction.
+
+`solve_linear` eliminates on a dense array but updates only the rows whose
+multiplier is nonzero: a zero multiplier would subtract signed zeros,
+which change no nonzero entry, so on the blocks `transform.scc_reach`
+builds the result is the dense loop's bit for bit."""
 
 from __future__ import annotations
 
@@ -28,24 +33,36 @@ def solve_linear(a, b) -> np.ndarray:
 
     b is an n x m matrix of stacked right-hand-side columns, all solved
     with one factorization of a; x has the same shape as b.
+
+    Step k pivots on the first largest |entry| of column k at or below the
+    diagonal, raises `SingularMatrixError(k)` if that is at most
+    `_PIVOT_TOL` times max(1, largest |entry| of a), and subtracts
+    multiplier times pivot row from each lower row whose multiplier is
+    nonzero. Rows with a zero multiplier, and column k below the diagonal,
+    which nothing reads again, are left alone, so the work is that of the
+    entries elimination changes. For finite a and b without a -0.0 entry
+    (which a zero-multiplier update could turn into +0.0), x is
+    bit-identical to the dense loop that updates every lower row.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"coefficient matrix must be square, got {a.shape}")
     if b.ndim != 2 or b.shape[0] != n:
         raise ValueError(f"right-hand side must be {n} stacked columns, got {b.shape}")
     aug = np.hstack((a, b))
-    scale = max(1.0, float(np.max(np.abs(a)))) if n else 1.0
+    tol = _PIVOT_TOL * max(1.0, float(np.max(np.abs(a)))) if n else 0.0
     for k in range(n):
-        p = k + int(np.argmax(np.abs(aug[k:, k])))
-        if abs(aug[p, k]) <= _PIVOT_TOL * scale:
+        p = k + int(np.abs(aug[k:, k]).argmax())
+        if abs(aug[p, k]) <= tol:
             raise SingularMatrixError(k)
         if p != k:
             aug[[k, p]] = aug[[p, k]]
-        factors = aug[k + 1 :, k] / aug[k, k]
-        aug[k + 1 :, k:] -= np.outer(factors, aug[k, k:])
+        below = aug[k + 1 :]
+        rows = below[:, k].nonzero()[0]
+        if rows.size:
+            below[rows, k + 1 :] -= (below[rows, k] / aug[k, k])[:, None] * aug[k, k + 1 :]
     x = np.zeros(b.shape)
     for k in range(n - 1, -1, -1):
         x[k] = (aug[k, n:] - aug[k, k + 1 : n] @ x[k + 1 :]) / aug[k, k]

@@ -403,6 +403,68 @@ def test_exit_code_contract_on_generated_models(tmp_path):
     assert {0, 1, 2} <= set(codes)
 
 
+def _leaky_ring(rng, eps):
+    # the initial state enters a ring with chords of 3-50 states; one member
+    # leaks eps to goal and trap in the ratio r : 1 - r, so max_prob is r
+    c = int(rng.integers(3, 51))
+    r = float(rng.uniform(0.05, 0.95))
+    leaker = 1 + int(rng.integers(c))
+    rows = [[{1 + int(rng.integers(c)): 1.0}]]
+    for s in range(1, c + 1):
+        inside = [1 + s % c] + [1 + int(t) for t in rng.integers(0, c, size=int(rng.integers(1, 3)))]
+        if s == leaker:
+            row = _spread(rng, inside, 1.0 - eps)
+            row.update({c + 1: eps * r, c + 2: eps * (1.0 - r)})
+        else:
+            row = _spread(rng, inside)
+        rows.append([row])
+    rows += [[{c + 1: 1.0}], [{c + 2: 1.0}]]
+    return rows, [c + 1], r
+
+
+def test_near_singular_components_never_give_a_wrong_number(tmp_path):
+    # A component that leaks almost nothing is singular to the solver's
+    # pivot test. Either the check fails in scc-analysis saying so, or
+    # max_prob is the ratio of the leaks: never another number.
+    rng = np.random.default_rng(1414)
+    epsilons = [1e-12, 1e-13, 1e-14, 1e-15] + [float(10.0 ** -rng.uniform(10, 16)) for _ in range(36)]
+    for k, eps in enumerate(epsilons):
+        rows, goals, r = _leaky_ring(rng, eps)
+        path = tmp_path / ("ring%d.json" % k)
+        path.write_text(json.dumps(_contract_doc(rows, goals)))
+        code, report = _run(path, "P<=%.3f [ F psi ]" % rng.uniform(0.05, 1.0), max_witnesses=10)
+        if code == 2:
+            assert report["error"]["stage"] == "scc-analysis", (eps, report)
+            assert "singular" in report["error"]["message"], (eps, report)
+        else:
+            assert abs(report["max_prob"] - r) <= 1e-9, (eps, report["max_prob"], r)
+
+
+def test_non_finite_numbers_fail_in_parse(tmp_path):
+    # json reads the literal NaN, and no range test is true for it: such a
+    # probability, or a tolerance that is NaN or infinite, must stop the
+    # check in parse rather than reach a verdict
+    rng = np.random.default_rng(4242)
+    for k in range(24):
+        make = (_big_scc, _near_one_loops, _mdp_end_components)[k % 3]
+        rows, goals = make(rng)
+        dists = [d for acts in rows for d in acts]
+        dist = dists[int(rng.integers(len(dists)))]
+        dist[list(dist)[int(rng.integers(len(dist)))]] = math.nan
+        path = tmp_path / ("nan%d.json" % k)
+        path.write_text(json.dumps(_contract_doc(rows, goals)))
+        code, report = _run(path, "P<=0.5 [ F psi ]", max_witnesses=10)
+        assert code == 2, (k, report)
+        assert report["error"]["stage"] == "parse"
+        assert "out of range" in report["error"]["message"]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(_contract_doc([[{0: 0.5}]], [0])))
+    for tol in ("nan", "inf", "-1e-9"):
+        code, report = _run(path, "P<=0.5 [ F psi ]", tolerance=float(tol))
+        assert code == 2
+        assert report["error"]["stage"] == "parse"
+        assert "tolerance" in report["error"]["message"]
+
 def test_error_missing_file():
     code, report = _run("no_such_model.json", "P<=0.5 [ F psi ]")
     assert code == 2

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,9 @@ def test_row_sum_tolerance():
     assert dict(mc_row(m, 0))[0] == off
     with pytest.raises(ModelError, match="sums to"):
         parse_model(doc, tol=1e-12)
+    for tol in (math.nan, math.inf, -1e-9):
+        with pytest.raises(ModelError, match="tolerance"):
+            parse_model(doc, tol=tol)
 
 
 def _merged_weights_doc(rng):
