@@ -151,7 +151,8 @@ def _scc_table(m: Model, red) -> List[Dict]:
                 "outputs": [m.names[s] for s in sorted(info.outputs)],
                 "reach": {
                     f"{m.names[u]}->{m.names[t]}": p
-                    for (u, t), p in sorted(info.reach.items())
+                    for u, row in info.input_rows().items()
+                    for t, p in row
                 },
             }
         )

@@ -165,7 +165,10 @@ def _parse_distribution(state, k, row, index, tol) -> Distribution:
             raise ModelError(
                 f"state {state!r} distribution {k}: probability of {target!r} must be a number"
             )
-        p = float(p)
+        try:
+            p = float(p)
+        except OverflowError:  # an integer beyond the float range
+            p = math.inf if p > 0 else -math.inf
         if not 0.0 < p <= 1.0 + tol:  # also false for the NaN that json reads
             raise ModelError(
                 f"state {state!r} distribution {k}: probability {p!r} of {target!r} out of range"

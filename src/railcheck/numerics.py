@@ -1,10 +1,5 @@
-"""Linear solving, probability-zero analysis, and reachability values
-read off an acyclic reduction.
-
-`solve_linear` eliminates on a dense array but updates only the rows whose
-multiplier is nonzero: a zero multiplier would subtract signed zeros,
-which change no nonzero entry, so on the blocks `transform.scc_reach`
-builds the result is the dense loop's bit for bit."""
+"""Component escape solving, probability-zero analysis, and reachability
+values read off an acyclic reduction."""
 
 from __future__ import annotations
 
@@ -19,8 +14,6 @@ from .model import Model, mc_row
 if TYPE_CHECKING:
     from .transform import AcyclicReduction
 
-_PIVOT_TOL = 1e-13
-
 
 class SingularMatrixError(ArithmeticError):
     def __init__(self, pivot: int):
@@ -28,44 +21,34 @@ class SingularMatrixError(ArithmeticError):
         self.pivot = pivot
 
 
-def solve_linear(a, b) -> np.ndarray:
-    """Solve a x = b by Gaussian elimination with partial pivoting.
+def solve_linear(q, r) -> np.ndarray:
+    """Escape probabilities of a component by state reduction (Grassmann,
+    Taksar & Heyman): x = (I - q)^-1 r, each row a distribution over the
+    exit columns of r.
 
-    b is an n x m matrix of stacked right-hand-side columns, all solved
-    with one factorization of a; x has the same shape as b.
-
-    Step k pivots on the first largest |entry| of column k at or below the
-    diagonal, raises `SingularMatrixError(k)` if that is at most
-    `_PIVOT_TOL` times max(1, largest |entry| of a), and subtracts
-    multiplier times pivot row from each lower row whose multiplier is
-    nonzero. Rows with a zero multiplier, and column k below the diagonal,
-    which nothing reads again, are left alone, so the work is that of the
-    entries elimination changes. For finite a and b without a -0.0 entry
-    (which a zero-multiplier update could turn into +0.0), x is
-    bit-identical to the dense loop that updates every lower row.
+    q holds the members' in-block probabilities and r their exit columns.
+    The diagonal of q is never read, because a self loop only delays.
+    Members are eliminated in index order: member k's exit mass is the sum
+    of its entries right of column k, and every lower row with a nonzero
+    entry in column k gets that entry / exit mass times row k. No step
+    subtracts, so no digits cancel. Raises `SingularMatrixError(k)` if
+    member k's exit mass is not positive, which a component with an exit
+    reaches only by underflow.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"coefficient matrix must be square, got {a.shape}")
-    if b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"right-hand side must be {n} stacked columns, got {b.shape}")
-    aug = np.hstack((a, b))
-    tol = _PIVOT_TOL * max(1.0, float(np.max(np.abs(a)))) if n else 0.0
+    aug = np.hstack((q, r))
+    n = aug.shape[0]
+    exits = np.zeros(n)
     for k in range(n):
-        p = k + int(np.abs(aug[k:, k]).argmax())
-        if abs(aug[p, k]) <= tol:
+        exits[k] = aug[k, k + 1 :].sum()
+        if not exits[k] > 0.0:
             raise SingularMatrixError(k)
-        if p != k:
-            aug[[k, p]] = aug[[p, k]]
         below = aug[k + 1 :]
         rows = below[:, k].nonzero()[0]
         if rows.size:
-            below[rows, k + 1 :] -= (below[rows, k] / aug[k, k])[:, None] * aug[k, k + 1 :]
-    x = np.zeros(b.shape)
+            below[rows, k + 1 :] += (below[rows, k] / exits[k])[:, None] * aug[k, k + 1 :]
+    x = np.zeros((n, aug.shape[1] - n))
     for k in range(n - 1, -1, -1):
-        x[k] = (aug[k, n:] - aug[k, k + 1 : n] @ x[k + 1 :]) / aug[k, k]
+        x[k] = (aug[k, n:] + aug[k, k + 1 : n] @ x[k + 1 :]) / exits[k]
     return x
 
 

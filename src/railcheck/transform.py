@@ -11,7 +11,7 @@ and reachability probabilities from the initial state are preserved;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -28,10 +28,18 @@ class SccInfo:
     rank: int  # Tarjan's completion order: every component this one leads to ranks lower
     inputs: FrozenSet[int] = frozenset()
     outputs: FrozenSet[int] = frozenset()
-    reach: Dict[Tuple[int, int], float] = field(default_factory=dict)
     # escape probabilities of every member (rows, ascending) to every
     # output (columns, ascending); None until scc_reach, or without outputs
     escape: Optional[np.ndarray] = None
+
+    def input_rows(self) -> Dict[int, Distribution]:
+        """Each input's escape distribution: outputs ascending, zero
+        entries dropped; empty without an escape solve."""
+        if self.escape is None:
+            return {}
+        outs = sorted(self.outputs)
+        rows = dict(zip(sorted(self.members), self.escape.tolist()))
+        return {u: tuple((t, p) for t, p in zip(outs, rows[u]) if p > 0.0) for u in sorted(self.inputs)}
 
 
 @dataclass(frozen=True)
@@ -153,40 +161,22 @@ def scc_io(mc: Model, sccs: Sequence[SccInfo]) -> Sequence[SccInfo]:
 
 
 def scc_reach(mc: Model, info: SccInfo) -> SccInfo:
-    """Fill escape probabilities from each member to each output, and the
-    inputs' rows of them as `reach`.
-
-    One elimination factors the component block for all outputs at once.
-    A strongly connected component with an exit escapes almost surely, so
-    each row is renormalized to unit sum. That strips solver noise off the
-    masses, and the cancellation in 1 - p of a self loop p near 1.
-    """
+    """Fill escape probabilities from each member to each output, all
+    outputs solved in one state reduction of the component block."""
     if not info.outputs:
         return info
     members = sorted(info.members)
     pos = {s: i for i, s in enumerate(members)}
-    outs = sorted(info.outputs)
-    opos = {t: j for j, t in enumerate(outs)}
-    k = len(members)
-    a = np.eye(k)
-    b = np.zeros((k, len(outs)))
+    opos = {t: j for j, t in enumerate(sorted(info.outputs))}
+    q = np.zeros((len(members), len(members)))
+    r = np.zeros((len(members), len(opos)))
     for s in members:
         for t, p in mc_row(mc, s):
             if t in pos:
-                a[pos[s], pos[t]] -= p
-            elif t in opos:
-                b[pos[s], opos[t]] += p
-    x = np.clip(solve_linear(a, b), 0.0, None)
-    totals = x.sum(axis=1)
-    x[totals > 0.0] /= totals[totals > 0.0, None]
-    reach: Dict[Tuple[int, int], float] = {}
-    for u in sorted(info.inputs):
-        row = x[pos[u]]
-        for j, t in enumerate(outs):
-            if row[j] > 0.0:
-                reach[(u, t)] = float(row[j])
-    info.reach = reach
-    info.escape = x
+                q[pos[s], pos[t]] += p
+            else:
+                r[pos[s], opos[t]] += p
+    info.escape = solve_linear(q, r)
     return info
 
 
@@ -205,29 +195,21 @@ def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
     sccs = scc_decompose(mc_psi)
     scc_of = _scc_index(sccs, n)
     scc_io(mc_psi, sccs)
+    rows: Dict[int, Distribution] = {}
     for info in sccs:
         if info.nontrivial:
-            scc_reach(mc_psi, info)
+            rows.update(scc_reach(mc_psi, info).input_rows())
     kept: Set[int] = set()
     for info in sccs:
         kept |= info.inputs if info.nontrivial else info.members
     actions: List[Tuple[Distribution, ...]] = []
     for s in range(n):
-        if s not in kept:
-            actions.append((dirac(s),))
-            continue
-        info = sccs[scc_of[s]]
-        if not info.nontrivial:
+        if s in rows:
+            actions.append((rows[s],))
+        elif s in kept and not sccs[scc_of[s]].nontrivial:
             actions.append(mc_psi.actions[s])
-        elif not info.outputs:
-            actions.append((dirac(s),))
         else:
-            row = tuple(
-                (t, info.reach[(s, t)])
-                for t in sorted(info.outputs)
-                if (s, t) in info.reach
-            )
-            actions.append((row,))
+            actions.append((dirac(s),))
     chain = Model(
         names=mc_psi.names,
         initial=mc_psi.initial,

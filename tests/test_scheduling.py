@@ -122,4 +122,4 @@ def test_policy_iteration_on_near_one_loops(monkeypatch):
         rounds[0] = 0
         _, _, values = extract_max_scheduler(m, {goal})
         exact = brute_force_max_reach(parse_model(json.dumps(_without_self_loops(doc))), {goal})
-        assert abs(values[m.initial] - exact) <= 1e-7
+        assert abs(values[m.initial] - exact) <= 1e-12

@@ -97,14 +97,14 @@ def test_scc_reach_values(m0, big1):
     infos = scc_io(m, scc_decompose(m))
     by_members = {frozenset(i.members): i for i in infos}
     k = scc_reach(m, by_members[frozenset({2})])
-    assert k.reach[(2, 4)] == 1.0
+    assert k.input_rows()[2] == ((4, 1.0),)
     k = scc_reach(m, by_members[frozenset({1})])
-    assert k.reach[(1, 3)] == 1.0
+    assert k.input_rows()[1] == ((3, 1.0),)
     b = make_absorbing(big1, {3})
     info = next(i for i in scc_io(b, scc_decompose(b)) if len(i.members) == 2)
     info = scc_reach(b, info)
     assert info.members == frozenset({1, 2})
-    assert info.reach[(1, 3)] == 1.0
+    assert info.input_rows()[1] == ((3, 1.0),)
 
 
 def test_reduce_m0(m0):
