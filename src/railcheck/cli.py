@@ -15,7 +15,7 @@ import time
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, List, Optional, Tuple
 
-from .model import Model, ModelError, is_markov_chain, names_of_path, parse_model
+from .model import ROW_SUM_TOL, Model, ModelError, is_markov_chain, names_of_path, parse_model
 from .numerics import SingularMatrixError, max_reach
 from .oracle import (
     OracleLimitError,
@@ -54,7 +54,7 @@ def run_check(
     verify: bool = False,
     seed: int = DEFAULT_SEED,
     max_witnesses: int = DEFAULT_MAX_WITNESSES,
-    tolerance: float = 1e-9,
+    tolerance: float = ROW_SUM_TOL,
     with_timings: bool = False,
 ) -> Tuple[int, Dict]:
     """Run the full pipeline and assemble the report.
@@ -351,8 +351,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=f"abort if the bound is still undecided after this many witnesses (default: {DEFAULT_MAX_WITNESSES})",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=1e-9,
-        help="accepted deviation of distribution row sums from 1 (default: 1e-9)",
+        "--tolerance", type=float, default=ROW_SUM_TOL,
+        help=f"accepted deviation of distribution row sums from 1 (default: {ROW_SUM_TOL:g})",
     )
     parser.add_argument(
         "--timings", action="store_true",

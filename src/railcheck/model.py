@@ -115,11 +115,13 @@ def parse_model(text: str, tol: float = ROW_SUM_TOL) -> Model:
         raise ModelError("state names must be unique")
     index = {name: i for i, name in enumerate(names)}
 
+    if not isinstance(doc["initial"], str):
+        raise ModelError("'initial' must be a state name")
     if doc["initial"] not in index:
         raise ModelError(f"initial state {doc['initial']!r} is not a declared state")
 
     labels: List[FrozenSet[str]] = [frozenset()] * len(names)
-    label_doc = doc.get("labels") or {}
+    label_doc = doc.get("labels", {})
     if not isinstance(label_doc, dict):
         raise ModelError("'labels' must be an object")
     for name, atoms in label_doc.items():

@@ -3,9 +3,11 @@
 The reduced chain is a DAG apart from absorbing self loops, so rails can be
 streamed best-first with one lazily materialized sorted suffix stream per
 state, merged along edges (the recursive enumeration scheme of Jiménez &
-Marzal). A state that cannot reach the target has an empty stream and
-never enters a heap, so no separate liveness pass is needed. Work is
-proportional to the number of rails actually consumed.
+Marzal). An item is (weight, successor, successor's item index, step
+probability), the successor None at a target, so it costs O(1); a rail
+costs its length once, as it leaves the stream. A state that cannot reach
+the target has an empty stream and never enters a heap, so no separate
+liveness pass is needed. Work is proportional to the rails consumed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .model import FinitePath, mc_row
 from .props import PropertySpec
-from .rails import Witness, rail_mass, representant
+from .rails import Witness, representant
 from .transform import AcyclicReduction
 
 TIE_WINDOW = 1e-12
@@ -31,17 +33,19 @@ class SearchLimitError(RuntimeError):
 
 class _Key:
     """Heap ordering for candidate suffixes: by weight, except that weights
-    within the tie window compare by state sequence instead."""
+    within the tie window compare by state sequence instead. A heap holds one
+    candidate per successor (rows have distinct targets; a follow-up is
+    pushed once its predecessor is popped), so the successor decides."""
 
-    __slots__ = ("weight", "path")
+    __slots__ = ("weight", "succ")
 
-    def __init__(self, weight: float, path: FinitePath):
+    def __init__(self, weight: float, succ: int):
         self.weight = weight
-        self.path = path
+        self.succ = succ
 
     def __lt__(self, other: "_Key") -> bool:
         if abs(self.weight - other.weight) <= TIE_WINDOW:
-            return self.path < other.path
+            return self.succ < other.succ
         return self.weight < other.weight
 
 
@@ -49,23 +53,23 @@ class _SuffixStreams:
     """Per state, the paths to the first target hit, best first.
 
     A state's stream pops from a heap of its successors' next items, each
-    prefixed by the step to that successor. `waiting` holds, last first, the
-    successor items to push before the next pop: at the start all first
-    items in edge order, later the follow-up of the item just popped.
+    weighted by the step to that successor. `waiting` holds, last first,
+    the successor items to push before the next pop: at the start all
+    first items in edge order, later the follow-up of the item just popped.
     """
 
     def __init__(self, chain, targets: Set[int]):
-        self.items: Dict[int, List[Tuple[float, FinitePath]]] = {}
+        self.items: Dict[int, List[tuple]] = {}
         self.heaps: Dict[int, list] = {}
-        self.waiting: Dict[int, List[Tuple[int, int, float]]] = {}
+        self.waiting: Dict[int, List[Tuple[int, int, float, float]]] = {}
         for u in range(chain.num_states):
             self.heaps[u] = []
             if u in targets:
-                self.items[u], self.waiting[u] = [(0.0, (u,))], []
+                self.items[u], self.waiting[u] = [(0.0, None, 0, 1.0)], []
                 continue
             self.items[u] = []
             self.waiting[u] = [
-                (t, 0, -math.log(p))
+                (t, 0, -math.log(p), p)
                 for t, p in reversed(mc_row(chain, u))
                 if t != u
             ]
@@ -77,7 +81,7 @@ class _SuffixStreams:
             return items[i]
         return _PENDING if self.heaps[u] or self.waiting[u] else None
 
-    def item(self, u: int, i: int) -> Optional[Tuple[float, FinitePath]]:
+    def item(self, u: int, i: int) -> Optional[tuple]:
         # A stack of requests, each waiting for the one above it, keeps the
         # DAG's depth off the call stack. A heap's pushes and pops come in
         # the same order whatever the order of requests, so the stream
@@ -92,20 +96,20 @@ class _SuffixStreams:
                 # that resolve theirs, down the whole DAG
                 requests.pop()
             elif waiting:
-                t, j, w = waiting[-1]
+                t, j, w, p = waiting[-1]
                 nxt = self._peek(t, j)
                 if nxt is _PENDING:
                     requests.append((t, j))
                     continue
                 waiting.pop()
                 if nxt is not None:
-                    heapq.heappush(heap, (_Key(w + nxt[0], nxt[1]), t, j, w))
+                    heapq.heappush(heap, (_Key(w + nxt[0], t), j, w, p))
             elif not heap:
                 requests.pop()
             else:
-                key, t, j, w = heapq.heappop(heap)
-                items.append((key.weight, (v,) + key.path))
-                waiting.append((t, j + 1, w))
+                key, j, w, p = heapq.heappop(heap)
+                items.append((key.weight, key.succ, j, p))
+                waiting.append((key.succ, j + 1, w, p))
         return self._peek(u, i)
 
 
@@ -119,19 +123,19 @@ def ranked_rails(
     a state that cannot reach the target is empty, whether the state is
     absorbing or leads into a dead region, so the rails are the same with
     or without the probability-zero states made absorbing."""
-    targets = set(targets)
-    chain = red.chain
-    s0 = chain.initial
-
-    def stream():
-        streams = _SuffixStreams(chain, targets)
-        for i in itertools.count():
-            item = streams.item(s0, i)
-            if item is None:
-                return
-            yield item[1], rail_mass(red, item[1])
-
-    return stream()
+    s0 = red.chain.initial
+    streams = _SuffixStreams(red.chain, set(targets))
+    for i in itertools.count():
+        item = streams.item(s0, i)
+        if item is None:
+            return
+        rail, mass = [s0], 1.0
+        while item[1] is not None:
+            _, t, j, p = item
+            rail.append(t)
+            mass *= p
+            item = streams.items[t][j]
+        yield tuple(rail), mass
 
 
 @dataclass

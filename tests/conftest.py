@@ -72,6 +72,26 @@ def truncated_rail_mass(red: AcyclicReduction, rail, max_steps: int = 500):
     return done, math.fsum(alive.values())
 
 
+def diamond_chain_doc(rng, k, spread=None):
+    """s_i steps to a_i or b_i, both step to s_i+1; s_k is the target.
+
+    With `spread`, p is 1/2 plus a random multiple of 1e-13, at most
+    `spread` of them: 0 makes a fair chain, whose rails all tie, and 10 a
+    near-tied one, whose two steps per level differ by at most 4e-12 in
+    log mass, a few times the search's tie window."""
+    rows = {}
+    for i in range(k):
+        if spread is None:
+            p = float(rng.uniform(0.2, 0.8))
+        else:
+            p = 0.5 + float(rng.integers(-spread, spread + 1)) * 1e-13
+        rows["s%d" % i] = [{"a%d" % i: p, "b%d" % i: 1.0 - p}]
+        rows["a%d" % i] = [{"s%d" % (i + 1): 1.0}]
+        rows["b%d" % i] = [{"s%d" % (i + 1): 1.0}]
+    rows["s%d" % k] = [{"s%d" % k: 1.0}]
+    return {"states": list(rows), "initial": "s0", "labels": {"s%d" % k: ["psi"]}, "transitions": rows}
+
+
 # random corpus builders
 
 def _mc_doc(rng):

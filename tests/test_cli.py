@@ -497,6 +497,18 @@ def test_error_bad_model(tmp_path):
     assert "sums to 0.9" in report["error"]["message"]
 
 
+def test_malformed_initial_and_labels_fail_in_parse(tmp_path, capsys):
+    # an unhashable initial state must not escape as a TypeError, and a
+    # falsy labels value is no more an object than any other
+    base = {"states": ["a"], "initial": "a", "transitions": {"a": [{"a": 1.0}]}}
+    for k, over in enumerate(({"initial": ["a"]}, {"initial": {"a": 1}}, {"labels": []}, {"labels": 0})):
+        path = tmp_path / ("bad%d.json" % k)
+        path.write_text(json.dumps({**base, **over}))
+        assert main([str(path), "--prop", "P<=0.5 [ F psi ]"]) == 2
+        err = capsys.readouterr().err
+        assert "error in parse" in err and "TypeError" not in err, err
+
+
 def test_error_bad_property(m0_path):
     code, report = _run(m0_path, "P>=0.5 [ F psi ]")
     assert code == 2

@@ -81,6 +81,14 @@ def _doc(**over):
         (_doc(transitions={"a": [{"a": -0.5, "b": 1.5}], "b": [{"b": 1.0}]}), "out of range"),
         (_doc(transitions={"a": [{"a": 0.5, "b": 0.4}], "b": [{"b": 1.0}]}), "sums to 0.9"),
         (_doc(labels={"c": ["x"]}), "unknown state 'c'"),
+        (_doc(initial=["a"]), "'initial' must be a state name"),
+        (_doc(initial={"a": 1}), "'initial' must be a state name"),
+        (_doc(initial=None), "'initial' must be a state name"),
+        (_doc(labels=[]), "'labels' must be an object"),
+        (_doc(labels=""), "'labels' must be an object"),
+        (_doc(labels=0), "'labels' must be an object"),
+        (_doc(labels=False), "'labels' must be an object"),
+        (_doc(labels=None), "'labels' must be an object"),
         ("[]", "JSON object"),
     ],
 )
@@ -103,6 +111,7 @@ def test_row_sum_tolerance():
     })
     m = parse_model(doc)
     assert dict(mc_row(m, 0))[0] == off
+    assert m.labels == (frozenset(),)  # a missing labels field means none
     with pytest.raises(ModelError, match="sums to"):
         parse_model(doc, tol=1e-12)
     for tol in (math.nan, math.inf, -1e-9):

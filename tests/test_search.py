@@ -1,16 +1,19 @@
+import heapq
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import reduce_to_psi
+from conftest import diamond_chain_doc, reduce_to_psi
 from railcheck import search
-from railcheck.model import cylinder_prob, parse_model
+from railcheck.model import cylinder_prob, mc_row, parse_model
 from railcheck.oracle import enumerate_freach
 from railcheck.props import Atom, PropertySpec, parse_property, sat_states
-from railcheck.rails import representant
+from railcheck.rails import rail_mass, representant
 from railcheck.search import (
+    TIE_WINDOW,
     SearchLimitError,
     most_indicative,
     ranked_rails,
@@ -281,18 +284,6 @@ def test_dead_regions_need_no_absorbing():
     assert dead_kept > 0
 
 
-def _diamond_chain_doc(rng, k):
-    # s_i steps to a_i or b_i, both step to s_i+1; s_k is the target.
-    rows = {}
-    for i in range(k):
-        p = float(rng.uniform(0.2, 0.8))
-        rows["s%d" % i] = [{"a%d" % i: p, "b%d" % i: 1.0 - p}]
-        rows["a%d" % i] = [{"s%d" % (i + 1): 1.0}]
-        rows["b%d" % i] = [{"s%d" % (i + 1): 1.0}]
-    rows["s%d" % k] = [{"s%d" % k: 1.0}]
-    return {"states": list(rows), "initial": "s0", "labels": {"s%d" % k: ["psi"]}, "transitions": rows}
-
-
 def _ring_chain_doc(rng, rings, size=4):
     # Rings of `size` states. A member moves on around its ring or exits
     # forward: member 0 to the next ring, the others to one of the next
@@ -312,7 +303,7 @@ def _ring_chain_doc(rng, rings, size=4):
     return {"states": names, "initial": names[0], "labels": {"goal": ["psi"]}, "transitions": rows}
 
 
-@pytest.mark.parametrize("make, sizes", [(_diamond_chain_doc, (5, 40, 150)), (_ring_chain_doc, (3, 30, 120))])
+@pytest.mark.parametrize("make, sizes", [(diamond_chain_doc, (5, 40, 150)), (_ring_chain_doc, (3, 30, 120))])
 def test_first_rail_materializes_one_item_per_state(make, sizes):
     # An item already in a stream is served without resolving the
     # follow-up of its pop, which would cascade down the DAG: the first
@@ -323,5 +314,118 @@ def test_first_rail_materializes_one_item_per_state(make, sizes):
         red, psi = reduce_to_psi(m)
         streams = search._SuffixStreams(red.chain, psi)
         first = streams.item(red.chain.initial, 0)
-        assert first is not None and first[1] == next(iter(ranked_rails(red, psi)))[0]
+        assert first is not None and first[1] == next(iter(ranked_rails(red, psi)))[0][1]
         assert max(len(items) for items in streams.items.values()) == 1
+
+
+# The stream before its items became pointers, verbatim but for the names:
+# every item carried its whole path, and every rail's mass was read back
+# with `rail_mass`. The oracle for the order, ties included, and the bits.
+
+class _PathKey:
+    """Heap ordering for candidate suffixes: by weight, except that weights
+    within the tie window compare by state sequence instead."""
+
+    __slots__ = ("weight", "path")
+
+    def __init__(self, weight, path):
+        self.weight = weight
+        self.path = path
+
+    def __lt__(self, other):
+        if abs(self.weight - other.weight) <= TIE_WINDOW:
+            return self.path < other.path
+        return self.weight < other.weight
+
+
+_PENDING = object()
+
+
+class _PathSuffixStreams:
+    def __init__(self, chain, targets):
+        self.items = {}
+        self.heaps = {}
+        self.waiting = {}
+        for u in range(chain.num_states):
+            self.heaps[u] = []
+            if u in targets:
+                self.items[u], self.waiting[u] = [(0.0, (u,))], []
+                continue
+            self.items[u] = []
+            self.waiting[u] = [
+                (t, 0, -math.log(p))
+                for t, p in reversed(mc_row(chain, u))
+                if t != u
+            ]
+
+    def _peek(self, u, i):
+        items = self.items[u]
+        if i < len(items):
+            return items[i]
+        return _PENDING if self.heaps[u] or self.waiting[u] else None
+
+    def item(self, u, i):
+        requests = [(u, i)]
+        while requests:
+            v, k = requests[-1]
+            items, heap, waiting = self.items[v], self.heaps[v], self.waiting[v]
+            if len(items) > k:
+                requests.pop()
+            elif waiting:
+                t, j, w = waiting[-1]
+                nxt = self._peek(t, j)
+                if nxt is _PENDING:
+                    requests.append((t, j))
+                    continue
+                waiting.pop()
+                if nxt is not None:
+                    heapq.heappush(heap, (_PathKey(w + nxt[0], nxt[1]), t, j, w))
+            elif not heap:
+                requests.pop()
+            else:
+                key, t, j, w = heapq.heappop(heap)
+                items.append((key.weight, (v,) + key.path))
+                waiting.append((t, j + 1, w))
+        return self._peek(u, i)
+
+
+def _path_ranked_rails(red, targets):
+    targets = set(targets)
+    chain = red.chain
+    s0 = chain.initial
+
+    def stream():
+        streams = _PathSuffixStreams(chain, targets)
+        for i in itertools.count():
+            item = streams.item(s0, i)
+            if item is None:
+                return
+            yield item[1], rail_mass(red, item[1])
+
+    return stream()
+
+
+def _assert_same_stream(red, psi, limit=None):
+    got = list(itertools.islice(ranked_rails(red, psi), limit))
+    assert got == list(itertools.islice(_path_ranked_rails(red, psi), limit))
+    assert got and all(mass == rail_mass(red, rail) for rail, mass in got)
+
+
+def test_pointer_stream_matches_path_stream(mc_corpus, dag_corpus):
+    # Items hold a pointer to the successor's item instead of a path: the
+    # same rails in the same order, near ties included, and every mass
+    # the same left-to-right product `rail_mass` takes.
+    for _, psi, red, _ in mc_corpus + dag_corpus:
+        _assert_same_stream(red, psi)
+    rng = np.random.default_rng(1010)
+    for rings in (2, 3, 5, 8, 20):
+        red, psi = reduce_to_psi(parse_model(json.dumps(_ring_chain_doc(rng, rings))))
+        _assert_same_stream(red, psi, 300)
+    for spread in (0, 1, 10):
+        for levels in (1, 2, 5, 9):
+            red, psi = reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, spread))))
+            _assert_same_stream(red, psi)
+    # masses underflow to 0 past about 1075 fair levels; the order is that
+    # of the state sequences
+    red, psi = reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, 1100, 0))))
+    _assert_same_stream(red, psi, 100)
