@@ -359,6 +359,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="include wall-clock stage timings in the report (makes json output non-reproducible)",
     )
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"argument --seed: must be at least 0, got {args.seed}")
+    if args.max_witnesses < 1:
+        parser.error(f"argument --max-witnesses: must be at least 1, got {args.max_witnesses}")
     code, report = run_check(
         args.model,
         args.prop,

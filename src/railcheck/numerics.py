@@ -16,9 +16,10 @@ if TYPE_CHECKING:
 
 
 class SingularMatrixError(ArithmeticError):
-    def __init__(self, pivot: int):
+    def __init__(self, pivot: int, block: int = 0):
         super().__init__(f"matrix is singular at pivot {pivot}")
         self.pivot = pivot
+        self.block = block  # position in a stack of blocks
 
 
 def solve_linear(q, r) -> np.ndarray:
@@ -26,29 +27,51 @@ def solve_linear(q, r) -> np.ndarray:
     Taksar & Heyman): x = (I - q)^-1 r, each row a distribution over the
     exit columns of r.
 
-    q holds the members' in-block probabilities and r their exit columns.
-    The diagonal of q is never read, because a self loop only delays.
-    Members are eliminated in index order: member k's exit mass is the sum
-    of its entries right of column k, and every lower row with a nonzero
-    entry in column k gets that entry / exit mass times row k. No step
-    subtracts, so no digits cancel. Raises `SingularMatrixError(k)` if
-    member k's exit mass is not positive, which a component with an exit
-    reaches only by underflow.
+    q (n, n) holds the members' in-block probabilities and r (n, m) their
+    exit columns. A stack of B blocks of one shape is passed members
+    first, q (n, B, n) and r (n, B, m), and solved by the same loop: every
+    block sees the operations, in the order, that it sees solved alone,
+    so each block's x keeps its bytes. The diagonal of q is never read,
+    because a self loop only delays. Members are eliminated in index
+    order: member k's exit mass is the sum of its entries right of column
+    k, and every lower row with a nonzero entry in column k (in any block
+    of a stack) gets that entry / exit mass times row k. No step
+    subtracts, so no digits cancel. Raises `SingularMatrixError(k, b)` if
+    member k of block b has no positive exit mass, which a component with
+    an exit reaches only by underflow; b is the first such block, and k
+    the pivot it fails at alone.
     """
-    aug = np.hstack((q, r))
-    n = aug.shape[0]
-    exits = np.zeros(n)
-    for k in range(n):
-        exits[k] = aug[k, k + 1 :].sum()
-        if not exits[k] > 0.0:
-            raise SingularMatrixError(k)
-        below = aug[k + 1 :]
-        rows = below[:, k].nonzero()[0]
-        if rows.size:
-            below[rows, k + 1 :] += (below[rows, k] / exits[k])[:, None] * aug[k, k + 1 :]
-    x = np.zeros((n, aug.shape[1] - n))
-    for k in range(n - 1, -1, -1):
-        x[k] = (aug[k, n:] + aug[k, k + 1 : n] @ x[k + 1 :]) / exits[k]
+    aug = np.concatenate((q, r), axis=-1)
+    n = len(aug)
+    exits = np.zeros(aug.shape[:-1])
+    # Back-substitution runs blocks first: each block's product then reads
+    # the strides a lone block's does (BLAS sums a strided vector in
+    # another order), and a stack's row k is B rows of one, which matmul
+    # stacks.
+    by_block = np.zeros(aug.shape[1:-1] + (n, aug.shape[-1] - n))
+    x = by_block.swapaxes(0, -2)
+    lead, out, pivots = aug, x, exits
+    if aug.ndim == 3:
+        lead, out, pivots = aug[:, :, None], x[:, :, None], exits[:, :, None, None]
+    # A failed pivot divides by zero and poisons only its own block; the
+    # check after the loop finds it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            exits[k] = aug[k, ..., k + 1 :].sum(axis=-1)
+            below = aug[k + 1 :]
+            hit = below[..., k]
+            rows = (hit if hit.ndim == 1 else hit.any(axis=1)).nonzero()[0]
+            if rows.size:
+                factors = (below[rows, ..., k] / exits[k])[..., None]
+                below[rows, ..., k + 1 :] += factors * aug[k, ..., k + 1 :]
+        for k in range(n - 1, -1, -1):
+            tail = lead[k, ..., k + 1 : n] @ by_block[..., k + 1 :, :]
+            out[k] = (lead[k, ..., n:] + tail) / pivots[k]
+        ok = exits > 0.0
+    if not ok.all():
+        failed = ~ok.reshape(n, -1)
+        block = int(failed.any(axis=0).argmax())
+        raise SingularMatrixError(int(failed[:, block].argmax()), block)
     return x
 
 

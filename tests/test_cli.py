@@ -533,6 +533,18 @@ def test_main_exit_codes(m0_path, capsys):
     assert "error in parse" in err
 
 
+def test_main_rejects_out_of_range_counts(m0_path, capsys):
+    # caught when the arguments are parsed, before any stage runs
+    base = [str(m0_path), "--prop", "P<=0.5 [ F psi ]"]
+    for option, value in (("--max-witnesses", "-3"), ("--max-witnesses", "0"), ("--seed", "-1"), ("--seed", "x")):
+        with pytest.raises(SystemExit) as exit_:
+            main(base + ["--verify", option, value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}:" in err and "error in" not in err
+    assert main(base + ["--max-witnesses", "1", "--seed", "0"]) == 1
+
+
 def test_main_json_deterministic(m0_path, capsys):
     argv = [
         str(m0_path), "--prop", "P<1 [ F psi ]",

@@ -69,6 +69,42 @@ def _ring_block(rng, k, exits, leak=None):
     return q, r
 
 
+def _dense_reduction(q, r):
+    # the state reduction of one block, every lower row updated: the
+    # oracle for solve_linear's bits and singular pivots
+    aug = np.hstack((q, r))
+    n = len(aug)
+    exits = np.zeros(n)
+    for k in range(n):
+        exits[k] = aug[k, k + 1 :].sum()
+        if not exits[k] > 0.0:
+            raise SingularMatrixError(k)
+        aug[k + 1 :, k + 1 :] += (aug[k + 1 :, k] / exits[k])[:, None] * aug[k, k + 1 :]
+    x = np.zeros(r.shape)
+    for k in range(n - 1, -1, -1):
+        x[k] = (aug[k, n:] + aug[k, k + 1 : n] @ x[k + 1 :]) / exits[k]
+    return x
+
+
+def _stack(blocks):
+    return np.stack([q for q, _ in blocks], axis=1), np.stack([r for _, r in blocks], axis=1)
+
+
+def test_solve_linear_stacks_keep_each_blocks_bytes():
+    # every block of a stack gets the bytes it gets alone, and those of
+    # the dense loop
+    rng = np.random.default_rng(812)
+    for k in (1, 2, 4, 30, 400):
+        for size in (1, 2, 300) if k < 400 else (1, 2):
+            m = int(rng.integers(1, 7))
+            blocks = [_ring_block(rng, k, m) for _ in range(size)]
+            x = solve_linear(*_stack(blocks))
+            assert x.shape == (k, size, m)
+            for b, (q, r) in enumerate(blocks):
+                alone = solve_linear(q, r)
+                assert x[:, b].tobytes() == alone.tobytes() == _dense_reduction(q, r).tobytes()
+
+
 def test_solve_linear_matches_numpy():
     rng = np.random.default_rng(808)
     sizes = [1, 2, 3, 4, 400] + list(np.exp(rng.uniform(0.0, np.log(400), 40)).astype(int))
@@ -106,3 +142,23 @@ def test_solve_linear_singular():
         q, r = _ring_block(rng, int(rng.integers(1, 60)), 2, leak=0.0)
         with pytest.raises(SingularMatrixError):
             solve_linear(q, r)
+
+
+def test_solve_linear_singular_block_in_a_stack():
+    # a block with no exit fails at the pivot it fails at alone, wherever
+    # it sits among healthy blocks of its shape; the first one decides
+    rng = np.random.default_rng(813)
+    for _ in range(20):
+        k, m, size = int(rng.integers(1, 30)), int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        blocks = [_ring_block(rng, k, m) for _ in range(size)]
+        bad = sorted(set(rng.integers(0, size, int(rng.integers(1, 3))).tolist()))
+        for b in bad:
+            blocks[b] = _ring_block(rng, k, m, leak=0.0)
+        with pytest.raises(SingularMatrixError) as alone:
+            solve_linear(*blocks[bad[0]])
+        with pytest.raises(SingularMatrixError) as dense:
+            _dense_reduction(*blocks[bad[0]])
+        with pytest.raises(SingularMatrixError) as err:
+            solve_linear(*_stack(blocks))
+        assert err.value.pivot == alone.value.pivot == dense.value.pivot
+        assert err.value.block == bad[0]

@@ -2,11 +2,13 @@ import json
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from conftest import reduce_to_psi
+from railcheck import transform
 from railcheck.model import ModelError, mc_row, parse_model, successors
-from railcheck.numerics import max_reach
+from railcheck.numerics import SingularMatrixError, max_reach, solve_linear
 from railcheck.oracle import brute_force_max_reach
 from railcheck.transform import (
     acyclic_reduce,
@@ -94,17 +96,97 @@ def test_initial_state_counts_as_input():
 
 def test_scc_reach_values(m0, big1):
     m = make_absorbing(m0, {3, 4})
-    infos = scc_io(m, scc_decompose(m))
+    infos = scc_reach(m, scc_io(m, scc_decompose(m)))
     by_members = {frozenset(i.members): i for i in infos}
-    k = scc_reach(m, by_members[frozenset({2})])
-    assert k.input_rows()[2] == ((4, 1.0),)
-    k = scc_reach(m, by_members[frozenset({1})])
-    assert k.input_rows()[1] == ((3, 1.0),)
+    assert by_members[frozenset({2})].input_rows()[2] == ((4, 1.0),)
+    assert by_members[frozenset({1})].input_rows()[1] == ((3, 1.0),)
     b = make_absorbing(big1, {3})
-    info = next(i for i in scc_io(b, scc_decompose(b)) if len(i.members) == 2)
-    info = scc_reach(b, info)
+    info = next(i for i in scc_reach(b, scc_io(b, scc_decompose(b))) if len(i.members) == 2)
     assert info.members == frozenset({1, 2})
     assert info.input_rows()[1] == ((3, 1.0),)
+
+
+def _sticky_rings_doc(rng, k, sticky):
+    # One ring of k states per entry of `sticky`, in a row: ring i is
+    # m[0] -> m[1] -> ... -> m[j], where m[j] loops on itself and returns
+    # to m[0], and m[0] -> m[j + 1] -> ... -> m[0]. m[0] also leaves, for
+    # the next ring's m[0] (the last ring for goal) and for a trap, split
+    # at random. With sticky[i] = j > 0, m[0] leaves and enters m[j + 1]
+    # with 1e-200 and m[j] returns with 1e-200, so all of m[j]'s exit mass
+    # underflows and its block fails at pivot j exactly; with 0, those are
+    # 0.25 at a random j.
+    names = [f"s{i}" for i in range(len(sticky) * k)] + ["goal", "trap"]
+    trans = {"goal": [{"goal": 1.0}], "trap": [{"trap": 1.0}]}
+    for i, j in enumerate(sticky):
+        m = names[i * k : (i + 1) * k]
+        tiny = 1e-200 if j else 0.25
+        j = j or int(rng.integers(1, k))
+        far = [m[j + 1]] if j + 1 < k else []
+        out = names[(i + 1) * k] if i + 1 < len(sticky) else "goal"
+        w = float(rng.uniform(0.2, 0.8))
+        trans[m[0]] = [
+            {m[1]: 1.0 - tiny * (1 + len(far)), out: tiny * w, "trap": tiny * (1 - w), **{t: tiny for t in far}}
+        ]
+        for a, b in zip(m[1:j], m[2 : j + 1]):
+            trans[a] = [{b: 1.0}]
+        trans[m[j]] = [{m[j]: 1.0 - tiny, m[0]: tiny}]
+        for a, b in zip(m[j + 1 :], m[j + 2 :] + [m[0]]):
+            trans[a] = [{b: 1.0}]
+    return {"states": names, "initial": "s0", "labels": {"goal": ["psi"]}, "transitions": trans}
+
+
+@pytest.mark.parametrize("stack_floats", [None, 100, 1])
+def test_scc_reach_batch_matches_each_component_alone(stack_floats, monkeypatch):
+    # the rings share one shape, so scc_reach solves them stacked (one
+    # stack, stacks of 2-12, or every ring alone): each escape keeps the
+    # bytes of its lone solve, and the singular ring with the lowest id
+    # decides the error, whatever pivot a later one fails at
+    if stack_floats is not None:
+        monkeypatch.setattr(transform, "_STACK_FLOATS", stack_floats)
+    rng = np.random.default_rng(814)
+    decided_by_id = 0
+    for trial in range(40):
+        k = int(rng.integers(2, 7))
+        sticky = [int(rng.integers(1, k)) if trial % 2 and rng.random() < 0.5 else 0 for _ in range(8)]
+        m = parse_model(json.dumps(_sticky_rings_doc(rng, k, sticky)))
+        mc = make_absorbing(m, {m.names.index("goal")})
+        alone = {}
+        for info in scc_io(mc, scc_decompose(mc)):
+            if info.nontrivial and info.outputs:
+                assert len(info.members) == k and len(info.outputs) == 2
+                try:
+                    alone[info.id] = scc_reach(mc, [info])[0].escape
+                except SingularMatrixError as err:
+                    alone[info.id] = err.pivot
+        failed = [j for j in sticky if j]
+        assert [p for p in alone.values() if isinstance(p, int)] == failed
+        if failed:
+            with pytest.raises(SingularMatrixError) as err:
+                acyclic_reduce(mc)
+            assert err.value.pivot == failed[0]
+            decided_by_id += min(failed) != failed[0]
+        else:
+            red = acyclic_reduce(mc)
+            assert all(red.sccs[c].escape.tobytes() == x.tobytes() for c, x in alone.items())
+    assert decided_by_id >= 5
+
+
+def test_scc_reach_stacks_small_blocks_only(monkeypatch):
+    # eight 4-state rings share one stack; two 130-state rings are
+    # solved alone, in 2-D, so each keeps its zero-multiplier row skip
+    shapes = []
+
+    def spy(q, r):
+        shapes.append(q.shape)
+        return solve_linear(q, r)
+
+    monkeypatch.setattr(transform, "solve_linear", spy)
+    rng = np.random.default_rng(815)
+    for k, rings, expected in ((4, 8, [(4, 8, 4)]), (130, 2, [(130, 130)] * 2)):
+        shapes.clear()
+        m = parse_model(json.dumps(_sticky_rings_doc(rng, k, [0] * rings)))
+        acyclic_reduce(make_absorbing(m, {m.names.index("goal")}))
+        assert shapes == expected
 
 
 def test_reduce_m0(m0):
