@@ -120,16 +120,17 @@ def run_check(
     }
     if sched is not None:
         report["scheduler"] = {m.names[s]: k for s, k in enumerate(sched.choice)}
-    report["witnesses"] = [
-        {
-            "rail": names_of_path(m, w.rail),
-            "mass": w.mass,
-            "representant": names_of_path(m, w.representant),
-            "representant_prob": w.representant_prob,
-        }
-        for w in outcome.witnesses
-    ]
+    report["witnesses"] = []
+    for w in outcome.witnesses:
+        entry = {"rail": names_of_path(m, w.rail), "mass": w.mass}
+        if w.mass_exp:  # only below the normal float range
+            entry["mass_exp"] = w.mass_exp
+        entry["representant"] = names_of_path(m, w.representant)
+        entry["representant_prob"] = w.representant_prob
+        report["witnesses"].append(entry)
     report["total_mass"] = outcome.total_mass
+    if outcome.total_mass_exp:
+        report["total_mass_exp"] = outcome.total_mass_exp
     if dump_scc:
         report["scc_table"] = _scc_table(m, red)
     if verification is not None:
@@ -174,7 +175,7 @@ def _verification_block(m, is_mc, red, psi, max_prob, seed) -> Dict:
     }
     ok &= diff <= 1e-7
 
-    all_rails = list(ranked_rails(red, psi))
+    all_rails = [(rail, math.ldexp(mass, exp)) for rail, mass, exp in ranked_rails(red, psi)]
     if m.num_states <= _ENUM_STATE_CAP:
         paths, tail = enumerate_freach(red.origin, psi, _ENUM_LEN)
         enumerated = math.fsum(p for _, p in paths)
@@ -297,10 +298,12 @@ def render_report(report: Dict, fmt: str = "text") -> str:
     lines.append(f"verdict: {report['verdict']}")
     for i, w in enumerate(report["witnesses"], 1):
         path = " ".join(w["representant"])
+        mass = f"{w['mass']:.4f}" + (f"*2^{w['mass_exp']}" if "mass_exp" in w else "")
         lines.append(
-            f"witness {i}: {path} (mass {w['mass']:.4f}, representant p {w['representant_prob']:.4f})"
+            f"witness {i}: {path} (mass {mass}, representant p {w['representant_prob']:.4f})"
         )
-    lines.append(f"total mass: {report['total_mass']:.10g}")
+    exp = f"*2^{report['total_mass_exp']}" if "total_mass_exp" in report else ""
+    lines.append(f"total mass: {report['total_mass']:.10g}{exp}")
     if "scc_table" in report:
         for entry in report["scc_table"]:
             kind = "nontrivial" if entry["nontrivial"] else "trivial"

@@ -63,22 +63,24 @@ def successors(m: Model, s: int) -> Set[int]:
 
 def cylinder_prob(m: Model, path: Sequence[int]) -> float:
     """Measure of the cone of all infinite extensions of a finite path,
-    i.e. the product of one-step probabilities along it, left to right.
-
-    Each step scans its source's row in place, so the cost is the summed
-    row length along the path; `mc_row` rejects a state on the path with
-    several distributions."""
+    i.e. the product of one-step probabilities along it, right to left in
+    mantissa and exponent as the rail stream takes it, so the float is
+    rounded once. Each step scans its source's row in place, so the cost
+    is the summed row length along the path; `mc_row` rejects a state on
+    the path with several distributions."""
     if not path:
         raise ModelError("empty path has no cylinder")
-    prob = 1.0
-    for s, t in zip(path, path[1:]):
+    frac, exp = 0.5, 1
+    for s, t in reversed(list(zip(path, path[1:]))):
         for target, p in mc_row(m, s):
             if target == t and p > 0.0:
-                prob *= p
+                pm, pe = math.frexp(p)
+                frac, k = math.frexp(pm * frac)
+                exp += pe + k
                 break
         else:
             raise ModelError(f"no transition {m.names[s]} -> {m.names[t]}")
-    return prob
+    return math.ldexp(frac, exp)
 
 
 def parse_model(text: str, tol: float = ROW_SUM_TOL) -> Model:

@@ -1,10 +1,11 @@
 """Property grammar: upper-bounded reachability over propositional targets.
 
 Accepted shape: ``P<=p [ F formula ]`` or ``P<p [ F formula ]`` with p a
-decimal in [0, 1]. Formulas are built from atoms with ``!``, ``&``, ``|``
-and parentheses; precedence ! over & over |, binary operators associate to
-the left. Atoms are arbitrary identifiers; a state satisfies an atom iff
-the atom appears among its labels, so unknown atoms are simply false.
+decimal in [0, 1], with or without an exponent (``1e-05``). Formulas are
+built from atoms with ``!``, ``&``, ``|`` and parentheses; precedence !
+over & over |, binary operators associate to the left. Atoms are
+arbitrary identifiers; a state satisfies an atom iff the atom appears
+among its labels, so unknown atoms are simply false.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class PropertySpec:
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER = re.compile(r"\d+(?:\.\d+)?")
+_NUMBER = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 
 
 class _Parser:

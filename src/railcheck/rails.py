@@ -26,6 +26,7 @@ class Witness:
     mass: float
     representant: FinitePath
     representant_prob: float
+    mass_exp: int = 0  # the mass is mass·2**mass_exp, see search.ranked_rails
 
 
 def _match_end(red: AcyclicReduction, rail: FinitePath, rho: FinitePath) -> Optional[int]:
@@ -75,7 +76,7 @@ def generator_member(red: AcyclicReduction, rail: Sequence[int], rho: Sequence[i
 
 def rail_mass(red: AcyclicReduction, rail: Sequence[int]) -> float:
     """Probability mass of the rail's torrent: the product of reduced-chain
-    step probabilities along the rail, in O(rail length)."""
+    step probabilities along the rail, right to left, in O(rail length)."""
     return cylinder_prob(red.chain, tuple(rail))
 
 

@@ -3,11 +3,16 @@
 The reduced chain is a DAG apart from absorbing self loops, so rails can be
 streamed best-first with one lazily materialized sorted suffix stream per
 state, merged along edges (the recursive enumeration scheme of Jiménez &
-Marzal). An item is (weight, successor, successor's item index, step
-probability), the successor None at a target, so it costs O(1); a rail
-costs its length once, as it leaves the stream. A state that cannot reach
-the target has an empty stream and never enters a heap, so no separate
-liveness pass is needed. Work is proportional to the rails consumed.
+Marzal). An item is (m, -e, successor, successor's item index), the
+successor None at a target, so it costs O(1); a rail costs its length
+once, as it leaves the stream. Its mass m·2**e, m in [0.5, 1), is the
+product of the steps right to left: a step multiplies its probability's
+mantissa into the successor item's. In the normal float range that has
+the bits of the float product, and below it nothing underflows. Exponents
+are stored negated: masses are at most 1, so nearly all are small ints
+that CPython shares. A state that cannot reach the target has an empty
+stream and never enters a heap, so no separate liveness pass is needed.
+Work is proportional to the rails consumed.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .props import PropertySpec
 from .rails import Witness, representant
 from .transform import AcyclicReduction
 
-TIE_WINDOW = 1e-12
 _PENDING = object()  # a stream item that is not materialized yet
 
 
@@ -31,48 +35,31 @@ class SearchLimitError(RuntimeError):
     """Witness count exceeded the configured safety limit."""
 
 
-class _Key:
-    """Heap ordering for candidate suffixes: by weight, except that weights
-    within the tie window compare by state sequence instead. A heap holds one
-    candidate per successor (rows have distinct targets; a follow-up is
-    pushed once its predecessor is popped), so the successor decides."""
-
-    __slots__ = ("weight", "succ")
-
-    def __init__(self, weight: float, succ: int):
-        self.weight = weight
-        self.succ = succ
-
-    def __lt__(self, other: "_Key") -> bool:
-        if abs(self.weight - other.weight) <= TIE_WINDOW:
-            return self.succ < other.succ
-        return self.weight < other.weight
-
-
 class _SuffixStreams:
-    """Per state, the paths to the first target hit, best first.
+    """Per state, the paths to the first target hit, heaviest first.
 
     A state's stream pops from a heap of its successors' next items, each
-    weighted by the step to that successor. `waiting` holds, last first,
-    the successor items to push before the next pop: at the start all
-    first items in edge order, later the follow-up of the item just popped.
+    multiplied by the step to that successor, keyed (-e, -m, successor).
+    `waiting` holds, last first, the successor items to push before the
+    next pop: at the start all first items in edge order, later the
+    follow-up of the item just popped. A heap holds one candidate per
+    successor, so the successor settles equal masses.
     """
 
     def __init__(self, chain, targets: Set[int]):
         self.items: Dict[int, List[tuple]] = {}
         self.heaps: Dict[int, list] = {}
-        self.waiting: Dict[int, List[Tuple[int, int, float, float]]] = {}
+        self.waiting: Dict[int, List[Tuple[int, int, float, int]]] = {}
         for u in range(chain.num_states):
             self.heaps[u] = []
             if u in targets:
-                self.items[u], self.waiting[u] = [(0.0, None, 0, 1.0)], []
+                self.items[u], self.waiting[u] = [(0.5, -1, None, 0)], []
                 continue
-            self.items[u] = []
-            self.waiting[u] = [
-                (t, 0, -math.log(p), p)
-                for t, p in reversed(mc_row(chain, u))
-                if t != u
-            ]
+            self.items[u], self.waiting[u] = [], []
+            for t, p in reversed(mc_row(chain, u)):
+                if t != u:
+                    pm, pe = math.frexp(p)
+                    self.waiting[u].append((t, 0, pm, -pe))
 
     def _peek(self, u: int, i: int):
         """Item i of u; None if u has fewer items, _PENDING if not yet known."""
@@ -83,9 +70,7 @@ class _SuffixStreams:
 
     def item(self, u: int, i: int) -> Optional[tuple]:
         # A stack of requests, each waiting for the one above it, keeps the
-        # DAG's depth off the call stack. A heap's pushes and pops come in
-        # the same order whatever the order of requests, so the stream
-        # does not depend on it even where _Key is not transitive.
+        # DAG's depth off the call stack.
         requests = [(u, i)]
         while requests:
             v, k = requests[-1]
@@ -96,46 +81,55 @@ class _SuffixStreams:
                 # that resolve theirs, down the whole DAG
                 requests.pop()
             elif waiting:
-                t, j, w, p = waiting[-1]
+                t, j, pm, npe = waiting[-1]
                 nxt = self._peek(t, j)
                 if nxt is _PENDING:
                     requests.append((t, j))
                     continue
                 waiting.pop()
                 if nxt is not None:
-                    heapq.heappush(heap, (_Key(w + nxt[0], t), j, w, p))
+                    m, ne = pm * nxt[0], npe + nxt[1]
+                    if m < 0.5:  # exact: the product of two mantissas is at least 1/4
+                        m += m
+                        ne += 1
+                    heapq.heappush(heap, (ne, -m, t, j, pm, npe))
             elif not heap:
                 requests.pop()
             else:
-                key, j, w, p = heapq.heappop(heap)
-                items.append((key.weight, key.succ, j, p))
-                waiting.append((key.succ, j + 1, w, p))
+                ne, m, t, j, pm, npe = heapq.heappop(heap)
+                items.append((-m, ne, t, j))
+                waiting.append((t, j + 1, pm, npe))
         return self._peek(u, i)
+
+
+def _split(m: float, e: int) -> Tuple[float, int]:
+    """m·2**e as (float, 0) in the normal float range, else as (m, e)."""
+    return (math.ldexp(m, e), 0) if e > -1022 else (m, e)
 
 
 def ranked_rails(
     red: AcyclicReduction, targets: Iterable[int]
-) -> Iterator[Tuple[FinitePath, float]]:
+) -> Iterator[Tuple[FinitePath, float, int]]:
     """Rails from the initial state to the first target hit, heaviest
-    first; each item is (rail, mass) with the mass an exact product.
+    first, as (rail, mass, exp): the rail's mass is mass·2**exp, with exp
+    0 unless it lies below the normal float range. Rounding to nearest is
+    monotone, so each stream is sorted by exactly the masses it reports;
+    equal masses come in the order of their successors.
 
-    Every state of the reduced chain gets a suffix stream. The stream of
-    a state that cannot reach the target is empty, whether the state is
-    absorbing or leads into a dead region, so the rails are the same with
-    or without the probability-zero states made absorbing."""
+    The stream of a state that cannot reach the target is empty, whether
+    it is absorbing or leads into a dead region, so the rails are the
+    same with or without the probability-zero states made absorbing."""
     s0 = red.chain.initial
     streams = _SuffixStreams(red.chain, set(targets))
     for i in itertools.count():
         item = streams.item(s0, i)
         if item is None:
             return
-        rail, mass = [s0], 1.0
-        while item[1] is not None:
-            _, t, j, p = item
+        rail, (m, ne, t, j) = [s0], item
+        while t is not None:
             rail.append(t)
-            mass *= p
-            item = streams.items[t][j]
-        yield tuple(rail), mass
+            _, _, t, j = streams.items[t][j]
+        yield (tuple(rail), *_split(m, -ne))
 
 
 @dataclass
@@ -143,12 +137,11 @@ class TorrentCounterexample:
     witnesses: List[Witness]
     total_mass: float
     verdict: str  # "violated" or "holds"
+    total_mass_exp: int = 0  # the total is total_mass·2**total_mass_exp
 
 
-def _violated(spec: PropertySpec, mass: float) -> bool:
-    if spec.bound == "<=":
-        return mass > spec.threshold
-    return mass >= spec.threshold
+def _violated(spec: PropertySpec, mass: float, limit: float) -> bool:
+    return mass > limit if spec.bound == "<=" else mass >= limit
 
 
 def most_indicative(
@@ -168,24 +161,32 @@ def most_indicative(
     the math.fsum recipe, so total_mass is the correctly rounded sum of
     the witness masses at O(partials) per rail, not O(witnesses), capped
     at 1: rows may sum to 1 plus the parse tolerance, and a probability
-    cannot, so a bound of 1 is never violated.
+    cannot, so a bound of 1 is never violated. The partials count in
+    units of the heaviest rail's 2**exp, so masses below the float range
+    add up too. The threshold and the cap in those units compare exactly;
+    clamped below 2**1024 units, far beyond any sum of rails, they cannot
+    overflow.
 
     Only rails through a nontrivial component's input before their last
     state need `representant`; any other rail is its own representant,
-    and its mass is the same left-to-right product of the same rows.
+    and its mass is the same right-to-left product of the same rows.
     """
-    found: List[Tuple[FinitePath, float]] = []
+    found: List[Tuple[FinitePath, float, int]] = []
     partials: List[float] = []
-    total = 0.0
-    violated = _violated(spec, total)
+    total, scale = 0.0, 0
+    violated = _violated(spec, total, spec.threshold)
     if not violated:
-        for rail, mass in ranked_rails(red, targets):
+        for rail, mass, exp in ranked_rails(red, targets):
             if max_witnesses is not None and len(found) >= max_witnesses:
                 raise SearchLimitError(
                     f"bound still undecided after {max_witnesses} witnesses"
                 )
-            found.append((rail, mass))
-            x = mass
+            if not found:  # the heaviest rail sets the units
+                scale = exp
+                limit, one = (math.ldexp(m, min(e - exp, 1024))
+                              for m, e in (math.frexp(spec.threshold), (0.5, 1)))
+            found.append((rail, mass, exp))
+            x = math.ldexp(mass, exp - scale)
             kept = 0
             for y in partials:
                 if abs(x) < abs(y):
@@ -197,20 +198,19 @@ def most_indicative(
                     kept += 1
                 x = hi
             partials[kept:] = [x]
-            total = min(math.fsum(partials), 1.0)
-            if _violated(spec, total):
+            total = min(math.fsum(partials), one)
+            if _violated(spec, total, limit):
                 violated = True
                 break
     # the reduced chain copies every other kept row from the source chain
     entries = {s for info in red.sccs if info.nontrivial for s in info.inputs}
     witnesses = [
-        Witness(rail, mass, rail, mass)
+        Witness(rail, mass, rail, math.ldexp(mass, exp), exp)
         if entries.isdisjoint(rail[:-1])
-        else Witness(rail, mass, *representant(red, rail))
-        for rail, mass in found
+        else Witness(rail, mass, *representant(red, rail), exp)
+        for rail, mass, exp in found
     ]
-    return TorrentCounterexample(
-        witnesses=witnesses,
-        total_mass=total,
-        verdict="violated" if violated else "holds",
-    )
+    m, e = math.frexp(total)
+    total, total_exp = _split(m, e + scale)
+    verdict = "violated" if violated else "holds"
+    return TorrentCounterexample(witnesses, total, verdict, total_exp)

@@ -12,6 +12,7 @@ and reachability probabilities from the initial state are preserved;
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -38,9 +39,9 @@ class SccInfo:
         entries dropped; empty without an escape solve."""
         if self.escape is None:
             return {}
-        outs = sorted(self.outputs)
-        rows = dict(zip(sorted(self.members), self.escape.tolist()))
-        return {u: tuple((t, p) for t, p in zip(outs, rows[u]) if p > 0.0) for u in sorted(self.inputs)}
+        outs, members = sorted(self.outputs), sorted(self.members)
+        rows = {u: self.escape[bisect_left(members, u)].tolist() for u in sorted(self.inputs)}
+        return {u: tuple([(t, p) for t, p in zip(outs, row) if p > 0.0]) for u, row in rows.items()}
 
 
 @dataclass(frozen=True)

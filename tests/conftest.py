@@ -78,7 +78,7 @@ def diamond_chain_doc(rng, k, spread=None):
     With `spread`, p is 1/2 plus a random multiple of 1e-13, at most
     `spread` of them: 0 makes a fair chain, whose rails all tie, and 10 a
     near-tied one, whose two steps per level differ by at most 4e-12 in
-    log mass, a few times the search's tie window."""
+    log mass, so many rails differ in their last few bits only."""
     rows = {}
     for i in range(k):
         if spread is None:
@@ -90,6 +90,25 @@ def diamond_chain_doc(rng, k, spread=None):
         rows["b%d" % i] = [{"s%d" % (i + 1): 1.0}]
     rows["s%d" % k] = [{"s%d" % k: 1.0}]
     return {"states": list(rows), "initial": "s0", "labels": {"s%d" % k: ["psi"]}, "transitions": rows}
+
+
+def ring_chain_doc(rng, rings, size=4):
+    """Rings of `size` states. A member moves on around its ring or exits
+    forward: member 0 to the next ring, the others to one of the next
+    three rings, and past the last ring to the target or a trap."""
+    names = ["r%d" % s for s in range(rings * size)] + ["goal", "trap"]
+    rows = {"goal": [{"goal": 1.0}], "trap": [{"trap": 1.0}]}
+    for ring in range(rings):
+        for j in range(size):
+            stay = float(rng.uniform(0.5, 0.7))
+            ahead = ring + 1 + (int(rng.integers(3)) if j else 0)
+            if ahead < rings:
+                exit_to = names[ahead * size + int(rng.integers(size))]
+            else:
+                exit_to = "goal" if rng.random() < 0.7 else "trap"
+            nxt = names[ring * size + (j + 1) % size]
+            rows[names[ring * size + j]] = [{nxt: stay, exit_to: 1.0 - stay}]
+    return {"states": names, "initial": names[0], "labels": {"goal": ["psi"]}, "transitions": rows}
 
 
 # random corpus builders
@@ -149,7 +168,7 @@ def _usable_mc(doc):
         return None
     red = acyclic_reduce(make_absorbing(m, psi))
     rails = []
-    for rail, mass in ranked_rails(red, psi):
+    for rail, mass, _ in ranked_rails(red, psi):
         rails.append((rail, mass))
         if len(rails) > 40:
             return None

@@ -25,7 +25,7 @@ from railcheck.oracle import (
 from railcheck.props import Atom, PropertySpec, parse_property
 from railcheck.rails import behaves_as
 from railcheck.scheduling import extract_max_scheduler, induced_mc
-from railcheck.search import TIE_WINDOW, most_indicative, ranked_rails
+from railcheck.search import most_indicative, ranked_rails
 from railcheck.cli import run_check
 
 
@@ -39,7 +39,7 @@ def test_criterion_01_witness_masses(m0):
         tolerance=1e-9, with_timings=False,
     )
     elapsed = time.perf_counter() - t0
-    masses = [mass for _, mass in ranked]
+    masses = [mass for _, mass, _ in ranked]
     assert len(masses) == 2
     assert abs(masses[0] - 0.6) <= 1e-9
     assert abs(masses[1] - 0.4) <= 1e-9
@@ -152,27 +152,24 @@ def test_criterion_09_minimal_and_heaviest_witness_sets(dag_corpus):
 
 
 def test_criterion_09_on_near_ties():
-    # Weights within the tie window compare by state sequence, which is
-    # not a transitive order, and every state's stream settles its own
-    # ties: a rail can lose one window to the heaviest at each level, so
-    # 2 levels at p = 1/2 - 2e-13 stream a first rail 1.6e-12 lighter in
-    # log mass, more than one window per witness. On near-tied diamond
-    # chains, whose rails are all enumerated, with random thresholds the
-    # witness count must be the minimal cardinality, and the total may fall
-    # short of the heaviest set of that size by one window per level.
+    # Near-tied diamond chains, whose rails differ in their last few bits
+    # and are all enumerated: every stream is sorted by the masses it
+    # reports, and with random thresholds the witness set has the minimal
+    # cardinality and, among sets of that size, the heaviest total.
     rng = np.random.default_rng(909)
     for _ in range(300):
         levels = int(rng.integers(2, 9))
         red, psi = reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, 10))))
-        masses = sorted((mass for _, mass in ranked_rails(red, psi)), reverse=True)
+        masses = [mass for _, mass, _ in ranked_rails(red, psi)]
         assert len(masses) == 2 ** levels
+        assert masses == sorted(masses, reverse=True)
         sums = [math.fsum(masses[:k]) for k in range(len(masses) + 1)]
         for threshold in rng.uniform(0.0, 0.999, 5):
             out = most_indicative(red, PropertySpec("<=", float(threshold), Atom("psi")), psi)
             smallest = bisect_right(sums, threshold)
             assert out.verdict == "violated"
             assert len(out.witnesses) == smallest
-            assert math.log(sums[smallest]) - math.log(out.total_mass) <= levels * TIE_WINDOW
+            assert out.total_mass == sums[smallest]
 
 
 def test_criterion_10_byte_identical_reports():

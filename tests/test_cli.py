@@ -1,10 +1,13 @@
 import json
 import math
+import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import diamond_chain_doc, ring_chain_doc
 from railcheck import cli
 from railcheck.cli import main, render_report, run_check
 from railcheck.numerics import SingularMatrixError
@@ -173,8 +176,8 @@ def test_sampling_check_fails_a_mass_ten_percent_off(m0_path, monkeypatch):
     real = cli.ranked_rails
 
     def skewed(red, psi):
-        for i, (rail, mass) in enumerate(real(red, psi)):
-            yield rail, mass * 1.1 if i == 0 else mass
+        for i, (rail, mass, exp) in enumerate(real(red, psi)):
+            yield rail, mass * 1.1 if i == 0 else mass, exp
 
     monkeypatch.setattr(cli, "ranked_rails", skewed)
     for seed in (42, 1, 7):
@@ -239,6 +242,54 @@ _SCALARS = [
     True, False, None, 0, -7, 2 ** 64 + 1, -(10 ** 40), 0.0, -0.0, 5e-324,
     1e300, -1e-300, 0.1, 1.0, float("nan"), float("inf"), float("-inf"),
 ]
+
+
+def test_masses_below_the_float_range_decide(tmp_path, m0_path):
+    # Past about 1075 fair diamond levels, or a few thousand rings, every
+    # rail's float mass underflows to 0. The stream's masses do not, so
+    # P<=0 is violated by the first rail, and only such reports carry
+    # the exponents, in JSON and in text.
+    rng = np.random.default_rng(2121)
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(ring_chain_doc(rng, 5000)))
+    code, report = _run(ring, "P<=0 [ F psi ]", max_witnesses=100)
+    assert code == 1 and report["model"]["states"] == 20002
+    (w,) = report["witnesses"]
+    assert 0.5 <= w["mass"] < 1.0 and w["mass_exp"] < -1021
+    assert (report["total_mass"], report["total_mass_exp"]) == (w["mass"], w["mass_exp"])
+
+    diamonds = tmp_path / "diamonds.json"
+    diamonds.write_text(json.dumps(diamond_chain_doc(rng, 1100, 0)))
+    code, report = _run(diamonds, "P<=0 [ F psi ]", max_witnesses=100)
+    assert code == 1 and report["max_prob"] == 1.0
+    (w,) = report["witnesses"]
+    assert (report["total_mass"], report["total_mass_exp"]) == (w["mass"], w["mass_exp"])
+    assert json.loads(render_report(report, "json")) == report
+    text = render_report(report, "text")
+    masses = [(w["mass"], w["mass_exp"])]
+    masses += [(float(m), int(e)) for m, e in re.findall(r"mass:? (\S+)\*2\^(-?\d+)", text)]
+    assert len(masses) == 3
+    for m, e in masses:  # each of the 2**1100 rails carries as much of max_prob
+        assert Fraction(m) * Fraction(2) ** (e + 1100) == report["max_prob"]
+    # the bound, in units of the first rail's exponent, would overflow
+    code, report = _run(diamonds, "P<=0.5 [ F psi ]", max_witnesses=10)
+    assert code == 2
+    assert report["error"] == {"stage": "searching", "message": "bound still undecided after 10 witnesses"}
+
+    # at 1070 levels, thresholds of k rails' mass, below the normal float
+    # range, compare exactly: the strict bound is broken by k rails, the
+    # weak one by k + 1
+    diamonds.write_text(json.dumps(diamond_chain_doc(rng, 1070, 0)))
+    for k in (1, 3, 8):
+        for bound, count in (("<", k), ("<=", k + 1)):
+            code, report = _run(diamonds, "P%s%r [ F psi ]" % (bound, math.ldexp(k, -1070)))
+            assert code == 1 and len(report["witnesses"]) == count
+            total = Fraction(report["total_mass"]) * Fraction(2) ** report["total_mass_exp"]
+            assert total == count * Fraction(2) ** -1070
+
+    _, report = _run(m0_path, "P<1 [ F psi ]")
+    assert "total_mass_exp" not in report
+    assert all("mass_exp" not in w for w in report["witnesses"])
 
 
 def _random_json(rng, depth=0):

@@ -191,7 +191,7 @@ def _assert_replayed(mc, red, rails, n, seed):
 def _mdp_induced(m):
     psi = {m.num_states - 2}
     _, red, _ = extract_max_scheduler(m, psi)
-    return red, [rail for rail, _ in ranked_rails(red, psi)]
+    return red, [rail for rail, *_ in ranked_rails(red, psi)]
 
 
 def test_sampler_matches_replay_on_corpora(mc_corpus, dag_corpus, mdp_corpus):
@@ -210,9 +210,9 @@ def test_sampler_matches_replay_on_edge_cases(m0, m0_trap, fig5, monkeypatch):
     red_trap, _ = reduce_to_psi(m0_trap)
     _assert_replayed(red_trap.origin, red_trap, rails, 500, seed=4)
     red5, psi5 = reduce_to_psi(fig5)
-    _assert_replayed(red5.origin, red5, [r for r, _ in ranked_rails(red5, psi5)], 500, seed=5)
+    _assert_replayed(red5.origin, red5, [r for r, *_ in ranked_rails(red5, psi5)], 500, seed=5)
     monkeypatch.setattr(oracle, "SAMPLE_STEP_LIMIT", 2)
-    _assert_replayed(red5.origin, red5, [r for r, _ in ranked_rails(red5, psi5)], 500, seed=6)
+    _assert_replayed(red5.origin, red5, [r for r, *_ in ranked_rails(red5, psi5)], 500, seed=6)
     _assert_replayed(red.origin, red, rails, 500, seed=7)
 
 

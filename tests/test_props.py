@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from railcheck.props import (
@@ -6,6 +7,7 @@ from railcheck.props import (
     Not,
     Or,
     PropertyError,
+    PropertySpec,
     format_property,
     parse_property,
     sat_states,
@@ -44,12 +46,26 @@ def test_left_associativity():
     assert spec.target == And(And(Atom("a"), Atom("b")), Atom("c"))
 
 
+def test_threshold_round_trip_with_exponents():
+    # format_property writes repr(threshold), which takes an exponent
+    # below 1e-4; parse_property must read every such text back
+    rng = np.random.default_rng(1515)
+    thresholds = [float(10.0 ** -rng.uniform(0, 320)) for _ in range(200)] + [5e-324, 0.00001]
+    for threshold in thresholds:
+        spec = PropertySpec("<=", threshold, Atom("psi"))
+        assert parse_property(format_property(spec)) == spec
+    assert parse_property("P<2.5E-3 [ F psi ]").threshold == 0.0025
+    assert parse_property("P<=5e-324 [ F psi ]").threshold == 5e-324
+
+
 def test_format_round_trip():
     for text in (
         "P<=0.5 [ F psi ]",
         "P<0.25 [ F a | b ]",
         "P<=0.1 [ F a & b | !c ]",
         "P<=0.25 [ F !(a | b) & c ]",
+        "P<=1e-05 [ F psi ]",
+        "P<=5e-324 [ F psi ]",
     ):
         spec = parse_property(text)
         assert format_property(spec) == text
@@ -68,6 +84,9 @@ def test_format_round_trip():
         ("P<=0.5 [ F ]", "expected an identifier at position 11"),
         ("P<=0.5 [ F psi ] x", "trailing input at position 17"),
         ("P<=0.5 [ F (a & ]", "expected an identifier at position 16"),
+        ("P<=1e-05 F psi ]", r"expected '\[' at position 9"),
+        ("P<=5e-324 F psi ]", r"expected '\[' at position 10"),
+        ("P<=1e400 [ F psi ]", r"threshold inf outside \[0, 1\]"),
     ],
 )
 def test_parse_rejects(text, message):

@@ -82,7 +82,7 @@ def test_each_path_generates_exactly_one_rail(fig5, mc_corpus):
     red5, psi5 = reduce_to_psi(fig5)
     cases = [(red5, psi5)] + [(red, psi) for _, psi, red, _ in mc_corpus[:10]]
     for red, psi in cases:
-        rails = [rail for rail, _ in ranked_rails(red, psi)]
+        rails = [rail for rail, *_ in ranked_rails(red, psi)]
         paths, _ = enumerate_freach(red.origin, psi, 10)
         assert paths
         for path, _ in paths:
@@ -105,7 +105,7 @@ def test_rail_mass_equals_generator_mass(m0, big1):
     for m in (m0, big1):
         red, psi = reduce_to_psi(m)
         paths, _ = enumerate_freach(red.origin, psi, 20)
-        for rail, mass in ranked_rails(red, psi):
+        for rail, mass, _ in ranked_rails(red, psi):
             literal = math.fsum(
                 p for path, p in paths if generator_member(red, rail, path)
             )

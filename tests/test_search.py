@@ -1,4 +1,3 @@
-import heapq
 import itertools
 import json
 import math
@@ -6,35 +5,30 @@ import math
 import numpy as np
 import pytest
 
-from conftest import diamond_chain_doc, reduce_to_psi
+from conftest import diamond_chain_doc, reduce_to_psi, ring_chain_doc
 from railcheck import search
 from railcheck.model import cylinder_prob, mc_row, parse_model
 from railcheck.oracle import enumerate_freach
 from railcheck.props import Atom, PropertySpec, parse_property, sat_states
 from railcheck.rails import rail_mass, representant
-from railcheck.search import (
-    TIE_WINDOW,
-    SearchLimitError,
-    most_indicative,
-    ranked_rails,
-)
+from railcheck.search import SearchLimitError, most_indicative, ranked_rails
 from railcheck.transform import acyclic_reduce, make_absorbing
 
 
 def test_ranked_rails_m0(m0):
     red, psi = reduce_to_psi(m0)
-    assert list(ranked_rails(red, psi)) == [((0, 2, 4), 0.6), ((0, 1, 3), 0.4)]
+    assert list(ranked_rails(red, psi)) == [((0, 2, 4), 0.6, 0), ((0, 1, 3), 0.4, 0)]
 
 
 def test_ranked_rails_big1(big1):
     red, psi = reduce_to_psi(big1)
-    assert list(ranked_rails(red, psi)) == [((0, 1, 3), 1.0)]
+    assert list(ranked_rails(red, psi)) == [((0, 1, 3), 1.0, 0)]
 
 
 def test_ranked_rails_fig5(fig5):
     red, psi = reduce_to_psi(fig5)
     got = list(ranked_rails(red, psi))
-    assert [rail for rail, _ in got] == [
+    assert [rail for rail, *_ in got] == [
         (0, 1, 9, 12),
         (0, 1, 10, 13),
         (0, 2, 5, 11, 14),
@@ -42,7 +36,7 @@ def test_ranked_rails_fig5(fig5):
         (0, 2, 6, 11, 14),
         (0, 2, 6, 14),
     ]
-    masses = [mass for _, mass in got]
+    masses = [mass for _, mass, _ in got]
     assert masses[0] == pytest.approx(1 / 3, abs=1e-12)
     assert masses[1] == pytest.approx(1 / 6, abs=1e-12)
     assert masses[2:] == [0.125, 0.125, 0.125, 0.125]
@@ -55,10 +49,10 @@ def test_ranked_rails_complete_and_ordered(mc_corpus):
     for m, psi, red, rails in mc_corpus[:20]:
         expected, undecided = enumerate_freach(red.chain, psi, red.chain.num_states)
         assert undecided == 0.0
-        got = list(ranked_rails(red, psi))
+        got = [(rail, mass) for rail, mass, _ in ranked_rails(red, psi)]
         assert {rail for rail, _ in got} == {path for path, _ in expected}
         masses = [mass for _, mass in got]
-        assert all(a >= b - 1e-12 for a, b in zip(masses, masses[1:]))
+        assert masses == sorted(masses, reverse=True)
         by_rail = dict(got)
         for path, prob in expected:
             assert by_rail[path] == pytest.approx(prob, abs=1e-12)
@@ -78,26 +72,30 @@ def test_equal_mass_rails_come_in_state_order():
     }
     m = parse_model(json.dumps(doc))
     red, psi = reduce_to_psi(m)
-    assert [rail for rail, _ in ranked_rails(red, psi)] == [(0, 1, 3), (0, 2, 3)]
+    assert [rail for rail, *_ in ranked_rails(red, psi)] == [(0, 1, 3), (0, 2, 3)]
 
 
 def test_near_ties_fall_back_to_state_order():
-    # masses differ by 1e-13, inside the tie window, so the state order
-    # decides even though the first rail is marginally lighter
-    doc = {
-        "states": ["n0", "na", "nb", "nt"],
-        "initial": "n0",
-        "labels": {"nt": ["psi"]},
-        "transitions": {
-            "n0": [{"na": 0.49999999999995, "nb": 0.50000000000005}],
-            "na": [{"nt": 1.0}],
-            "nb": [{"nt": 1.0}],
-            "nt": [{"nt": 1.0}],
-        },
-    }
-    m = parse_model(json.dumps(doc))
-    red, psi = reduce_to_psi(m)
-    assert [rail for rail, _ in ranked_rails(red, psi)] == [(0, 1, 3), (0, 2, 3)]
+    # Masses 1e-13 apart come heaviest first. Suffixes one ulp apart whose
+    # products with the same step round to one mass tie exactly, and then
+    # the successor's index decides, although nb's suffix is heavier.
+    def stream(pa, pb, qa, qb):
+        rows = {"n0": {"na": pa, "nb": pb, "nx": 1.0 - pa - pb}, "na": {"nt": qa, "nx": 1.0 - qa},
+                "nb": {"nt": qb, "nx": 1.0 - qb}, "nt": {"nt": 1.0}, "nx": {"nx": 1.0}}
+        doc = {
+            "states": list(rows),
+            "initial": "n0",
+            "labels": {"nt": ["psi"]},
+            "transitions": {s: [{t: p for t, p in row.items() if p > 0.0}] for s, row in rows.items()},
+        }
+        red, psi = reduce_to_psi(parse_model(json.dumps(doc)))
+        return list(ranked_rails(red, psi))
+
+    near = stream(0.49999999999995, 0.50000000000005, 1.0, 1.0)
+    assert near == [((0, 2, 3), 0.50000000000005, 0), ((0, 1, 3), 0.49999999999995, 0)]
+    assert 0.375 * 0.9 == 0.375 * 0.9000000000000001
+    tied = stream(0.375, 0.375, 0.9, 0.9000000000000001)
+    assert tied == [((0, 1, 3), 0.375 * 0.9, 0), ((0, 2, 3), 0.375 * 0.9, 0)]
 
 
 def test_most_indicative_m0(m0):
@@ -274,7 +272,7 @@ def test_dead_regions_need_no_absorbing():
         absorbing = acyclic_reduce(make_absorbing(m, psi))
         rails = list(ranked_rails(absorbing, psi))
         assert rails and list(ranked_rails(raw, psi)) == rails
-        mass = math.fsum(mass for _, mass in rails)
+        mass = math.fsum(mass for _, mass, _ in rails)
         for threshold in (1.0, float(rng.uniform(0.0, mass))):
             spec = PropertySpec("<=", threshold, Atom("psi"))
             assert most_indicative(raw, spec, psi) == most_indicative(absorbing, spec, psi)
@@ -284,26 +282,7 @@ def test_dead_regions_need_no_absorbing():
     assert dead_kept > 0
 
 
-def _ring_chain_doc(rng, rings, size=4):
-    # Rings of `size` states. A member moves on around its ring or exits
-    # forward: member 0 to the next ring, the others to one of the next
-    # three rings, and past the last ring to the target or a trap.
-    names = ["r%d" % s for s in range(rings * size)] + ["goal", "trap"]
-    rows = {"goal": [{"goal": 1.0}], "trap": [{"trap": 1.0}]}
-    for ring in range(rings):
-        for j in range(size):
-            stay = float(rng.uniform(0.5, 0.7))
-            ahead = ring + 1 + (int(rng.integers(3)) if j else 0)
-            if ahead < rings:
-                exit_to = names[ahead * size + int(rng.integers(size))]
-            else:
-                exit_to = "goal" if rng.random() < 0.7 else "trap"
-            nxt = names[ring * size + (j + 1) % size]
-            rows[names[ring * size + j]] = [{nxt: stay, exit_to: 1.0 - stay}]
-    return {"states": names, "initial": names[0], "labels": {"goal": ["psi"]}, "transitions": rows}
-
-
-@pytest.mark.parametrize("make, sizes", [(diamond_chain_doc, (5, 40, 150)), (_ring_chain_doc, (3, 30, 120))])
+@pytest.mark.parametrize("make, sizes", [(diamond_chain_doc, (5, 40, 150)), (ring_chain_doc, (3, 30, 120))])
 def test_first_rail_materializes_one_item_per_state(make, sizes):
     # An item already in a stream is served without resolving the
     # follow-up of its pop, which would cascade down the DAG: the first
@@ -314,118 +293,67 @@ def test_first_rail_materializes_one_item_per_state(make, sizes):
         red, psi = reduce_to_psi(m)
         streams = search._SuffixStreams(red.chain, psi)
         first = streams.item(red.chain.initial, 0)
-        assert first is not None and first[1] == next(iter(ranked_rails(red, psi)))[0][1]
+        assert first is not None and first[2] == next(iter(ranked_rails(red, psi)))[0][1]
         assert max(len(items) for items in streams.items.values()) == 1
 
 
-# The stream before its items became pointers, verbatim but for the names:
-# every item carried its whole path, and every rail's mass was read back
-# with `rail_mass`. The oracle for the order, ties included, and the bits.
-
-class _PathKey:
-    """Heap ordering for candidate suffixes: by weight, except that weights
-    within the tie window compare by state sequence instead."""
-
-    __slots__ = ("weight", "path")
-
-    def __init__(self, weight, path):
-        self.weight = weight
-        self.path = path
-
-    def __lt__(self, other):
-        if abs(self.weight - other.weight) <= TIE_WINDOW:
-            return self.path < other.path
-        return self.weight < other.weight
+def _exact_key(chain, rail):
+    """A rail's order in the stream, heaviest first, and its mass as
+    (m, e): per state, the suffix mass from there as an independent
+    right-to-left mantissa product, then the next state."""
+    key, m, e = [], 0.5, 1
+    for s, t in reversed(list(zip(rail, rail[1:]))):
+        pm, pe = math.frexp(dict(mc_row(chain, s))[t])
+        m, k = math.frexp(pm * m)
+        e += pe + k
+        key.append((-e, -m, t))
+    return key[::-1], m, e
 
 
-_PENDING = object()
+def _as_reported(rail, m, e):
+    return (rail, math.ldexp(m, e), 0) if e > -1022 else (rail, m, e)
 
 
-class _PathSuffixStreams:
-    def __init__(self, chain, targets):
-        self.items = {}
-        self.heaps = {}
-        self.waiting = {}
-        for u in range(chain.num_states):
-            self.heaps[u] = []
-            if u in targets:
-                self.items[u], self.waiting[u] = [(0.0, (u,))], []
-                continue
-            self.items[u] = []
-            self.waiting[u] = [
-                (t, 0, -math.log(p))
-                for t, p in reversed(mc_row(chain, u))
-                if t != u
-            ]
-
-    def _peek(self, u, i):
-        items = self.items[u]
-        if i < len(items):
-            return items[i]
-        return _PENDING if self.heaps[u] or self.waiting[u] else None
-
-    def item(self, u, i):
-        requests = [(u, i)]
-        while requests:
-            v, k = requests[-1]
-            items, heap, waiting = self.items[v], self.heaps[v], self.waiting[v]
-            if len(items) > k:
-                requests.pop()
-            elif waiting:
-                t, j, w = waiting[-1]
-                nxt = self._peek(t, j)
-                if nxt is _PENDING:
-                    requests.append((t, j))
-                    continue
-                waiting.pop()
-                if nxt is not None:
-                    heapq.heappush(heap, (_PathKey(w + nxt[0], nxt[1]), t, j, w))
-            elif not heap:
-                requests.pop()
-            else:
-                key, t, j, w = heapq.heappop(heap)
-                items.append((key.weight, (v,) + key.path))
-                waiting.append((t, j + 1, w))
-        return self._peek(u, i)
+def _all_rails(chain, targets):
+    rails, stack = [], [(chain.initial,)]
+    while stack:
+        rail = stack.pop()
+        if rail[-1] in targets:
+            rails.append(rail)
+        else:
+            stack.extend(rail + (t,) for t, _ in mc_row(chain, rail[-1]) if t != rail[-1])
+    return rails
 
 
-def _path_ranked_rails(red, targets):
-    targets = set(targets)
-    chain = red.chain
-    s0 = chain.initial
-
-    def stream():
-        streams = _PathSuffixStreams(chain, targets)
-        for i in itertools.count():
-            item = streams.item(s0, i)
-            if item is None:
-                return
-            yield item[1], rail_mass(red, item[1])
-
-    return stream()
+def _assert_brute_force_order(red, psi):
+    keyed = sorted((_exact_key(red.chain, rail), rail) for rail in _all_rails(red.chain, psi))
+    want = [_as_reported(rail, m, e) for (_, m, e), rail in keyed]
+    assert want and list(ranked_rails(red, psi)) == want
+    assert all(mass == rail_mass(red, rail) for rail, mass, _ in want)
 
 
-def _assert_same_stream(red, psi, limit=None):
-    got = list(itertools.islice(ranked_rails(red, psi), limit))
-    assert got == list(itertools.islice(_path_ranked_rails(red, psi), limit))
-    assert got and all(mass == rail_mass(red, rail) for rail, mass in got)
-
-
-def test_pointer_stream_matches_path_stream(mc_corpus, dag_corpus):
-    # Items hold a pointer to the successor's item instead of a path: the
-    # same rails in the same order, near ties included, and every mass
-    # the same left-to-right product `rail_mass` takes.
+def test_pointer_stream_matches_brute_force(mc_corpus, dag_corpus):
+    # All rails of small chains, sorted by their exact masses, equal ones
+    # by successor: the stream's order, and its masses are the float
+    # products, right to left, that `rail_mass` takes.
     for _, psi, red, _ in mc_corpus + dag_corpus:
-        _assert_same_stream(red, psi)
+        _assert_brute_force_order(red, psi)
     rng = np.random.default_rng(1010)
-    for rings in (2, 3, 5, 8, 20):
-        red, psi = reduce_to_psi(parse_model(json.dumps(_ring_chain_doc(rng, rings))))
-        _assert_same_stream(red, psi, 300)
+    for rings in (2, 3, 5):
+        _assert_brute_force_order(*reduce_to_psi(parse_model(json.dumps(ring_chain_doc(rng, rings)))))
+    for rings in (8, 20):  # too many rails to enumerate: the first 300 ascend in the order
+        red, psi = reduce_to_psi(parse_model(json.dumps(ring_chain_doc(rng, rings))))
+        got = list(itertools.islice(ranked_rails(red, psi), 300))
+        keys = [_exact_key(red.chain, rail) for rail, _, _ in got]
+        assert got == [_as_reported(rail, m, e) for (rail, _, _), (_, m, e) in zip(got, keys)]
+        assert len(keys) == 300 and all(a[0] < b[0] for a, b in zip(keys, keys[1:]))
     for spread in (0, 1, 10):
         for levels in (1, 2, 5, 9):
-            red, psi = reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, spread))))
-            _assert_same_stream(red, psi)
-    # masses underflow to 0 past about 1075 fair levels; the order is that
-    # of the state sequences
+            _assert_brute_force_order(*reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, spread)))))
+    # past about 1075 fair levels a float mass underflows; the stream's
+    # masses do not, and every rail ties, so the rails come in state order
     red, psi = reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, 1100, 0))))
-    _assert_same_stream(red, psi, 100)
+    got = list(itertools.islice(ranked_rails(red, psi), 100))
+    assert got == [_as_reported(rail, *_exact_key(red.chain, rail)[1:]) for rail, _, _ in got]
+    assert got[0][1:] == (0.5, -1099)
+    assert [rail for rail, _, _ in got] == sorted(rail for rail, _, _ in got)
