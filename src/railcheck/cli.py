@@ -26,7 +26,7 @@ from .oracle import (
 )
 from .props import PropertyError, format_property, parse_property, sat_states
 from .scheduling import extract_max_scheduler
-from .search import SearchLimitError, most_indicative, ranked_rails
+from .search import SearchLimitError, most_indicative
 from .transform import acyclic_reduce, make_absorbing
 
 DEFAULT_SEED = 42
@@ -100,7 +100,9 @@ def run_check(
         if verify:
             stage = "verification"
             tick = time.perf_counter()
-            verification = _verification_block(m, is_mc, red, psi, max_prob, seed)
+            verification = _verification_block(
+                m, is_mc, red, psi, max_prob, outcome.witnesses, seed
+            )
             timings["verification"] = time.perf_counter() - tick
     except Exception as err:
         # Exit 1 means "violated", so no exception may escape; the
@@ -127,6 +129,8 @@ def run_check(
             entry["mass_exp"] = w.mass_exp
         entry["representant"] = names_of_path(m, w.representant)
         entry["representant_prob"] = w.representant_prob
+        if w.representant_prob_exp:
+            entry["representant_prob_exp"] = w.representant_prob_exp
         report["witnesses"].append(entry)
     report["total_mass"] = outcome.total_mass
     if outcome.total_mass_exp:
@@ -143,6 +147,8 @@ def run_check(
 def _scc_table(m: Model, red) -> List[Dict]:
     table = []
     for info in red.sccs:
+        # the reduction copied each solved input's escape row into its chain
+        solved = sorted(info.inputs) if info.escape is not None else []
         table.append(
             {
                 "id": info.id,
@@ -152,15 +158,15 @@ def _scc_table(m: Model, red) -> List[Dict]:
                 "outputs": [m.names[s] for s in sorted(info.outputs)],
                 "reach": {
                     f"{m.names[u]}->{m.names[t]}": p
-                    for u, row in info.input_rows().items()
-                    for t, p in row
+                    for u in solved
+                    for t, p in red.chain.actions[u][0]
                 },
             }
         )
     return table
 
 
-def _verification_block(m, is_mc, red, psi, max_prob, seed) -> Dict:
+def _verification_block(m, is_mc, red, psi, max_prob, witnesses, seed) -> Dict:
     checks: Dict = {"algorithm": RNG_ALGORITHM, "seed": seed}
     ok = True
 
@@ -175,35 +181,33 @@ def _verification_block(m, is_mc, red, psi, max_prob, seed) -> Dict:
     }
     ok &= diff <= 1e-7
 
-    all_rails = [(rail, math.ldexp(mass, exp)) for rail, mass, exp in ranked_rails(red, psi)]
+    # max_prob is the sum of all rail masses, which the witnesses may not exhaust
     if m.num_states <= _ENUM_STATE_CAP:
         paths, tail = enumerate_freach(red.origin, psi, _ENUM_LEN)
         enumerated = math.fsum(p for _, p in paths)
-        total = math.fsum(mass for _, mass in all_rails)
-        bracket = enumerated - 1e-9 <= total <= enumerated + tail + 1e-9
+        bracket = enumerated - 1e-9 <= max_prob <= enumerated + tail + 1e-9
         checks["enumeration"] = {
             "paths": len(paths),
             "enumerated_mass": enumerated,
             "tail_bound": tail,
-            "rail_mass_total": total,
+            "max_prob": max_prob,
             "pass": bracket,
         }
         ok &= bracket
     else:
         checks["enumeration"] = {"skipped": "model too large for enumeration"}
 
-    run = monte_carlo_classify(
-        red.origin, red, [rail for rail, _ in all_rails], VERIFY_SAMPLES, seed
-    )
+    run = monte_carlo_classify(red.origin, red, [w.rail for w in witnesses], VERIFY_SAMPLES, seed)
     mass_checks = []
     sampling_ok = True
-    for rail, mass in all_rails:
-        freq = run.classified[rail] / run.count
-        within = abs(freq - mass) <= _sampling_bound(mass, run.count, len(all_rails))
+    for w in witnesses:
+        mass = math.ldexp(w.mass, w.mass_exp)
+        freq = run.classified[w.rail] / run.count
+        within = abs(freq - mass) <= _sampling_bound(mass, run.count, len(witnesses))
         sampling_ok &= within
         mass_checks.append(
             {
-                "rail": names_of_path(m, rail),
+                "rail": names_of_path(m, w.rail),
                 "mass": mass,
                 "frequency": freq,
                 "pass": within,
@@ -241,7 +245,7 @@ def _sampling_bound(mass: float, count: int, n_rails: int) -> float:
     of `count` draws by P(|f - m| >= t) <= 2 exp(-count t^2 / (2 m(1-m) +
     2t/3)); this is the t at which that equals SAMPLING_ALPHA / n_rails, so
     the check fails a correct report with probability at most
-    SAMPLING_ALPHA over all its rails together. It is never below the
+    SAMPLING_ALPHA over all its witnesses together. It is never below the
     normal approximation's 4 sigma, because sqrt(2 ln(2 / SAMPLING_ALPHA))
     is about 4.55."""
     log_term = math.log(2 * n_rails / SAMPLING_ALPHA)
@@ -298,12 +302,9 @@ def render_report(report: Dict, fmt: str = "text") -> str:
     lines.append(f"verdict: {report['verdict']}")
     for i, w in enumerate(report["witnesses"], 1):
         path = " ".join(w["representant"])
-        mass = f"{w['mass']:.4f}" + (f"*2^{w['mass_exp']}" if "mass_exp" in w else "")
-        lines.append(
-            f"witness {i}: {path} (mass {mass}, representant p {w['representant_prob']:.4f})"
-        )
-    exp = f"*2^{report['total_mass_exp']}" if "total_mass_exp" in report else ""
-    lines.append(f"total mass: {report['total_mass']:.10g}{exp}")
+        mass, prob = _scaled(w, "mass", ".4f"), _scaled(w, "representant_prob", ".4f")
+        lines.append(f"witness {i}: {path} (mass {mass}, representant p {prob})")
+    lines.append(f"total mass: {_scaled(report, 'total_mass', '.10g')}")
     if "scc_table" in report:
         for entry in report["scc_table"]:
             kind = "nontrivial" if entry["nontrivial"] else "trivial"
@@ -319,6 +320,12 @@ def render_report(report: Dict, fmt: str = "text") -> str:
         pairs = " ".join(f"{k}={v:.6f}s" for k, v in report["timings"].items())
         lines.append(f"timings: {pairs}")
     return "\n".join(lines) + "\n"
+
+
+def _scaled(entry: Dict, key: str, spec: str) -> str:
+    """entry[key] in format `spec`, times 2^entry[key_exp] if it has one."""
+    text = format(entry[key], spec)
+    return f"{text}*2^{entry[key + '_exp']}" if key + "_exp" in entry else text
 
 
 def main(argv: Optional[List[str]] = None) -> int:

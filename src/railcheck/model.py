@@ -61,13 +61,19 @@ def successors(m: Model, s: int) -> Set[int]:
     return {t for dist in m.actions[s] for t, _ in dist}
 
 
-def cylinder_prob(m: Model, path: Sequence[int]) -> float:
+def split_mass(frac: float, exp: int) -> Tuple[float, int]:
+    """frac·2**exp as (float, 0) in the normal float range, else as (frac, exp)."""
+    return (math.ldexp(frac, exp), 0) if exp > -1022 else (frac, exp)
+
+
+def cylinder_mass(m: Model, path: Sequence[int]) -> Tuple[float, int]:
     """Measure of the cone of all infinite extensions of a finite path,
     i.e. the product of one-step probabilities along it, right to left in
-    mantissa and exponent as the rail stream takes it, so the float is
-    rounded once. Each step scans its source's row in place, so the cost
-    is the summed row length along the path; `mc_row` rejects a state on
-    the path with several distributions."""
+    mantissa and exponent as the rail stream takes it, so it is rounded
+    once and cannot underflow; returned as `split_mass` gives it. Each
+    step scans its source's row in place, so the cost is the summed row
+    length along the path; `mc_row` rejects a state on the path with
+    several distributions."""
     if not path:
         raise ModelError("empty path has no cylinder")
     frac, exp = 0.5, 1
@@ -80,7 +86,12 @@ def cylinder_prob(m: Model, path: Sequence[int]) -> float:
                 break
         else:
             raise ModelError(f"no transition {m.names[s]} -> {m.names[t]}")
-    return math.ldexp(frac, exp)
+    return split_mass(frac, exp)
+
+
+def cylinder_prob(m: Model, path: Sequence[int]) -> float:
+    """`cylinder_mass` as one float, 0.0 below the float range."""
+    return math.ldexp(*cylinder_mass(m, path))
 
 
 def parse_model(text: str, tol: float = ROW_SUM_TOL) -> Model:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .model import FinitePath, cylinder_prob, mc_row
+from .model import FinitePath, cylinder_mass, cylinder_prob, mc_row
 from .transform import AcyclicReduction
 
 
@@ -24,9 +24,10 @@ from .transform import AcyclicReduction
 class Witness:
     rail: FinitePath
     mass: float
+    mass_exp: int  # the mass is mass·2**mass_exp, see model.split_mass
     representant: FinitePath
     representant_prob: float
-    mass_exp: int = 0  # the mass is mass·2**mass_exp, see search.ranked_rails
+    representant_prob_exp: int
 
 
 def _match_end(red: AcyclicReduction, rail: FinitePath, rho: FinitePath) -> Optional[int]:
@@ -80,8 +81,9 @@ def rail_mass(red: AcyclicReduction, rail: Sequence[int]) -> float:
     return cylinder_prob(red.chain, tuple(rail))
 
 
-def representant(red: AcyclicReduction, rail: Sequence[int]) -> Tuple[FinitePath, float]:
-    """Highest-probability generator of the rail's torrent.
+def representant(red: AcyclicReduction, rail: Sequence[int]) -> Tuple[FinitePath, float, int]:
+    """Highest-probability generator of the rail's torrent, with its
+    probability as `model.cylinder_mass` gives it.
 
     Steps out of a nontrivial component are expanded to the best path
     through the component in the source chain; steps between trivial
@@ -97,7 +99,7 @@ def representant(red: AcyclicReduction, rail: Sequence[int]) -> Tuple[FinitePath
         else:
             path.append(t)
     full = tuple(path)
-    return full, cylinder_prob(red.origin, full)
+    return (full, *cylinder_mass(red.origin, full))
 
 
 def _best_escape(mc, members: Iterable[int], src: int, dst: int) -> FinitePath:

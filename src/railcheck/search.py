@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .model import FinitePath, mc_row
+from .model import FinitePath, mc_row, split_mass
 from .props import PropertySpec
 from .rails import Witness, representant
 from .transform import AcyclicReduction
@@ -102,11 +102,6 @@ class _SuffixStreams:
         return self._peek(u, i)
 
 
-def _split(m: float, e: int) -> Tuple[float, int]:
-    """m·2**e as (float, 0) in the normal float range, else as (m, e)."""
-    return (math.ldexp(m, e), 0) if e > -1022 else (m, e)
-
-
 def ranked_rails(
     red: AcyclicReduction, targets: Iterable[int]
 ) -> Iterator[Tuple[FinitePath, float, int]]:
@@ -129,7 +124,7 @@ def ranked_rails(
         while t is not None:
             rail.append(t)
             _, _, t, j = streams.items[t][j]
-        yield (tuple(rail), *_split(m, -ne))
+        yield (tuple(rail), *split_mass(m, -ne))
 
 
 @dataclass
@@ -205,12 +200,12 @@ def most_indicative(
     # the reduced chain copies every other kept row from the source chain
     entries = {s for info in red.sccs if info.nontrivial for s in info.inputs}
     witnesses = [
-        Witness(rail, mass, rail, math.ldexp(mass, exp), exp)
+        Witness(rail, mass, exp, rail, mass, exp)
         if entries.isdisjoint(rail[:-1])
-        else Witness(rail, mass, *representant(red, rail), exp)
+        else Witness(rail, mass, exp, *representant(red, rail))
         for rail, mass, exp in found
     ]
     m, e = math.frexp(total)
-    total, total_exp = _split(m, e + scale)
+    total, total_exp = split_mass(m, e + scale)
     verdict = "violated" if violated else "holds"
     return TorrentCounterexample(witnesses, total, verdict, total_exp)

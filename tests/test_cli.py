@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import diamond_chain_doc, ring_chain_doc
-from railcheck import cli
+from railcheck import cli, search
 from railcheck.cli import main, render_report, run_check
 from railcheck.numerics import SingularMatrixError
 from railcheck.props import parse_property
@@ -94,6 +94,7 @@ def test_verification_block(m0_path):
     assert v["pass"] is True
     assert v["reduction_value"]["pass"] is True
     assert v["enumeration"]["pass"] is True
+    assert v["enumeration"]["max_prob"] == report["max_prob"]
     assert v["sampling"]["pass"] is True
     assert v["sampling"]["samples"] == 10 ** 5
 
@@ -163,28 +164,42 @@ def _layered_dag_doc(rng, layers, width=16):
 def test_sampling_check_passes_many_rails(tmp_path):
     # 2048 rails, each checked at 4 sigma alone, failed this correct
     # report at both seeds; the bound now holds over all rails at once.
+    # P<=1 holds, so all 2048 rails are witnesses and all are sampled.
     path = tmp_path / "dag.json"
     path.write_text(json.dumps(_layered_dag_doc(np.random.default_rng(1), 11)))
     for seed in (42, 1):
-        code, report = _run(path, "P<=0.5 [ F goal ]", verify=True, seed=seed)
+        code, report = _run(path, "P<=1 [ F goal ]", verify=True, seed=seed)
         sampling = report["verification"]["sampling"]
-        assert code == 1 and len(sampling["rails"]) == 2048
+        assert code == 0 and len(sampling["rails"]) == len(report["witnesses"]) == 2048
         assert sampling["pass"] is True and report["verification"]["pass"] is True
 
 
 def test_sampling_check_fails_a_mass_ten_percent_off(m0_path, monkeypatch):
-    real = cli.ranked_rails
+    real = search.ranked_rails
 
     def skewed(red, psi):
         for i, (rail, mass, exp) in enumerate(real(red, psi)):
             yield rail, mass * 1.1 if i == 0 else mass, exp
 
-    monkeypatch.setattr(cli, "ranked_rails", skewed)
+    monkeypatch.setattr(search, "ranked_rails", skewed)
     for seed in (42, 1, 7):
         _, report = _run(m0_path, "P<1 [ F psi ]", verify=True, seed=seed)
         rails = report["verification"]["sampling"]["rails"]
         assert [r["pass"] for r in rails] == [False] + [True] * (len(rails) - 1)
         assert report["verification"]["pass"] is False
+
+
+def test_verify_samples_only_the_witnesses(tmp_path):
+    # The reduced chain of 14 rings has tens of thousands of rails, and
+    # the first breaks P<=0: --verify samples that one witness, not them all.
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring_chain_doc(np.random.default_rng(1), 14)))
+    code, report = _run(path, "P<=0 [ F psi ]", verify=True)
+    v = report["verification"]
+    assert code == 1 and report["model"]["states"] == 58 and v["pass"] is True
+    assert len(v["sampling"]["rails"]) == len(report["witnesses"]) == 1
+    (w,), (checked,) = report["witnesses"], v["sampling"]["rails"]
+    assert (checked["rail"], checked["mass"]) == (w["rail"], w["mass"])
 
 
 def test_timings_only_on_request(m0_path):
@@ -257,6 +272,10 @@ def test_masses_below_the_float_range_decide(tmp_path, m0_path):
     (w,) = report["witnesses"]
     assert 0.5 <= w["mass"] < 1.0 and w["mass_exp"] < -1021
     assert (report["total_mass"], report["total_mass_exp"]) == (w["mass"], w["mass_exp"])
+    # the representant runs through the rings, one generator of the torrent
+    assert w["representant"] != w["rail"]
+    rep = Fraction(w["representant_prob"]) * Fraction(2) ** w["representant_prob_exp"]
+    assert 0 < rep <= Fraction(w["mass"]) * Fraction(2) ** w["mass_exp"]
 
     diamonds = tmp_path / "diamonds.json"
     diamonds.write_text(json.dumps(diamond_chain_doc(rng, 1100, 0)))
@@ -264,8 +283,12 @@ def test_masses_below_the_float_range_decide(tmp_path, m0_path):
     assert code == 1 and report["max_prob"] == 1.0
     (w,) = report["witnesses"]
     assert (report["total_mass"], report["total_mass_exp"]) == (w["mass"], w["mass_exp"])
+    # the rail is its own representant
+    prob = Fraction(w["representant_prob"]) * Fraction(2) ** w["representant_prob_exp"]
+    assert prob == Fraction(w["mass"]) * Fraction(2) ** w["mass_exp"]
     assert json.loads(render_report(report, "json")) == report
     text = render_report(report, "text")
+    assert "representant p %.4f*2^%d)" % (w["representant_prob"], w["representant_prob_exp"]) in text
     masses = [(w["mass"], w["mass_exp"])]
     masses += [(float(m), int(e)) for m, e in re.findall(r"mass:? (\S+)\*2\^(-?\d+)", text)]
     assert len(masses) == 3
@@ -290,6 +313,7 @@ def test_masses_below_the_float_range_decide(tmp_path, m0_path):
     _, report = _run(m0_path, "P<1 [ F psi ]")
     assert "total_mass_exp" not in report
     assert all("mass_exp" not in w for w in report["witnesses"])
+    assert all("representant_prob_exp" not in w for w in report["witnesses"])
 
 
 def _random_json(rng, depth=0):

@@ -51,17 +51,17 @@ def test_rail_mass_big1(big1):
 
 def test_representant_m0(m0):
     red, _ = reduce_to_psi(m0)
-    path, prob = representant(red, (0, 2, 4))
-    assert path == (0, 2, 4)
+    path, prob, exp = representant(red, (0, 2, 4))
+    assert path == (0, 2, 4) and exp == 0
     assert prob == cylinder_prob(m0, path)
-    path, prob = representant(red, (0, 1, 3))
+    path, prob, _ = representant(red, (0, 1, 3))
     assert path == (0, 1, 3)
     assert prob == 0.2
 
 
 def test_representant_big1(big1):
     red, _ = reduce_to_psi(big1)
-    path, prob = representant(red, (0, 1, 3))
+    path, prob, _ = representant(red, (0, 1, 3))
     assert path == (0, 1, 3)
     assert prob == 0.5
 
@@ -70,7 +70,7 @@ def test_representant_is_the_heaviest_generator(mc_corpus):
     for m, psi, red, rails in mc_corpus[:25]:
         paths, _ = enumerate_freach(red.origin, psi, 12)
         for rail, mass in rails:
-            rep, rep_prob = representant(red, rail)
+            rep, rep_prob, _ = representant(red, rail)
             assert generator_member(red, rail, rep)
             assert rep_prob == cylinder_prob(red.origin, rep)
             best = [p for path, p in paths if generator_member(red, rail, path)]

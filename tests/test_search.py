@@ -183,7 +183,8 @@ def test_representant_shortcut_is_exact(dag_corpus, mc_corpus, monkeypatch):
         out = most_indicative(red, PropertySpec("<=", 1.0, Atom("psi")), psi)
         assert [(w.rail, w.mass) for w in out.witnesses] == rails
         for w in out.witnesses:
-            assert (w.representant, w.representant_prob) == representant(red, w.rail)
+            rep = (w.representant, w.representant_prob, w.representant_prob_exp)
+            assert rep == representant(red, w.rail)
             assert w.representant_prob == cylinder_prob(red.origin, w.representant)
         shortcut += len(out.witnesses) - (len(calls) - before)
     assert calls and shortcut > 0
