@@ -124,10 +124,13 @@ def run_check(
         report["scheduler"] = {m.names[s]: k for s, k in enumerate(sched.choice)}
     report["witnesses"] = []
     for w in outcome.witnesses:
-        entry = {"rail": names_of_path(m, w.rail), "mass": w.mass}
+        rail = names_of_path(m, w.rail)
+        entry = {"rail": rail, "mass": w.mass}
         if w.mass_exp:  # only below the normal float range
             entry["mass_exp"] = w.mass_exp
-        entry["representant"] = names_of_path(m, w.representant)
+        # a rail that is its own representant shares its name list
+        entry["representant"] = (
+            rail if w.representant is w.rail else names_of_path(m, w.representant))
         entry["representant_prob"] = w.representant_prob
         if w.representant_prob_exp:
             entry["representant_prob_exp"] = w.representant_prob_exp

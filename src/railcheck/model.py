@@ -199,4 +199,4 @@ def _parse_distribution(state, k, row, index, tol) -> Distribution:
 
 
 def names_of_path(m: Model, path: Sequence[int]) -> List[str]:
-    return [m.names[s] for s in path]
+    return list(map(m.names.__getitem__, path))

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import FinitePath, cylinder_mass, cylinder_prob, mc_row
 from .transform import AcyclicReduction
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     rail: FinitePath
     mass: float
     mass_exp: int  # the mass is mass·2**mass_exp, see model.split_mass

@@ -3,11 +3,13 @@
 The reduced chain is a DAG apart from absorbing self loops, so rails can be
 streamed best-first with one lazily materialized sorted suffix stream per
 state, merged along edges (the recursive enumeration scheme of Jiménez &
-Marzal). An item is (m, -e, successor, successor's item index), the
-successor None at a target, so it costs O(1); a rail costs its length
-once, as it leaves the stream. Its mass m·2**e, m in [0.5, 1), is the
-product of the steps right to left: a step multiplies its probability's
-mantissa into the successor item's. In the normal float range that has
+Marzal). The streams are lists indexed by state. An item is (m, -e,
+successor, successor's item index), the successor None at a target, and
+costs one request: a request names only a state, as it always wants that
+state's next item. A rail costs its length once, as it leaves the stream.
+Its mass m·2**e, m in [0.5, 1), is the product of the steps right to
+left: a step multiplies its probability's mantissa into the successor
+item's. In the normal float range that has
 the bits of the float product, and below it nothing underflows. Exponents
 are stored negated: masses are at most 1, so nearly all are small ints
 that CPython shares. A state that cannot reach the target has an empty
@@ -21,14 +23,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from .model import FinitePath, mc_row, split_mass
 from .props import PropertySpec
 from .rails import Witness, representant
 from .transform import AcyclicReduction
-
-_PENDING = object()  # a stream item that is not materialized yet
 
 
 class SearchLimitError(RuntimeError):
@@ -38,68 +38,68 @@ class SearchLimitError(RuntimeError):
 class _SuffixStreams:
     """Per state, the paths to the first target hit, heaviest first.
 
-    A state's stream pops from a heap of its successors' next items, each
+    `items`, `heaps` and `waiting` are lists indexed by state. A state's
+    stream pops from a heap of its successors' next items, each
     multiplied by the step to that successor, keyed (-e, -m, successor).
     `waiting` holds, last first, the successor items to push before the
     next pop: at the start all first items in edge order, later the
     follow-up of the item just popped. A heap holds one candidate per
-    successor, so the successor settles equal masses.
+    successor, so the successor settles equal masses. A request names
+    just a state, as a stream is only asked for its next item, and is
+    done once that item is appended: the follow-up it leaves in `waiting`
+    waits for the state's next request instead of resolving down the DAG.
     """
 
     def __init__(self, chain, targets: Set[int]):
-        self.items: Dict[int, List[tuple]] = {}
-        self.heaps: Dict[int, list] = {}
-        self.waiting: Dict[int, List[Tuple[int, int, float, int]]] = {}
-        for u in range(chain.num_states):
-            self.heaps[u] = []
+        n = chain.num_states
+        self.items: List[List[tuple]] = [[] for _ in range(n)]
+        self.heaps: List[list] = [[] for _ in range(n)]
+        self.waiting: List[List[Tuple[int, int, float, int]]] = [[] for _ in range(n)]
+        for u in range(n):
             if u in targets:
-                self.items[u], self.waiting[u] = [(0.5, -1, None, 0)], []
+                self.items[u].append((0.5, -1, None, 0))
                 continue
-            self.items[u], self.waiting[u] = [], []
+            waiting = self.waiting[u]
             for t, p in reversed(mc_row(chain, u)):
                 if t != u:
                     pm, pe = math.frexp(p)
-                    self.waiting[u].append((t, 0, pm, -pe))
-
-    def _peek(self, u: int, i: int):
-        """Item i of u; None if u has fewer items, _PENDING if not yet known."""
-        items = self.items[u]
-        if i < len(items):
-            return items[i]
-        return _PENDING if self.heaps[u] or self.waiting[u] else None
+                    waiting.append((t, 0, pm, -pe))
 
     def item(self, u: int, i: int) -> Optional[tuple]:
-        # A stack of requests, each waiting for the one above it, keeps the
-        # DAG's depth off the call stack.
-        requests = [(u, i)]
+        """Item i of u, None if u has fewer; u has at least i items."""
+        items, heaps, waiting = self.items, self.heaps, self.waiting
+        assert i <= len(items[u]), "items are requested in order"
+        if i < len(items[u]):
+            return items[u][i]
+        # A stack of states, each waiting for the next item of the one
+        # above it, keeps the DAG's depth off the call stack.
+        requests = [u]
         while requests:
-            v, k = requests[-1]
-            items, heap, waiting = self.items[v], self.heaps[v], self.waiting[v]
-            if len(items) > k:
-                # there already; `waiting` is left for the next pop, as
-                # resolving it here would materialize successor items
-                # that resolve theirs, down the whole DAG
-                requests.pop()
-            elif waiting:
-                t, j, pm, npe = waiting[-1]
-                nxt = self._peek(t, j)
-                if nxt is _PENDING:
-                    requests.append((t, j))
+            v = requests[-1]
+            v_waiting, heap = waiting[v], heaps[v]
+            while v_waiting:
+                t, j, pm, npe = v_waiting[-1]
+                t_items = items[t]
+                if j == len(t_items):  # the successor's next item
+                    if heaps[t] or waiting[t]:
+                        requests.append(t)
+                        break
+                    v_waiting.pop()  # t's stream is exhausted
                     continue
-                waiting.pop()
-                if nxt is not None:
-                    m, ne = pm * nxt[0], npe + nxt[1]
-                    if m < 0.5:  # exact: the product of two mantissas is at least 1/4
-                        m += m
-                        ne += 1
-                    heapq.heappush(heap, (ne, -m, t, j, pm, npe))
-            elif not heap:
-                requests.pop()
+                v_waiting.pop()
+                nxt = t_items[j]
+                m, ne = pm * nxt[0], npe + nxt[1]
+                if m < 0.5:  # exact: the product of two mantissas is at least 1/4
+                    m += m
+                    ne += 1
+                heapq.heappush(heap, (ne, -m, t, j, pm, npe))
             else:
-                ne, m, t, j, pm, npe = heapq.heappop(heap)
-                items.append((-m, ne, t, j))
-                waiting.append((t, j + 1, pm, npe))
-        return self._peek(u, i)
+                requests.pop()
+                if heap:
+                    ne, m, t, j, pm, npe = heapq.heappop(heap)
+                    items[v].append((-m, ne, t, j))
+                    v_waiting.append((t, j + 1, pm, npe))
+        return items[u][i] if i < len(items[u]) else None
 
 
 def ranked_rails(
@@ -116,6 +116,7 @@ def ranked_rails(
     same with or without the probability-zero states made absorbing."""
     s0 = red.chain.initial
     streams = _SuffixStreams(red.chain, set(targets))
+    items = streams.items
     for i in itertools.count():
         item = streams.item(s0, i)
         if item is None:
@@ -123,7 +124,7 @@ def ranked_rails(
         rail, (m, ne, t, j) = [s0], item
         while t is not None:
             rail.append(t)
-            _, _, t, j = streams.items[t][j]
+            _, _, t, j = items[t][j]
         yield (tuple(rail), *split_mass(m, -ne))
 
 

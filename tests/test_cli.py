@@ -1,7 +1,9 @@
+import copy
 import json
 import math
 import re
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -345,9 +347,59 @@ def test_json_writer_matches_json_dumps_on_generated_values():
     rng = np.random.default_rng(4040)
     for value in [{}, [], (), {"a": {}}, [[]], _STRINGS, _SCALARS]:
         assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
+    # subclasses of the types the writer tells apart, nested
+    class Str(str):
+        pass
+
+    class Float(float):
+        pass
+
+    class List(list):
+        pass
+
+    inner = {"a": [Str("x"), Float(0.1), Float("nan")], "b": OrderedDict(c=List([1, {"d": 2.5}]))}
+    for value in [{"v": OrderedDict(k=inner)}, {"v": [List([]), List([inner, Str("y")])]}]:
+        assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
     for _ in range(400):
         value = {"v": _random_json(rng)}
         assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
+    # one list object under two keys, as a witness's rail and representant
+    for _ in range(100):
+        size = int(rng.integers(5))
+        shared = [_random_json(rng, 3) for _ in range(size)] if rng.random() < 0.5 else _STRINGS[:size]
+        value = {"rail": shared, "mass": _random_json(rng, 4), "representant": shared}
+        value = {"witnesses": [value, {"v": _random_json(rng)}, value]}
+        assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
+
+
+def _model_doc(m):
+    names = m.names
+    return {
+        "states": list(names),
+        "initial": names[m.initial],
+        "labels": {names[s]: sorted(atoms) for s, atoms in enumerate(m.labels) if atoms},
+        "transitions": {
+            names[s]: [{names[t]: p for t, p in dist} for dist in dists]
+            for s, dists in enumerate(m.actions)
+        },
+    }
+
+
+def test_report_copies_render_the_same(dag_corpus, tmp_path):
+    # a rail that is its own representant shares its name list; a deep
+    # copy, which keeps that sharing, renders byte for byte the same
+    shared = 0
+    for k, (m, _, _, _) in enumerate(dag_corpus):
+        path = tmp_path / ("dag%d.json" % k)
+        path.write_text(json.dumps(_model_doc(m)))
+        for prop in ("P<=0.5 [ F psi ]", "P<1 [ F psi ]"):
+            _, report = _run(path, prop, dump_scc=True)
+            copied = copy.deepcopy(report)
+            for fmt in ("json", "text"):
+                assert render_report(copied, fmt) == render_report(report, fmt)
+            assert render_report(report, "json") == json.dumps(report, indent=2) + "\n"
+            shared += sum(w["representant"] is w["rail"] for w in report["witnesses"])
+    assert shared > 0
 
 
 def test_json_writer_matches_json_dumps_on_reports(m0_path):

@@ -1,9 +1,11 @@
 import math
 
+import pytest
+
 from conftest import reduce_to_psi, truncated_rail_mass
 from railcheck.model import cylinder_prob
 from railcheck.oracle import enumerate_freach
-from railcheck.rails import behaves_as, generator_member, rail_mass, representant
+from railcheck.rails import Witness, behaves_as, generator_member, rail_mass, representant
 from railcheck.search import ranked_rails
 
 
@@ -112,3 +114,14 @@ def test_rail_mass_equals_generator_mass(m0, big1):
             done, undecided = truncated_rail_mass(red, rail, max_steps=19)
             assert abs(done - literal) <= 1e-12
             assert abs(mass - done) <= undecided + 1e-12
+
+
+def test_witness_is_an_immutable_value():
+    w = Witness((0, 2, 4), 0.6, 0, (0, 2, 4), 0.6, 0)
+    with pytest.raises(AttributeError):
+        w.mass = 0.5
+    assert w == Witness((0, 2, 4), 0.6, 0, (0, 2, 4), 0.6, 0) != w._replace(mass_exp=-1)
+    assert hash(w) == hash(Witness((0, 2, 4), 0.6, 0, (0, 2, 4), 0.6, 0))
+    assert len({w, w._replace(mass=0.6)}) == 1
+    # a tuple: it unpacks and equals the plain tuple of its fields
+    assert w == tuple(w) == ((0, 2, 4), 0.6, 0, (0, 2, 4), 0.6, 0)

@@ -186,7 +186,10 @@ def test_representant_shortcut_is_exact(dag_corpus, mc_corpus, monkeypatch):
             rep = (w.representant, w.representant_prob, w.representant_prob_exp)
             assert rep == representant(red, w.rail)
             assert w.representant_prob == cylinder_prob(red.origin, w.representant)
-        shortcut += len(out.witnesses) - (len(calls) - before)
+        skipped = len(out.witnesses) - (len(calls) - before)
+        # exactly those are the rail itself, whose name list the report reuses
+        assert sum(w.representant is w.rail for w in out.witnesses) == skipped
+        shortcut += skipped
     assert calls and shortcut > 0
 
 
@@ -295,7 +298,47 @@ def test_first_rail_materializes_one_item_per_state(make, sizes):
         streams = search._SuffixStreams(red.chain, psi)
         first = streams.item(red.chain.initial, 0)
         assert first is not None and first[2] == next(iter(ranked_rails(red, psi)))[0][1]
-        assert max(len(items) for items in streams.items.values()) == 1
+        assert max(len(items) for items in streams.items) == 1
+
+
+def _rail_counts(chain, targets):
+    """Per state, its rails if the initial state reaches it, else 0: by
+    dynamic programming over the reduced DAG."""
+    succ = [[t for t, _ in mc_row(chain, u) if t != u] for u in range(chain.num_states)]
+    memo = {}
+
+    def rails(u):
+        if u not in memo:
+            memo[u] = 1 if u in targets else sum(rails(t) for t in succ[u])
+        return memo[u]
+
+    rails(chain.initial)
+    return [memo.get(u, 0) for u in range(chain.num_states)]
+
+
+def test_exhausted_stream_materializes_each_rail_once(dag_corpus, mc_corpus):
+    # A state's items are its own rails, and each ends some rail from the
+    # initial state. So once that stream runs out, every reachable state
+    # holds one item per rail from it: none twice, none past its end. A
+    # state the initial state cannot reach materializes nothing, apart
+    # from the one item a target starts with.
+    def check(red, psi):
+        streams = search._SuffixStreams(red.chain, psi)
+        s0, rails = red.chain.initial, 0
+        while streams.item(s0, rails) is not None:
+            rails += 1
+        want = _rail_counts(red.chain, psi)
+        assert rails == want[s0] > 0
+        assert [len(items) for items in streams.items] == [
+            max(n, int(u in psi)) for u, n in enumerate(want)
+        ]
+
+    for _, psi, red, _ in dag_corpus + mc_corpus:
+        check(red, psi)
+    rng = np.random.default_rng(1414)
+    for spread in (None, 0, 10):
+        for levels in range(1, 10):
+            check(*reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, spread)))))
 
 
 def _exact_key(chain, rail):
