@@ -270,8 +270,14 @@ def _json(value, indent: str = "") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = sep.join([f"{_encode_str(k)}: {_json(v, inner)}" for k, v in value.items()])
-        return f"{{\n{inner}{body}\n{indent}}}"
+        written: Dict[int, str] = {}  # a value held under two keys is written once
+        items = []
+        for k, v in value.items():
+            text = written.get(id(v))
+            if text is None:
+                text = written[id(v)] = _json(v, inner)
+            items.append(f"{_encode_str(k)}: {text}")
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"

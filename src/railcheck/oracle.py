@@ -12,7 +12,9 @@ The sampler's result is a function of the seed alone: at every step each
 live run takes one PCG64 draw, the runs ordered by (current state, run
 index), and moves to the first successor whose cumulative row probability
 exceeds it. Whole-array steps keep that order, so the same seed gives the
-same counts whichever way the steps are computed.
+same counts whichever way the steps are computed. Each call allocates its
+per-run working arrays once and steps in views of them (see
+monte_carlo_classify).
 """
 
 from __future__ import annotations
@@ -222,6 +224,15 @@ def monte_carlo_classify(
     moving, so the other runs' draws do not shift; absorbed runs leave the
     arrays. A deterministic subsample is then re-simulated path by path
     and checked against generator_member.
+
+    The per-run arrays live in one working block per dtype, allocated
+    once per call; a step works in views of them cut to the live count,
+    through ufuncs and `take` with `out=`. Under glibc, freeing a block of
+    several MB raises the dynamic mmap threshold to its size and the trim
+    threshold to twice that, so from the next call on the block and the
+    temporaries a step still makes (the argsort, the trie lookups, the
+    compaction) come from the heap, instead of going back to the OS and
+    being faulted in again at every step.
     """
     rails = [tuple(r) for r in rails]
     n_states = mc.num_states
@@ -238,29 +249,40 @@ def monte_carlo_classify(
     hops = scc_of[succ] != np.repeat(scc_of, lens)  # per edge
     ends_at = absorbing[succ]  # per edge
     # steps of a binary search over all entries of a row but its last
-    halves = [1 << k for k in reversed(range(int(lens.max() - 1).bit_length()))]
-    top = cum.size - 1
+    halves = [1 << j for j in reversed(range(int(lens.max() - 1).bit_length()))]
     trie = _RailTrie(mc.initial, n_states, rails)
     rng = np.random.default_rng(seed)
-    live = 0 if absorbing[mc.initial] else n
-    ends = [np.zeros(n - live, dtype=np.int64)]  # trie nodes of absorbed runs, -1 off it
-    cur = np.full(live, mc.initial, dtype=np.int64)
-    node = np.zeros(live, dtype=np.int64)
+    k = 0 if absorbing[mc.initial] else n  # live runs, the first k of every row
+    ends = [np.zeros(n - k, dtype=np.int64)]  # trie nodes of absorbed runs, -1 off it
+    ints = np.empty((6, k), dtype=np.int64)  # cur, node, nxt, edge, stop, probe
+    floats = np.empty((2, k))  # draw, gathered cum values
+    bools = np.empty((2, k), dtype=bool)
+    ints[0], ints[1] = mc.initial, 0
     steps = 0
-    while cur.size and steps < SAMPLE_STEP_LIMIT:
+    while k and steps < SAMPLE_STEP_LIMIT:
         steps += 1
-        draw = np.empty(cur.size)
-        draw[np.argsort(cur, kind="stable")] = rng.random(cur.size)
-        edge, stop = first[cur], last[cur]
+        cur, node, nxt, edge, stop, probe = ints[:, :k]
+        draw, val = floats[:, :k]
+        mask, flag = bools[:, :k]
+        draw[np.argsort(cur, kind="stable")] = rng.random(out=val)
+        # every index is in range; "clip" fills out directly, where "raise" buffers it
+        first.take(cur, out=edge, mode="clip")
+        last.take(cur, out=stop, mode="clip")
         for half in halves:  # edge += half where the entry half - 1 on is <= draw
-            probe = edge + (half - 1)
-            edge += half * ((probe < stop) & (cum[np.minimum(probe, top)] <= draw))
-        nxt = succ[edge]
-        hop = np.flatnonzero(hops[edge])
+            np.add(edge, half - 1, out=probe)
+            np.less(probe, stop, out=mask)
+            cum.take(probe, out=val, mode="clip")  # a clipped probe fails the test above
+            mask &= np.less_equal(val, draw, out=flag)
+            edge += np.multiply(mask, half, out=probe)
+        succ.take(edge, out=nxt, mode="clip")
+        hop = np.flatnonzero(hops.take(edge, out=mask, mode="clip"))
         node[hop] = trie.step(node[hop], nxt[hop])
-        done = ends_at[edge]
+        done = ends_at.take(edge, out=flag, mode="clip")
         ends.append(node[done])
-        cur, node = nxt[~done], node[~done]
+        keep = np.logical_not(done, out=mask)
+        k = np.count_nonzero(keep)
+        ints[0, :k] = nxt[keep]
+        ints[1, :k] = node[keep]
     ended = np.concatenate(ends)
     counts = np.bincount(ended[ended >= 0], minlength=trie.size)
     classified = {rail: 0 for rail in rails}

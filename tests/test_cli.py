@@ -370,6 +370,12 @@ def test_json_writer_matches_json_dumps_on_generated_values():
         value = {"rail": shared, "mass": _random_json(rng, 4), "representant": shared}
         value = {"witnesses": [value, {"v": _random_json(rng)}, value]}
         assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
+    # one float and one list object under two keys each, as a witness's
+    # mass and representant_prob, and the list one level deeper, where it
+    # is written at another indent
+    mass, rail = 0.1 + 0.2, [_STRINGS[0], 0.5, [1, {"a": 0.25}]]
+    value = {"mass": mass, "rail": rail, "p": mass, "representant": rail, "deeper": {"rail": rail}}
+    assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
 
 
 def _model_doc(m):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -211,9 +212,54 @@ def test_sampler_matches_replay_on_edge_cases(m0, m0_trap, fig5, monkeypatch):
     _assert_replayed(red_trap.origin, red_trap, rails, 500, seed=4)
     red5, psi5 = reduce_to_psi(fig5)
     _assert_replayed(red5.origin, red5, [r for r, *_ in ranked_rails(red5, psi5)], 500, seed=5)
+    # rows of 1 to 40 successors: the bisection runs up to 6 rounds
+    red_wide, psi_wide = reduce_to_psi(parse_model(json.dumps(_wide_chain_doc(np.random.default_rng(40)))))
+    wide_rails = [r for r, *_ in ranked_rails(red_wide, psi_wide)]
+    _assert_replayed(red_wide.origin, red_wide, wide_rails, 2000, seed=9)
+    _assert_replayed(red.origin, red, rails, 1, seed=10)  # one run
+    # every live run is absorbed on the same step, so none is left to step
+    red_flat, psi_flat = reduce_to_psi(parse_model(json.dumps(_layered_doc(np.random.default_rng(41)))))
+    flat_rails = [r for r, *_ in ranked_rails(red_flat, psi_flat)]
+    _assert_replayed(red_flat.origin, red_flat, flat_rails, 500, seed=11)
+    _assert_replayed(red_flat.origin, red_flat, flat_rails[1:], 500, seed=12)
     monkeypatch.setattr(oracle, "SAMPLE_STEP_LIMIT", 2)
     _assert_replayed(red5.origin, red5, [r for r, *_ in ranked_rails(red5, psi5)], 500, seed=6)
     _assert_replayed(red.origin, red, rails, 500, seed=7)
+
+
+def _wide_chain_doc(rng, n=50):
+    # states 0..n-1 and three absorbing ones, two of them psi; every row
+    # of several successors leads to one of those too, and a one-successor
+    # row moves forward, so every cycle can end. The rows have 1 to 40
+    # successors, 40 at least once.
+    names = ["w%d" % s for s in range(n)] + ["goal", "also", "trap"]
+    sizes = rng.integers(1, 41, n)
+    sizes[int(rng.integers(n))] = 40
+    rows = {s: [{s: 1.0}] for s in names[n:]}
+    for s, size in enumerate(sizes.tolist()):
+        if size == 1:
+            targets = [int(rng.integers(s + 1, n + 3))]
+        else:
+            end = n + int(rng.integers(3))
+            targets = [end] + rng.choice([t for t in range(n + 3) if t != end], size - 1, replace=False).tolist()
+        w = rng.uniform(0.2, 1.0, size)
+        rows[names[s]] = [{names[t]: float(p) for t, p in zip(targets, w / w.sum())}]
+    return {"states": names, "initial": names[0], "labels": {"goal": ["psi"], "also": ["psi"]},
+            "transitions": rows}
+
+
+def _layered_doc(rng, width=4, depth=3):
+    # every path takes depth + 1 steps from the initial state to an
+    # absorbing state of the last layer, half of which carry psi
+    layers = [["init"]] + [["l%d_%d" % (i, j) for j in range(width)] for i in range(depth + 1)]
+    rows = {s: [{s: 1.0}] for s in layers[-1]}
+    for here, below in zip(layers, layers[1:]):
+        for s in here:
+            picks = rng.choice(width, int(rng.integers(1, width + 1)), replace=False)
+            w = rng.uniform(0.2, 1.0, len(picks))
+            rows[s] = [{below[int(j)]: float(p) for j, p in zip(picks, w / w.sum())}]
+    return {"states": [s for layer in layers for s in layer], "initial": "init",
+            "labels": {s: ["psi"] for s in layers[-1][::2]}, "transitions": rows}
 
 
 def test_sampler_on_an_absorbing_initial_state():
@@ -228,6 +274,20 @@ def test_sampler_on_an_absorbing_initial_state():
         _assert_replayed(red.origin, red, rails, 100, seed=8)
     run = monte_carlo_classify(red.origin, red, [(0,)], 100, seed=8)
     assert run.classified == {(0,): 100} and run.unclassified == 0
+
+
+def test_sampler_peak_memory_per_run(mc_corpus):
+    # numpy reports its buffers to tracemalloc: the working block, the
+    # temporaries of a step and the trie nodes of the absorbed runs
+    _, _, red, rails = mc_corpus[0]
+    n = 10 ** 5
+    tracemalloc.start()
+    try:
+        monte_carlo_classify(red.origin, red, [r for r, _ in rails], n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * n
 
 
 CROSS_CHECK_SCRIPT = """
