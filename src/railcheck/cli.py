@@ -382,16 +382,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"argument --seed: must be at least 0, got {args.seed}")
     if args.max_witnesses < 1:
         parser.error(f"argument --max-witnesses: must be at least 1, got {args.max_witnesses}")
-    code, report = run_check(
-        args.model,
-        args.prop,
-        dump_scc=args.dump_scc,
-        verify=args.verify,
-        seed=args.seed,
-        max_witnesses=args.max_witnesses,
-        tolerance=args.tolerance,
-        with_timings=args.timings,
-    )
+    try:
+        code, report = run_check(
+            args.model,
+            args.prop,
+            dump_scc=args.dump_scc,
+            verify=args.verify,
+            seed=args.seed,
+            max_witnesses=args.max_witnesses,
+            tolerance=args.tolerance,
+            with_timings=args.timings,
+        )
+    except Exception as err:
+        # run_check's own handler can fail too, say out of memory; Python
+        # would then exit 1, which a caller reads as "violated"
+        sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
+        return 2
     if code == 2:
         sys.stderr.write(render_report(report, "text"))
         return 2

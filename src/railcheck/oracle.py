@@ -8,13 +8,12 @@ in a prefix tree of the given rails, rather than by replaying the search.
 They share only `mc_row` and `generator_member` with the pipeline, because
 any further shared code path would make the check circular.
 
-The sampler's result is a function of the seed alone: at every step each
-live run takes one PCG64 draw, the runs ordered by (current state, run
-index), and moves to the first successor whose cumulative row probability
-exceeds it. Whole-array steps keep that order, so the same seed gives the
-same counts whichever way the steps are computed. Each call allocates its
-per-run working arrays once and steps in views of them (see
-monte_carlo_classify).
+The sampler's counts are a function of the seed and of numpy's
+`Generator.binomial`: runs are simulated as counts per (state, rail
+prefix) group, and at every step each group splits its count over its
+row by binomial draws, in a fixed order (see monte_carlo_classify). The
+same seed gives the same counts for a given numpy version, and the memory
+a call takes does not grow with the number of runs.
 """
 
 from __future__ import annotations
@@ -170,8 +169,8 @@ class _RailTrie:
 
     Node 0 is (initial,), and every other node is one state longer than
     its parent. The edge to a child is keyed node * n_states + state, with
-    the keys sorted so that a whole array of runs looks up its children in
-    one searchsorted; a last key above all others, with child -1, stands
+    the keys sorted so that a whole array of nodes looks up its children
+    in one searchsorted; a last key above all others, with child -1, stands
     for "no such child". `rail_of` maps a node that spells a given rail
     to it.
     """
@@ -215,24 +214,20 @@ def monte_carlo_classify(
     rail it spells when it is absorbed. Runs absorbed anywhere else, or
     still alive after SAMPLE_STEP_LIMIT steps, count as unclassified.
 
-    The draw order is part of the result: at every step each live run
-    takes one draw, the runs ordered by (current state, run index), and
-    picks the first successor whose cumulative row probability exceeds
-    it, or the row's last one. A step is one `rng.random` over the live
-    runs, scattered into that order by a stable argsort, then a bisection
-    inside every run's row at once. Runs that have left the tree keep
-    moving, so the other runs' draws do not shift; absorbed runs leave the
-    arrays. A deterministic subsample is then re-simulated path by path
-    and checked against generator_member.
-
-    The per-run arrays live in one working block per dtype, allocated
-    once per call; a step works in views of them cut to the live count,
-    through ufuncs and `take` with `out=`. Under glibc, freeing a block of
-    several MB raises the dynamic mmap threshold to its size and the trim
-    threshold to twice that, so from the next call on the block and the
-    temporaries a step still makes (the argsort, the trie lookups, the
-    compaction) come from the heap, instead of going back to the OS and
-    being faulted in again at every step.
+    What happens to a run next depends only on its current state and its
+    trie node, so the runs are simulated as counts per (state, node)
+    group, which have the same law as the runs one by one. The groups are
+    kept in ascending (state, node) order. At every step each group splits
+    its count over its row's entries in row order: entry j gets
+    Binomial(remaining, p_j / (p_j + ... + p_last)), clipped to 1, and the
+    last entry gets the rest. The draws are one `rng.binomial` per row
+    position, over the groups whose row has an entry there before its
+    last, in group order; the counts are a function of the seed and of
+    numpy's `Generator.binomial`. Runs that leave the tree are unclassified
+    whatever they do next and are dropped at once; absorbed runs count for
+    their node; the others merge into the next step's groups. A step costs
+    O(groups x row length), whatever n is. A deterministic subsample is
+    then re-simulated path by path and checked against generator_member.
     """
     rails = [tuple(r) for r in rails]
     n_states = mc.num_states
@@ -240,54 +235,55 @@ def monte_carlo_classify(
     rows = [mc_row(mc, s) for s in range(n_states)]
     lens = np.array([len(row) for row in rows], dtype=np.int64)
     first = np.cumsum(lens) - lens
-    last = first + lens - 1  # a draw past every other entry picks the last
     succ = np.array([t for row in rows for t, _ in row], dtype=np.int64)
-    cum = np.concatenate([np.cumsum([p for _, p in row]) for row in rows])
+    # p_j over the row's mass from entry j on, summed from the row's end
+    tails = [np.cumsum([p for _, p in reversed(row)])[::-1] for row in rows]
+    probs = np.array([p for row in rows for _, p in row])
+    share = np.minimum(probs / np.concatenate(tails), 1.0)
     absorbing = np.array(
         [len(row) == 1 and row[0][0] == s for s, row in enumerate(rows)]
     )
     hops = scc_of[succ] != np.repeat(scc_of, lens)  # per edge
     ends_at = absorbing[succ]  # per edge
-    # steps of a binary search over all entries of a row but its last
-    halves = [1 << j for j in reversed(range(int(lens.max() - 1).bit_length()))]
     trie = _RailTrie(mc.initial, n_states, rails)
     rng = np.random.default_rng(seed)
-    k = 0 if absorbing[mc.initial] else n  # live runs, the first k of every row
-    ends = [np.zeros(n - k, dtype=np.int64)]  # trie nodes of absorbed runs, -1 off it
-    ints = np.empty((6, k), dtype=np.int64)  # cur, node, nxt, edge, stop, probe
-    floats = np.empty((2, k))  # draw, gathered cum values
-    bools = np.empty((2, k), dtype=bool)
-    ints[0], ints[1] = mc.initial, 0
+    counts = np.zeros(trie.size, dtype=np.int64)  # absorbed runs per trie node
+    state = np.array([mc.initial], dtype=np.int64)
+    node = np.zeros(1, dtype=np.int64)
+    count = np.array([n], dtype=np.int64)
+    if absorbing[mc.initial]:
+        counts[0], count = n, count[:0]
     steps = 0
-    while k and steps < SAMPLE_STEP_LIMIT:
+    while count.size and steps < SAMPLE_STEP_LIMIT:
         steps += 1
-        cur, node, nxt, edge, stop, probe = ints[:, :k]
-        draw, val = floats[:, :k]
-        mask, flag = bools[:, :k]
-        draw[np.argsort(cur, kind="stable")] = rng.random(out=val)
-        # every index is in range; "clip" fills out directly, where "raise" buffers it
-        first.take(cur, out=edge, mode="clip")
-        last.take(cur, out=stop, mode="clip")
-        for half in halves:  # edge += half where the entry half - 1 on is <= draw
-            np.add(edge, half - 1, out=probe)
-            np.less(probe, stop, out=mask)
-            cum.take(probe, out=val, mode="clip")  # a clipped probe fails the test above
-            mask &= np.less_equal(val, draw, out=flag)
-            edge += np.multiply(mask, half, out=probe)
-        succ.take(edge, out=nxt, mode="clip")
-        hop = np.flatnonzero(hops.take(edge, out=mask, mode="clip"))
-        node[hop] = trie.step(node[hop], nxt[hop])
-        done = ends_at.take(edge, out=flag, mode="clip")
-        ends.append(node[done])
-        keep = np.logical_not(done, out=mask)
-        k = np.count_nonzero(keep)
-        ints[0, :k] = nxt[keep]
-        ints[1, :k] = node[keep]
-    ended = np.concatenate(ends)
-    counts = np.bincount(ended[ended >= 0], minlength=trie.size)
+        width = lens[state]
+        at = np.cumsum(width) - width  # each group's first slot in `split`
+        split = np.empty(at[-1] + width[-1], dtype=np.int64)
+        left = count.copy()
+        live = np.arange(count.size)
+        for j in range(int(width.max()) - 1):
+            live = live[width[live] > j + 1]
+            drawn = rng.binomial(left[live], share[first[state[live]] + j])
+            split[at[live] + j] = drawn
+            left[live] -= drawn
+        split[at + width - 1] = left
+        taken = np.flatnonzero(split)
+        group = np.repeat(np.arange(count.size), width)[taken]
+        edge = first[state[group]] + taken - at[group]
+        nxt, into, many = succ[edge], node[group], split[taken]
+        hop = np.flatnonzero(hops[edge])
+        into[hop] = trie.step(into[hop], nxt[hop])
+        on = into >= 0
+        done = on & ends_at[edge]
+        # exact: every partial sum is a whole number of runs, at most n < 2**53
+        counts += np.bincount(into[done], weights=many[done], minlength=trie.size).astype(np.int64)
+        stay = on & ~done
+        keys, merged = np.unique(nxt[stay] * trie.size + into[stay], return_inverse=True)
+        state, node = np.divmod(keys, trie.size)
+        count = np.bincount(merged, weights=many[stay]).astype(np.int64)
     classified = {rail: 0 for rail in rails}
-    for at, rail in trie.rail_of.items():
-        classified[rail] = int(counts[at])
+    for where, rail in trie.rail_of.items():
+        classified[rail] = int(counts[where])
     unclassified = n - sum(classified.values())
     _cross_check(mc, red, rails, seed, absorbing, trie)
     return SampleRun(seed=seed, count=n, classified=classified, unclassified=unclassified)

@@ -536,6 +536,28 @@ def test_exit_code_contract_on_generated_models(tmp_path):
     assert {0, 1, 2} <= set(codes)
 
 
+def test_verify_on_a_thousand_states_and_a_slow_loop(tmp_path):
+    # --verify samples 10^5 runs as counts per (state, rail prefix): a
+    # 1002-state ring chain spreads them over many states, and a state that
+    # keeps itself with probability 1 - 1e-3 keeps them alive for about
+    # 10^4 steps
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(ring_chain_doc(np.random.default_rng(2), 250)))
+    code, report = _run(ring, "P<=0 [ F psi ]", verify=True)
+    v = report["verification"]
+    assert code == 1 and report["model"]["states"] == 1002 and v["pass"] is True
+    assert len(v["sampling"]["rails"]) == len(report["witnesses"]) == 1
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps(_contract_doc(*_near_one_loops(np.random.default_rng(3), 1e-3))))
+    code, report = _run(loop, "P<=0.1 [ F psi ]", verify=True)
+    v = report["verification"]
+    sampling = v["sampling"]
+    classified = sum(round(r["frequency"] * sampling["samples"]) for r in sampling["rails"])
+    assert code == 1 and sampling["samples"] == 10 ** 5 and sampling["rails"]
+    assert classified + sampling["unclassified"] == 10 ** 5
+    assert v["pass"] is True
+
+
 def _leaky_ring(rng, eps):
     # the initial state enters a ring with chords of 3-50 states; one member
     # leaks eps to goal and trap in the ratio r : 1 - r, so max_prob is r
@@ -664,6 +686,19 @@ def test_main_exit_codes(m0_path, capsys):
     assert main(["missing.json", "--prop", "P<=0.5 [ F psi ]"]) == 2
     err = capsys.readouterr().err
     assert "error in parse" in err
+
+
+def test_main_exits_2_when_run_check_raises(m0_path, monkeypatch, capsys):
+    # run_check's own handler can run out of memory too; the exception must
+    # not leave main, or Python exits 1, which reads as "violated"
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_check", out_of_memory)
+    assert main([str(m0_path), "--prop", "P<=0.5 [ F psi ]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: MemoryError") and captured.err.endswith("\n")
 
 
 def test_main_rejects_out_of_range_counts(m0_path, capsys):

@@ -1,4 +1,3 @@
-import bisect
 import json
 import math
 import os
@@ -154,29 +153,55 @@ def test_classify_is_deterministic(m0):
 
 
 def _replay(mc, red, rails, n, seed):
-    """monte_carlo_classify run by run: at every step the live runs, in
-    (state, run index) order, each take one scalar draw and the first
-    successor whose cumulative probability exceeds it; a run absorbed
-    with a footprint equal to a given rail counts for that rail."""
+    """monte_carlo_classify with scalar draws: runs are counted per
+    (state, footprint) while the footprint is a prefix of a given rail,
+    and the groups split their counts in sorted (state, prefix number)
+    order, one row position at a time: entry j takes a binomial share of
+    what its earlier entries left, at p_j over the row's mass from j on,
+    and the last entry takes the rest."""
     rows = [mc_row(mc, s) for s in range(mc.num_states)]
-    cums = [np.cumsum([p for _, p in row]).tolist() for row in rows]
     absorbing = [len(row) == 1 and row[0][0] == s for s, row in enumerate(rows)]
+    shares = []
+    for row in rows:
+        tail, share = 0.0, []
+        for _, p in reversed(row):
+            tail += p
+            share.append(min(p / tail, 1.0))
+        shares.append(share[::-1])
+    number = {(mc.initial,): 0}  # rail prefixes, numbered in order of first appearance
+    for rail in rails:
+        if rail[0] == mc.initial:
+            for k in range(2, len(rail) + 1):
+                number.setdefault(tuple(rail[:k]), len(number))
     rng = np.random.default_rng(seed)
-    cur = [mc.initial] * n
-    foot = [[mc.initial] for _ in range(n)]
-    live = [] if absorbing[mc.initial] else list(range(n))
+    ended = Counter()
+    groups = Counter()
+    if absorbing[mc.initial]:
+        ended[(mc.initial,)] = n
+    else:
+        groups[(mc.initial, (mc.initial,))] = n
     steps = 0
-    while live and steps < oracle.SAMPLE_STEP_LIMIT:
+    while groups and steps < oracle.SAMPLE_STEP_LIMIT:
         steps += 1
-        for i in sorted(live, key=lambda i: (cur[i], i)):
-            s = cur[i]
-            pick = bisect.bisect_right(cums[s], rng.random())
-            t = rows[s][min(pick, len(rows[s]) - 1)][0]
-            if red.scc_of[t] != red.scc_of[s]:
-                foot[i].append(t)
-            cur[i] = t
-        live = [i for i in live if not absorbing[cur[i]]]
-    ended = Counter(tuple(foot[i]) for i in range(n) if absorbing[cur[i]])
+        order = sorted(groups, key=lambda g: (g[0], number[g[1]]))
+        left = {g: groups[g] for g in order}
+        split = {g: [] for g in order}
+        for j in range(max(len(rows[s]) for s, _ in order) - 1):
+            for g in order:
+                if len(rows[g[0]]) - 1 > j:
+                    drawn = int(rng.binomial(left[g], shares[g[0]][j]))
+                    split[g].append(drawn)
+                    left[g] -= drawn
+        groups = Counter()
+        for s, foot in order:
+            for (t, _), runs in zip(rows[s], split[(s, foot)] + [left[(s, foot)]]):
+                ahead = foot + (t,) if red.scc_of[t] != red.scc_of[s] else foot
+                if runs == 0 or ahead not in number:
+                    continue  # off every rail: unclassified whatever comes next
+                if absorbing[t]:
+                    ended[ahead] += runs
+                else:
+                    groups[(t, ahead)] += runs
     classified = {tuple(rail): ended[tuple(rail)] for rail in rails}
     return classified, n - sum(classified.values())
 
@@ -200,6 +225,10 @@ def test_sampler_matches_replay_on_corpora(mc_corpus, dag_corpus, mdp_corpus):
     cases += [_mdp_induced(m) for m in mdp_corpus]
     for i, (red, rails) in enumerate(cases):
         _assert_replayed(red.origin, red, rails, 300, seed=[9000, i])
+        # with every other rail, runs leave the tree on the way while others
+        # still move inside it: a dropped run that went on drawing would
+        # shift the others' draws
+        _assert_replayed(red.origin, red, rails[::2], 300, seed=[9001, i])
 
 
 def test_sampler_matches_replay_on_edge_cases(m0, m0_trap, fig5, monkeypatch):
@@ -212,7 +241,7 @@ def test_sampler_matches_replay_on_edge_cases(m0, m0_trap, fig5, monkeypatch):
     _assert_replayed(red_trap.origin, red_trap, rails, 500, seed=4)
     red5, psi5 = reduce_to_psi(fig5)
     _assert_replayed(red5.origin, red5, [r for r, *_ in ranked_rails(red5, psi5)], 500, seed=5)
-    # rows of 1 to 40 successors: the bisection runs up to 6 rounds
+    # rows of 1 to 40 successors: up to 39 row positions draw in a step
     red_wide, psi_wide = reduce_to_psi(parse_model(json.dumps(_wide_chain_doc(np.random.default_rng(40)))))
     wide_rails = [r for r, *_ in ranked_rails(red_wide, psi_wide)]
     _assert_replayed(red_wide.origin, red_wide, wide_rails, 2000, seed=9)
@@ -276,18 +305,20 @@ def test_sampler_on_an_absorbing_initial_state():
     assert run.classified == {(0,): 100} and run.unclassified == 0
 
 
-def test_sampler_peak_memory_per_run(mc_corpus):
-    # numpy reports its buffers to tracemalloc: the working block, the
-    # temporaries of a step and the trie nodes of the absorbed runs
+def test_sampler_memory_does_not_grow_with_the_runs(mc_corpus):
+    # numpy reports its buffers to tracemalloc: a step holds arrays of
+    # the live (state, node) groups and their row entries, never one
+    # entry per run
     _, _, red, rails = mc_corpus[0]
-    n = 10 ** 5
+    n = 10 ** 12
     tracemalloc.start()
     try:
-        monte_carlo_classify(red.origin, red, [r for r, _ in rails], n, seed=1)
+        run = monte_carlo_classify(red.origin, red, [r for r, _ in rails], n, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 160 * n
+    assert sum(run.classified.values()) + run.unclassified == n
+    assert peak <= 10 ** 6
 
 
 CROSS_CHECK_SCRIPT = """
