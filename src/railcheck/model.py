@@ -4,14 +4,23 @@ Models are parsed from a JSON document and validated once; afterwards they
 are immutable. State names are mapped to dense integer indices at parse
 time (document order of the ``states`` array); every algorithm works on
 indices and only parsing and reporting deal in display names.
+
+A model holds its transition relation in two forms, each built from the
+other on first use and then kept: `actions`, per state a tuple of sparse
+distributions, which names, reports and tests read, and `rows`, the same
+entries as flat arrays, which every layer of the pipeline reads.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from functools import cached_property
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 ROW_SUM_TOL = 1e-9
 
@@ -25,12 +34,113 @@ class ModelError(ValueError):
     """Malformed model document or misuse of a model value."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """A transition relation as flat arrays. State s's distributions are
+    dist_at[s]:dist_at[s + 1], and distribution d's entries are
+    entry_at[d]:entry_at[d + 1] of succ (targets, ascending) and prob. In
+    a Markov chain distribution s is state s's row."""
+
+    dist_at: np.ndarray
+    entry_at: np.ndarray
+    succ: np.ndarray
+    prob: np.ndarray
+
+    @classmethod
+    def of(cls, actions: Sequence[Sequence[Distribution]]) -> "Rows":
+        dists = list(itertools.chain.from_iterable(actions))
+        succ, prob = zip(*itertools.chain.from_iterable(dists))
+        return cls(
+            offsets(np.fromiter(map(len, actions), np.int64, len(actions))),
+            offsets(np.fromiter(map(len, dists), np.int64, len(dists))),
+            np.array(succ, dtype=np.int64),
+            np.array(prob, dtype=np.float64),
+        )
+
+    @property
+    def num_dists(self) -> int:
+        return len(self.entry_at) - 1
+
+    @cached_property
+    def source(self) -> np.ndarray:
+        """The state each entry leaves."""
+        bounds = self.entry_at[self.dist_at]  # each state's first entry, and the end
+        return np.arange(len(bounds) - 1).repeat(bounds[1:] - bounds[:-1])
+
+    def row(self, s: int) -> List[Tuple[int, float]]:
+        """Distribution s's entries as (target, probability) pairs; in a
+        chain, state s's row."""
+        a, b = self.entry_at[s : s + 2].tolist()
+        return list(zip(self.succ[a:b].tolist(), self.prob[a:b].tolist()))
+
+    def actions(self) -> Tuple[Tuple[Distribution, ...], ...]:
+        entries = list(zip(self.succ.tolist(), self.prob.tolist()))
+        singles = list(zip(entries))  # each entry as a distribution of its own
+        at = self.entry_at.tolist()
+        dists = [singles[a] if b - a == 1 else tuple(entries[a:b]) for a, b in zip(at, at[1:])]
+        if self.num_dists == len(self.dist_at) - 1:  # a chain
+            return tuple(zip(dists))
+        bounds = self.dist_at.tolist()
+        return tuple([tuple(dists[a:b]) for a, b in zip(bounds, bounds[1:])])
+
+
+def offsets(lens: np.ndarray) -> np.ndarray:
+    """0, lens[0], lens[0] + lens[1], ...: where each of the concatenated
+    ranges of these lengths starts, and the end."""
+    at = np.zeros(len(lens) + 1, dtype=np.int64)
+    lens.cumsum(out=at[1:])
+    return at
+
+
+def ranges(starts: np.ndarray, lens: np.ndarray, at: Optional[np.ndarray] = None) -> np.ndarray:
+    """starts[0], ..., starts[0] + lens[0] - 1, starts[1], ...: the
+    concatenated index ranges; at is offsets(lens), if at hand."""
+    if at is None:
+        at = offsets(lens)
+    return (starts - at[:-1]).repeat(lens) + np.arange(at[-1])
+
+
+def chain_rows(starts: np.ndarray, lens: np.ndarray, succ: np.ndarray, prob: np.ndarray) -> Rows:
+    """The rows of a Markov chain whose state s copies the lens[s]
+    entries of succ and prob from starts[s] on."""
+    at = offsets(lens)
+    idx = ranges(starts, lens, at)
+    return Rows(np.arange(len(lens) + 1), at, succ[idx], prob[idx])
+
+
 class Model:
-    names: Tuple[str, ...]
-    initial: int
-    labels: Tuple[FrozenSet[str], ...]
-    actions: Tuple[Tuple[Distribution, ...], ...]
+    """A Markov chain or MDP. Give `actions`, `rows` or both; a form
+    not given is built from the other on first use."""
+
+    __slots__ = ("names", "initial", "labels", "actions", "rows")
+
+    def __init__(
+        self,
+        names: Tuple[str, ...],
+        initial: int,
+        labels: Tuple[FrozenSet[str], ...],
+        actions: Optional[Tuple[Tuple[Distribution, ...], ...]] = None,
+        rows: Optional[Rows] = None,
+    ):
+        if actions is None and rows is None:
+            raise ModelError("a model needs its actions or its rows")
+        self.names = names
+        self.initial = initial
+        self.labels = labels
+        if actions is not None:
+            self.actions = actions
+        if rows is not None:
+            self.rows = rows
+
+    def __getattr__(self, name: str):
+        # reached only for a form not set yet
+        if name == "actions":
+            self.actions = self.rows.actions()
+            return self.actions
+        if name == "rows":
+            self.rows = Rows.of(self.actions)
+            return self.rows
+        raise AttributeError(name)
 
     @property
     def num_states(self) -> int:
@@ -42,18 +152,23 @@ def dirac(state: int) -> Distribution:
 
 
 def is_markov_chain(m: Model) -> bool:
-    """True iff every state carries exactly one distribution."""
-    return all(len(dists) == 1 for dists in m.actions)
+    """True iff every state carries exactly one distribution: every state
+    has one at least, so iff there are as many as states."""
+    return m.rows.num_dists == m.num_states
 
 
 def mc_row(m: Model, s: int) -> Distribution:
     dists = m.actions[s]
-    if len(dists) != 1:
+    _require_one(m, s, len(dists))
+    return dists[0]
+
+
+def _require_one(m: Model, s: int, count: int) -> None:
+    if count != 1:
         raise ModelError(
-            f"state {m.names[s]!r} has {len(dists)} distributions: one-step and"
+            f"state {m.names[s]!r} has {count} distributions: one-step and"
             " cylinder probabilities are defined for Markov chains only"
         )
-    return dists[0]
 
 
 def successors(m: Model, s: int) -> Set[int]:
@@ -72,13 +187,16 @@ def cylinder_mass(m: Model, path: Sequence[int]) -> Tuple[float, int]:
     mantissa and exponent as the rail stream takes it, so it is rounded
     once and cannot underflow; returned as `split_mass` gives it. Each
     step scans its source's row in place, so the cost is the summed row
-    length along the path; `mc_row` rejects a state on the path with
-    several distributions."""
+    length along the path; a state on the path with several
+    distributions is rejected, as `mc_row` rejects it."""
     if not path:
         raise ModelError("empty path has no cylinder")
+    rows = m.rows
     frac, exp = 0.5, 1
     for s, t in reversed(list(zip(path, path[1:]))):
-        for target, p in mc_row(m, s):
+        d, e = rows.dist_at[s : s + 2].tolist()
+        _require_one(m, s, e - d)
+        for target, p in rows.row(d):
             if target == t and p > 0.0:
                 pm, pe = math.frexp(p)
                 frac, k = math.frexp(pm * frac)

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, List, Set
+from typing import TYPE_CHECKING, Iterable, Set
 
 import numpy as np
 
-from .model import Model, mc_row
+from .model import Model
 
 if TYPE_CHECKING:
     from .transform import AcyclicReduction
@@ -80,23 +80,24 @@ def prob0_states(m: Model, target: Iterable[int]) -> Set[int]:
 
     Pure graph computation: backward closure of the target under the
     successor relation (any distribution counts), then the complement.
+    The predecessors come from one stable sort of the entries by target.
     """
-    target = set(target)
+    rows = m.rows
     n = m.num_states
-    preds: List[List[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        for dist in m.actions[s]:
-            for t, _ in dist:
-                preds[t].append(s)
-    reach = set(target)
-    stack = list(target)
+    order = rows.succ.argsort(kind="stable")
+    preds = rows.source[order].tolist()
+    at = rows.succ[order].searchsorted(np.arange(n + 1)).tolist()
+    reach = [False] * n
+    stack = list(set(target))
+    for t in stack:
+        reach[t] = True
     while stack:
         t = stack.pop()
-        for s in preds[t]:
-            if s not in reach:
-                reach.add(s)
+        for s in preds[at[t] : at[t + 1]]:
+            if not reach[s]:
+                reach[s] = True
                 stack.append(s)
-    return set(range(n)) - reach
+    return {s for s, hit in enumerate(reach) if not hit}
 
 
 def max_reach(red: "AcyclicReduction", target: Iterable[int]) -> np.ndarray:
@@ -111,8 +112,9 @@ def max_reach(red: "AcyclicReduction", target: Iterable[int]) -> np.ndarray:
     tolerance, so each value is capped at 1.
     """
     target = set(target)
-    chain, kept = red.chain, red.kept
-    x = [1.0 if s in target else 0.0 for s in range(chain.num_states)]
+    rows, kept = red.chain.rows, red.kept
+    succ, prob, at = rows.succ.tolist(), rows.prob.tolist(), rows.entry_at.tolist()
+    x = [1.0 if s in target else 0.0 for s in range(red.chain.num_states)]
     for info in sorted(red.sccs, key=attrgetter("rank")):
         if info.escape is not None:
             outs = [x[t] for t in sorted(info.outputs)]
@@ -121,5 +123,6 @@ def max_reach(red: "AcyclicReduction", target: Iterable[int]) -> np.ndarray:
                     x[s] = min(v, 1.0)
         for s in info.members & kept:
             if s not in target:
-                x[s] = min(math.fsum([p * x[t] for t, p in mc_row(chain, s)]), 1.0)
+                a, b = at[s], at[s + 1]
+                x[s] = min(math.fsum([p * x[t] for t, p in zip(succ[a:b], prob[a:b])]), 1.0)
     return np.array(x)

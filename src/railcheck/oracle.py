@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
@@ -32,6 +33,7 @@ from .transform import AcyclicReduction
 RNG_ALGORITHM = "pcg64"
 SAMPLE_STEP_LIMIT = 10 ** 5
 SCHEDULER_LIMIT = 10 ** 5
+_DRAW_BLOCK = 1024  # uniforms the cross-check draws at a time
 
 
 class OracleLimitError(RuntimeError):
@@ -285,34 +287,42 @@ def monte_carlo_classify(
     for where, rail in trie.rail_of.items():
         classified[rail] = int(counts[where])
     unclassified = n - sum(classified.values())
-    _cross_check(mc, red, rails, seed, absorbing, trie)
+    _cross_check(mc, red, rails, seed, rows, absorbing.tolist(), trie)
     return SampleRun(seed=seed, count=n, classified=classified, unclassified=unclassified)
 
 
-def _cross_check(mc, red, rails, seed, absorbing, trie) -> None:
+def _cross_check(mc, red, rails, seed, rows, absorbing, trie) -> None:
     # Replays 64 runs from a derived seed step by step and confronts the
     # trie lookup with the membership predicate itself, for the rails a
-    # run from the initial state can count for. It raises rather than
+    # run from the initial state can count for. A step takes the first
+    # entry whose running row sum exceeds a uniform draw, the last if none
+    # does, by bisection in the row's running sums; the draws come in
+    # blocks, in the order single draws would. It raises rather than
     # asserts, so that python -O keeps it.
     rng = np.random.default_rng([seed, 1])
-    paths = []
+    sums = [list(itertools.accumulate(p for _, p in row)) for row in rows]
+    # a draw no running sum exceeds, rounding short of 1, takes the last entry
+    succ = [[t for t, _ in row] + [row[-1][0]] for row in rows]
+    scc_of = red.scc_of
+    draws: List[float] = []
+    paths, hops = [], []  # hops: the states that enter a new component
     for _ in range(64):
-        path = [mc.initial]
-        while not absorbing[path[-1]] and len(path) < SAMPLE_STEP_LIMIT:
-            row = mc_row(mc, path[-1])
-            draw = rng.random()
-            acc = 0.0
-            nxt = row[-1][0]
-            for t, p in row:
-                acc += p
-                if draw < acc:
-                    nxt = t
-                    break
-            path.append(nxt)
-        if absorbing[path[-1]]:
+        s = mc.initial
+        path, hop, c = [s], [], scc_of[s]
+        for _ in range(SAMPLE_STEP_LIMIT - 1):
+            if absorbing[s]:
+                break
+            if not draws:
+                draws = rng.random(_DRAW_BLOCK).tolist()[::-1]
+            s = succ[s][bisect_right(sums[s], draws.pop())]
+            path.append(s)
+            if scc_of[s] != c:
+                hop.append(s)
+                c = scc_of[s]
+        if absorbing[s]:
             paths.append(path)
+            hops.append(hop)
     # the paths walk the trie in lockstep, one component hop at a time
-    hops = [[t for s, t in zip(path, path[1:]) if red.scc_of[t] != red.scc_of[s]] for path in paths]
     node = np.zeros(len(paths), dtype=np.int64)
     for depth in range(max(map(len, hops), default=0)):
         at = [i for i, hop in enumerate(hops) if len(hop) > depth]

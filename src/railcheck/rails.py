@@ -15,7 +15,7 @@ import heapq
 import math
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .model import FinitePath, cylinder_mass, cylinder_prob, mc_row
+from .model import FinitePath, cylinder_mass, cylinder_prob
 from .transform import AcyclicReduction
 
 
@@ -115,7 +115,7 @@ def _best_escape(mc, members: Iterable[int], src: int, dst: int) -> FinitePath:
         if u in settled:
             continue
         settled.add(u)
-        for t, p in mc_row(mc, u):
+        for t, p in mc.rows.row(u):  # a chain: distribution u is state u's row
             if (t in members or t == dst) and t not in settled:
                 heapq.heappush(heap, (weight - math.log(p), path + (t,)))
     raise ValueError(f"no path from {src} to {dst} inside the component")

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, Set, Tuple
 
 import numpy as np
 
-from .model import Distribution, Model
+from .model import Model, chain_rows, offsets, ranges
 from .numerics import max_reach
 from .transform import AcyclicReduction, acyclic_reduce, make_absorbing
 
@@ -44,11 +44,12 @@ def extract_max_scheduler(
     which the search then explains, and its values.
     """
     target = set(target)
-    choice = [0] * m.num_states
+    improve = _Improvement(m, target)
+    choice = np.zeros(m.num_states, dtype=np.int64)
     seen = set()
     best = None
     while True:
-        sched = Scheduler(choice=tuple(choice))
+        sched = Scheduler(choice=tuple(choice.tolist()))
         if sched.choice in seen:
             return best
         seen.add(sched.choice)
@@ -56,27 +57,74 @@ def extract_max_scheduler(
         values = max_reach(red, target)
         if best is None or values.sum() > best[2].sum():
             best = sched, red, values
-        x = values.tolist()
-        improved = False
-        for s, dists in enumerate(m.actions):
-            if len(dists) == 1 or s in target:
-                continue
-            q = [_leaving_value(s, dist, x) for dist in dists]
-            top = max(range(len(q)), key=q.__getitem__)
-            if q[top] > x[s] + IMPROVE_TOL:
-                choice[s] = top
-                improved = True
-        if not improved:
+        if not improve(values, choice):
             return sched, red, values
 
 
-def _leaving_value(s: int, dist: Distribution, x: List[float]) -> float:
-    # The value of taking dist at s until it leaves s: a self loop only
-    # delays, and left in, a loop of 1 - 1e-11 would scale every gain down
-    # below IMPROVE_TOL.
-    out = [(t, p) for t, p in dist if t != s]
-    mass = sum(p for _, p in out)
-    return sum(p * x[t] for t, p in out) / mass if mass else 0.0
+class _Improvement:
+    """One improvement step over every distribution at once.
+
+    A state with one distribution, or in the target, never switches. Each
+    distribution of the others is valued on leaving its state: its entries
+    other than a self loop, p times the successor's value, summed left to
+    right and divided by their mass, summed left to right too, or 0
+    without mass. A self loop only delays, and left in, a loop of
+    1 - 1e-11 would scale every gain down below IMPROVE_TOL. The work
+    grows with the number of entries: the distributions' entries lie flat,
+    self loops set to 0, and each sum adds the k-th entries of all
+    distributions that have one, for k = 0, 1, ...; adding 0 changes no
+    sum, so each is the left-to-right sum of its entries. A state's best
+    distribution is its first maximal one.
+    """
+
+    def __init__(self, m: Model, target: Set[int]):
+        rows = m.rows
+        count = rows.dist_at[1:] - rows.dist_at[:-1]
+        free = count > 1
+        free[list(target)] = False
+        self.states = free.nonzero()[0]
+        self.count = count[self.states]
+        first = offsets(self.count)
+        self.first = first[:-1]  # where each state's distributions start in the flat order
+        dist = ranges(rows.dist_at[self.states], self.count, first)
+        self.size = len(dist)
+        lo = rows.entry_at[dist]
+        lens = rows.entry_at[dist + 1] - lo
+        at = offsets(lens)
+        entry = ranges(lo, lens, at)
+        self.succ = rows.succ[entry]
+        self.prob = np.where(self.succ == rows.source[entry], 0.0, rows.prob[entry])
+        # rank k: the distributions with a k-th entry, and those entries
+        live, self.ranks = np.arange(self.size), []
+        while live.size:
+            self.ranks.append((live, at[live] + len(self.ranks)))
+            live = live[lens[live] > len(self.ranks)]
+        mass = self._sum(self.prob)
+        self.mass = np.where(mass > 0.0, mass, 1.0)  # no mass: a gain of 0, over 1
+
+    def _sum(self, a: np.ndarray) -> np.ndarray:
+        """Each distribution's entries of a, summed left to right."""
+        total = np.zeros(self.size)
+        for live, entry in self.ranks:
+            total[live] += a[entry]
+        return total
+
+    def leaving(self, values: np.ndarray) -> np.ndarray:
+        """Each distribution's value on leaving its state, state by state."""
+        return self._sum(self.prob * values[self.succ]) / self.mass
+
+    def __call__(self, values: np.ndarray, choice: np.ndarray) -> bool:
+        """Switch every state whose first best distribution beats its
+        value by more than IMPROVE_TOL; True iff one did."""
+        if not self.states.size:
+            return False
+        q = self.leaving(values)
+        top = np.maximum.reduceat(q, self.first)
+        hits = (q == top.repeat(self.count)).nonzero()[0]
+        best = hits[hits.searchsorted(self.first)] - self.first
+        better = top > values[self.states] + IMPROVE_TOL
+        choice[self.states[better]] = best[better]
+        return bool(better.any())
 
 
 def induced_mc(m: Model, sched: Scheduler) -> Model:
@@ -86,5 +134,10 @@ def induced_mc(m: Model, sched: Scheduler) -> Model:
     """
     if len(sched.choice) != m.num_states:
         raise ValueError("scheduler does not cover every state")
-    actions = tuple((m.actions[s][sched.choice[s]],) for s in range(m.num_states))
-    return Model(names=m.names, initial=m.initial, labels=m.labels, actions=actions)
+    rows = m.rows
+    dist = rows.dist_at[:-1] + np.array(sched.choice, dtype=np.int64)
+    lo = rows.entry_at[dist]
+    return Model(
+        names=m.names, initial=m.initial, labels=m.labels,
+        rows=chain_rows(lo, rows.entry_at[dist + 1] - lo, rows.succ, rows.prob),
+    )

@@ -25,7 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
-from .model import FinitePath, mc_row, split_mass
+import numpy as np
+
+from .model import FinitePath, split_mass
 from .props import PropertySpec
 from .rails import Witness, representant
 from .transform import AcyclicReduction
@@ -51,19 +53,22 @@ class _SuffixStreams:
     """
 
     def __init__(self, chain, targets: Set[int]):
-        n = chain.num_states
+        n, rows = chain.num_states, chain.rows
         self.items: List[List[tuple]] = [[] for _ in range(n)]
         self.heaps: List[list] = [[] for _ in range(n)]
-        self.waiting: List[List[Tuple[int, int, float, int]]] = [[] for _ in range(n)]
-        for u in range(n):
-            if u in targets:
-                self.items[u].append((0.5, -1, None, 0))
-                continue
-            waiting = self.waiting[u]
-            for t, p in reversed(mc_row(chain, u)):
-                if t != u:
-                    pm, pe = math.frexp(p)
-                    waiting.append((t, 0, pm, -pe))
+        # every step but a self loop, with its probability's mantissa and
+        # negated exponent; the counts of those before each state's row
+        step = rows.succ != rows.source
+        pm, pe = np.frexp(rows.prob[step])
+        steps = list(
+            zip(rows.succ[step].tolist(), itertools.repeat(0), pm.tolist(), (-pe).tolist())
+        )
+        at = np.concatenate(([0], step.cumsum()))[rows.entry_at].tolist()
+        self.waiting: List[List[Tuple[int, int, float, int]]] = [
+            [] if u in targets else steps[at[u] : at[u + 1]][::-1] for u in range(n)
+        ]
+        for u in targets:
+            self.items[u].append((0.5, -1, None, 0))
 
     def item(self, u: int, i: int) -> Optional[tuple]:
         """Item i of u, None if u has fewer; u has at least i items."""

@@ -12,13 +12,13 @@ and reachability probabilities from the initial state are preserved;
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .model import Distribution, Model, ModelError, dirac, is_markov_chain, mc_row, successors
+from .model import Model, ModelError, chain_rows, is_markov_chain, ranges
 from .numerics import SingularMatrixError, prob0_states, solve_linear
 
 
@@ -33,15 +33,6 @@ class SccInfo:
     # escape probabilities of every member (rows, ascending) to every
     # output (columns, ascending); None until scc_reach, or without outputs
     escape: Optional[np.ndarray] = None
-
-    def input_rows(self) -> Dict[int, Distribution]:
-        """Each input's escape distribution: outputs ascending, zero
-        entries dropped; empty without an escape solve."""
-        if self.escape is None:
-            return {}
-        outs, members = sorted(self.outputs), sorted(self.members)
-        rows = {u: self.escape[bisect_left(members, u)].tolist() for u in sorted(self.inputs)}
-        return {u: tuple([(t, p) for t, p in zip(outs, row) if p > 0.0]) for u, row in rows.items()}
 
 
 @dataclass(frozen=True)
@@ -59,12 +50,17 @@ def make_absorbing(mc: Model, psi: Iterable[int]) -> Model:
     if not is_markov_chain(mc):
         raise ModelError("make_absorbing expects a Markov chain")
     psi = set(psi)
-    zero = prob0_states(mc, psi)
-    actions = tuple(
-        (dirac(s),) if s in psi or s in zero else mc.actions[s]
-        for s in range(mc.num_states)
-    )
-    return Model(names=mc.names, initial=mc.initial, labels=mc.labels, actions=actions)
+    pinned = psi | prob0_states(mc, psi)
+    rows = mc.rows
+    at = rows.entry_at
+    lens = at[1:] - at[:-1]
+    pin = np.fromiter(pinned, np.int64, len(pinned))
+    lens[pin] = 1
+    # a pinned state takes its first entry, then made its self loop
+    new = chain_rows(at[:-1], lens, rows.succ, rows.prob)
+    new.succ[new.entry_at[pin]] = pin
+    new.prob[new.entry_at[pin]] = 1.0
+    return Model(names=mc.names, initial=mc.initial, labels=mc.labels, rows=new)
 
 
 def scc_decompose(mc: Model) -> List[SccInfo]:
@@ -72,15 +68,22 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
 
     Components are numbered by their smallest member so ids are stable
     under any traversal order; `rank` keeps the order Tarjan completes
-    them in, successors first.
+    them in, successors first. Each state's successors are visited
+    ascending, read off the rows: a chain's row lists its targets
+    ascending and once each; an MDP's distributions are merged first.
     """
-    n = mc.num_states
-    adj = [sorted(successors(mc, s)) for s in range(n)]
+    n, rows = mc.num_states, mc.rows
+    if rows.num_dists == n:
+        succ, at = rows.succ.tolist(), rows.entry_at.tolist()
+    else:
+        edges = np.unique(rows.source * n + rows.succ)
+        succ = (edges % n).tolist()
+        at = edges.searchsorted(np.arange(n + 1) * n).tolist()
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: List[int] = []
-    comps: List[Set[int]] = []
+    comps: List[List[int]] = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
@@ -89,7 +92,7 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        call = [(root, iter(adj[root]))]
+        call = [(root, iter(succ[at[root] : at[root + 1]]))]
         while call:
             s, it = call[-1]
             advanced = False
@@ -99,7 +102,7 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
                     counter += 1
                     stack.append(t)
                     on_stack[t] = True
-                    call.append((t, iter(adj[t])))
+                    call.append((t, iter(succ[at[t] : at[t + 1]])))
                     advanced = True
                     break
                 if on_stack[t] and index[t] < low[s]:
@@ -112,54 +115,74 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
                 if low[s] < low[parent]:
                     low[parent] = low[s]
             if low[s] == index[s]:
-                comp = set()
+                cut = len(stack)
                 while True:
-                    t = stack.pop()
-                    on_stack[t] = False
-                    comp.add(t)
-                    if t == s:
+                    cut -= 1
+                    on_stack[stack[cut]] = False
+                    if stack[cut] == s:
                         break
-                comps.append(comp)
+                comps.append(stack[cut:])
+                del stack[cut:]
     infos = []
     by_min = sorted(enumerate(comps), key=lambda rc: min(rc[1]))
     for i, (rank, members) in enumerate(by_min):
-        nontrivial = any(t in members for s in members for t in adj[s])
+        # a lone state is nontrivial with a self loop only
+        s = members[0]
+        nontrivial = len(members) > 1 or s in succ[at[s] : at[s + 1]]
         infos.append(SccInfo(id=i, members=frozenset(members), nontrivial=nontrivial, rank=rank))
     return infos
 
 
-def _scc_index(sccs: Sequence[SccInfo], n: int) -> List[int]:
-    scc_of = [0] * n
-    for info in sccs:
-        for s in info.members:
-            scc_of[s] = info.id
+def _scc_index(sccs: Sequence[SccInfo], n: int) -> np.ndarray:
+    """Each state's component id, -1 for a state in none of sccs."""
+    scc_of = np.empty(n, dtype=np.int64)
+    scc_of.fill(-1)
+    sizes = [len(info.members) for info in sccs]
+    members = itertools.chain.from_iterable(info.members for info in sccs)
+    states = np.fromiter(members, np.int64, sum(sizes))
+    scc_of[states] = np.array([info.id for info in sccs]).repeat(sizes)
     return scc_of
 
 
-def scc_io(mc: Model, sccs: Sequence[SccInfo]) -> Sequence[SccInfo]:
+def scc_io(
+    mc: Model, sccs: Sequence[SccInfo], scc_of: Optional[np.ndarray] = None
+) -> Sequence[SccInfo]:
     """Fill every nontrivial component's input states (reachable from
     outside, plus the initial state if it lies inside) and output states
-    (targets of edges leaving the component), in one pass over the edges."""
-    scc_of = _scc_index(sccs, mc.num_states)
+    (targets of edges leaving the component). An array mask picks the
+    edges that leave their component, and only those are walked. scc_of
+    is each state's component id, if at hand."""
+    rows = mc.rows
+    if scc_of is None:
+        scc_of = _scc_index(sccs, mc.num_states)
+    come, go = scc_of[rows.source], scc_of[rows.succ]
+    leaves = (come != go).nonzero()[0]
     ins: Dict[int, Set[int]] = {info.id: set() for info in sccs if info.nontrivial}
     outs: Dict[int, Set[int]] = {c: set() for c in ins}
-    for s, dists in enumerate(mc.actions):
-        c = scc_of[s]
-        for dist in dists:
-            for t, _ in dist:
-                d = scc_of[t]
-                if d != c:
-                    if c in outs:
-                        outs[c].add(t)
-                    if d in ins:
-                        ins[d].add(t)
-    if scc_of[mc.initial] in ins:
-        ins[scc_of[mc.initial]].add(mc.initial)
+    for c, d, t in zip(come[leaves].tolist(), go[leaves].tolist(), rows.succ[leaves].tolist()):
+        if c in outs:
+            outs[c].add(t)
+        if d in ins:
+            ins[d].add(t)
+    c0 = int(scc_of[mc.initial])
+    if c0 in ins:
+        ins[c0].add(mc.initial)
     for info in sccs:
         if info.nontrivial:
             info.inputs = frozenset(ins[info.id])
             info.outputs = frozenset(outs[info.id])
     return sccs
+
+
+class InputRows(NamedTuple):
+    """The escape rows of solved components' inputs, outputs ascending and
+    zero entries dropped: input states[k]'s row is the next lens[k]
+    entries of succ and prob."""
+
+    states: np.ndarray
+    lens: np.ndarray
+    succ: np.ndarray
+    prob: np.ndarray
 
 
 # Most floats one stack of blocks holds (256 KB). Stacking pays off for
@@ -170,10 +193,11 @@ def scc_io(mc: Model, sccs: Sequence[SccInfo]) -> Sequence[SccInfo]:
 _STACK_FLOATS = 1 << 15
 
 
-def scc_reach(mc: Model, sccs: Sequence[SccInfo]) -> Sequence[SccInfo]:
+def scc_reach(mc: Model, sccs: Sequence[SccInfo]) -> InputRows:
     """Fill the escape probabilities from each member to each output of
     every nontrivial component that has outputs, all outputs solved in
-    one state reduction of the component block.
+    one state reduction of the component block, and return the inputs'
+    escape rows, read off the solved stacks.
 
     Each block is built once. Blocks of one shape (members, outputs) are
     stacked, members first, up to `_STACK_FLOATS`, and a stack is solved
@@ -187,39 +211,60 @@ def scc_reach(mc: Model, sccs: Sequence[SccInfo]) -> Sequence[SccInfo]:
     for info in sccs:
         if info.nontrivial and info.outputs:
             groups.setdefault((len(info.members), len(info.outputs)), []).append(info)
+    if not groups:
+        none = np.zeros(0, dtype=np.int64)
+        return InputRows(none, none, none, np.zeros(0))
+    is_input = np.zeros(mc.num_states, dtype=bool)
+    is_input[list(itertools.chain.from_iterable(info.inputs for info in sccs))] = True
     failures = []
+    parts = []
     for (n, m), group in groups.items():
         per_stack = max(1, _STACK_FLOATS // (n * (n + m)))
         for start in range(0, len(group), per_stack):
             stack = group[start : start + per_stack]
             try:
-                _solve_stack(mc, stack, n, m)
+                parts.append(_solve_stack(mc, stack, n, m, is_input))
             except SingularMatrixError as err:
                 failures.append((stack[err.block].id, err))
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return sccs
+    return parts[0] if len(parts) == 1 else InputRows(*map(np.concatenate, zip(*parts)))
 
 
-def _solve_stack(mc: Model, stack: List[SccInfo], n: int, m: int) -> None:
-    q = np.zeros((n, len(stack), n))
-    r = np.zeros((n, len(stack), m))
-    for b, info in enumerate(stack):
-        members = sorted(info.members)
-        pos = {s: i for i, s in enumerate(members)}
-        opos = {t: j for j, t in enumerate(sorted(info.outputs))}
-        for s in members:
-            for t, p in mc_row(mc, s):
-                if t in pos:
-                    q[pos[s], b, pos[t]] += p
-                else:
-                    r[pos[s], b, opos[t]] += p
-    x = solve_linear(q, r) if len(stack) > 1 else solve_linear(q[:, 0], r[:, 0])[:, None]
+def _solve_stack(
+    mc: Model, stack: List[SccInfo], n: int, m: int, is_input: np.ndarray
+) -> InputRows:
+    # Every member's row goes into its block in one scatter: an entry to a
+    # member of its block into q at that member's position, an entry to an
+    # output into r at that output's column. Each block's members and
+    # outputs are keyed block * states + state; sorted, the keys find each
+    # entry's column. Rows have distinct targets, so no two entries meet
+    # in one cell.
+    rows, size, states = mc.rows, len(stack), mc.num_states
+    members = np.array([sorted(info.members) for info in stack], dtype=np.int64)
+    outputs = np.array([sorted(info.outputs) for info in stack], dtype=np.int64)
+    keys = (np.concatenate((members, outputs), axis=1) + states * np.arange(size)[:, None]).ravel()
+    order = keys.argsort()
+    flat = members.ravel()
+    lo = rows.entry_at[flat]
+    lens = rows.entry_at[flat + 1] - lo
+    entry = ranges(lo, lens)
+    b, i = np.divmod(np.arange(size * n).repeat(lens), n)  # each entry's block and member
+    cell = order[keys[order].searchsorted(b * states + rows.succ[entry])]
+    aug = np.zeros((n, size, n + m))
+    aug[i, b, cell % (n + m)] = rows.prob[entry]
+    q, r = aug[..., :n], aug[..., n:]
+    x = solve_linear(q, r) if size > 1 else solve_linear(q[:, 0], r[:, 0])[:, None]
     # x.swapaxes(0, 1) is the blocks-first array solve_linear fills, so
     # each escape is contiguous, as a lone solve's is, and max_reach's
     # product with it keeps its bytes
-    for info, escape in zip(stack, np.ascontiguousarray(x.swapaxes(0, 1))):
+    escapes = np.ascontiguousarray(x.swapaxes(0, 1))
+    for info, escape in zip(stack, escapes):
         info.escape = escape
+    entering = is_input[members]
+    rows_in, cols = escapes[entering], outputs[entering.nonzero()[0]]
+    positive = rows_in > 0.0
+    return InputRows(members[entering], positive.sum(axis=1), cols[positive], rows_in[positive])
 
 
 def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
@@ -230,39 +275,39 @@ def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
     carry the component's escape distribution (inputs). Absorbing inputs
     keep their Dirac self loop. Dropped states become unreachable Dirac
     self loops so the index space stays shared with the source chain.
+    The reduced chain's rows are built as arrays, from the source's rows
+    and the solved escapes; its `actions` only when asked for.
     """
     if not is_markov_chain(mc_psi):
         raise ModelError("acyclic_reduce expects a Markov chain")
-    n = mc_psi.num_states
+    n, rows = mc_psi.num_states, mc_psi.rows
     sccs = scc_decompose(mc_psi)
     scc_of = _scc_index(sccs, n)
-    scc_io(mc_psi, sccs)
-    scc_reach(mc_psi, sccs)
-    rows: Dict[int, Distribution] = {}
-    for info in sccs:
-        if info.nontrivial:
-            rows.update(info.input_rows())
-    kept: Set[int] = set()
-    for info in sccs:
-        kept |= info.inputs if info.nontrivial else info.members
-    actions: List[Tuple[Distribution, ...]] = []
-    for s in range(n):
-        if s in rows:
-            actions.append((rows[s],))
-        elif s in kept and not sccs[scc_of[s]].nontrivial:
-            actions.append(mc_psi.actions[s])
-        else:
-            actions.append((dirac(s),))
+    scc_io(mc_psi, sccs, scc_of)
+    escaping = scc_reach(mc_psi, sccs)
+    # a trivial state's own row; an escape row after the source's entries;
+    # a Dirac self loop, after the escapes, for every other state
+    pool, at = len(rows.succ), rows.entry_at
+    starts, lens = at[:-1].copy(), at[1:] - at[:-1]
+    inside = np.array([info.nontrivial for info in sccs])[scc_of]
+    dropped = inside.nonzero()[0]
+    starts[dropped] = pool + len(escaping.succ) + dropped
+    lens[dropped] = 1
+    starts[escaping.states] = pool + escaping.lens.cumsum() - escaping.lens
+    lens[escaping.states] = escaping.lens
+    kept = frozenset((~inside).nonzero()[0].tolist()).union(
+        *(info.inputs for info in sccs if info.nontrivial))
     chain = Model(
         names=mc_psi.names,
         initial=mc_psi.initial,
         labels=mc_psi.labels,
-        actions=tuple(actions),
+        rows=chain_rows(starts, lens, np.concatenate((rows.succ, escaping.succ, np.arange(n))),
+                        np.concatenate((rows.prob, escaping.prob, np.ones(n)))),
     )
     return AcyclicReduction(
         chain=chain,
-        kept=frozenset(kept),
+        kept=kept,
         sccs=tuple(sccs),
-        scc_of=tuple(scc_of),
+        scc_of=tuple(scc_of.tolist()),
         origin=mc_psi,
     )

@@ -35,6 +35,21 @@ def reduce_to_psi(mc: Model):
     return red, psi
 
 
+def assert_rows_equal(rows, actions):
+    """The four row arrays equal the actions, flattened here tuple by
+    tuple, independently of `Rows`; probabilities to the byte."""
+    dist_at, entry_at, succ, prob = [0], [0], [], []
+    for dists in actions:
+        for dist in dists:
+            succ += [t for t, _ in dist]
+            prob += [p for _, p in dist]
+            entry_at.append(len(succ))
+        dist_at.append(len(entry_at) - 1)
+    assert rows.dist_at.tolist() == dist_at and rows.entry_at.tolist() == entry_at
+    assert rows.succ.tolist() == succ
+    assert rows.prob.tobytes() == np.array(prob, dtype=np.float64).tobytes()
+
+
 def truncated_rail_mass(red: AcyclicReduction, rail, max_steps: int = 500):
     """Mass of a rail's generators, summed by dynamic programming over
     path length; returns (settled mass, mass still undecided at cutoff).

@@ -2,15 +2,18 @@
 against independent computations on seeded random models."""
 
 import json
+import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from conftest import assert_rows_equal
+from railcheck import scheduling
 from railcheck.model import parse_model
 from railcheck.numerics import max_reach
 from railcheck.oracle import brute_force_max_reach
-from railcheck.scheduling import extract_max_scheduler, induced_mc
+from railcheck.scheduling import IMPROVE_TOL, Scheduler, extract_max_scheduler, induced_mc
 from railcheck.transform import acyclic_reduce, make_absorbing, scc_decompose, scc_io
 
 RING_SEED = 901
@@ -130,3 +133,176 @@ def test_scc_io_matches_networkx_condensation(i):
     infos = scc_io(m, scc_decompose(m))
     got = {info.members: (info.inputs, info.outputs) for info in infos if info.nontrivial}
     assert got == expected
+
+
+def _assert_rows_match(m, actions):
+    assert_rows_equal(m.rows, actions)
+    assert m.rows.source.tolist() == [
+        s for s, dists in enumerate(actions) for dist in dists for _ in dist
+    ]
+
+
+def _dead_end_doc(rng):
+    # Some states lead only to a trap region that cannot reach the goal,
+    # and some goal and trap rows are not Dirac self loops, so that
+    # make_absorbing rewrites rows instead of keeping the chain's.
+    n = int(rng.integers(5, 14))
+    names = ["d%d" % s for s in range(n)]
+    rows = {}
+    for s in range(n):
+        picks = sorted({int(t) for t in rng.choice(n, size=int(rng.integers(1, 4)))})
+        w = rng.uniform(0.1, 1.0, len(picks))
+        rows[names[s]] = [{names[t]: float(p) for t, p in zip(picks, w / w.sum())}]
+    labels = {names[-1]: ["psi"]}
+    return {"states": names, "initial": names[0], "labels": labels, "transitions": rows}
+
+
+def test_rows_equal_flattened_actions(mc_corpus, mdp_corpus, dag_corpus):
+    # The arrays every layer reads, of the parsed models and of every
+    # model the pipeline derives from them, against the tuples.
+    chains = [m for m, _, _, _ in mc_corpus + dag_corpus]
+    rng = np.random.default_rng(903)
+    chains += [parse_model(json.dumps(_dead_end_doc(rng))) for _ in range(60)]
+    for m in chains + list(mdp_corpus):
+        _assert_rows_match(m, m.actions)
+    rewritten = 0
+    for m in chains:
+        psi = {s for s in range(m.num_states) if "psi" in m.labels[s]}
+        absorbing = make_absorbing(m, psi)
+        _assert_rows_match(absorbing, absorbing.actions)
+        rewritten += absorbing.rows is not m.rows
+        red = acyclic_reduce(absorbing)
+        _assert_rows_match(red.chain, red.chain.actions)  # actions built from the rows
+    assert rewritten > 0
+    for m in mdp_corpus:
+        for _ in range(3):
+            choice = tuple(int(rng.integers(len(dists))) for dists in m.actions)
+            chain = induced_mc(m, Scheduler(choice))
+            _assert_rows_match(chain, tuple((m.actions[s][k],) for s, k in enumerate(choice)))
+            _assert_rows_match(chain, chain.actions)
+
+
+def _leaving_value(s, dist, x):
+    # The value of taking dist at s until it leaves s, as policy
+    # improvement defines it: the entries other than a self loop, summed
+    # left to right (builtin sum compensates from Python 3.12 on), over
+    # their mass, also summed left to right; 0 without mass.
+    gain = mass = 0.0
+    for t, p in dist:
+        if t != s:
+            gain += p * x[t]
+            mass += p
+    return gain / mass if mass else 0.0
+
+
+def _scalar_improvement(m, target, x, choice):
+    choice = list(choice)
+    improved = False
+    for s, dists in enumerate(m.actions):
+        if len(dists) == 1 or s in target:
+            continue
+        q = [_leaving_value(s, dist, x) for dist in dists]
+        top = max(range(len(q)), key=q.__getitem__)
+        if q[top] > x[s] + IMPROVE_TOL:
+            choice[s] = top
+            improved = True
+    return choice, improved
+
+
+def _tied_mdp_doc(rng):
+    # Distributions that keep their state with 1 - 10^-U(1, 11), Dirac
+    # steps, and copies of earlier distributions, so that actions of equal
+    # value occur; the last two states are the goal and a sink.
+    n = int(rng.integers(4, 9))
+    names = ["q%d" % s for s in range(n)]
+    rows = {}
+    for s in range(n - 2):
+        acts = []
+        for _ in range(int(rng.integers(1, 5))):
+            kind = rng.integers(4)
+            if kind == 0 and acts:
+                acts.append(dict(acts[int(rng.integers(len(acts)))]))
+                continue
+            if kind == 1:
+                acts.append({names[int(rng.integers(n))]: 1.0})
+                continue
+            others = [t for t in range(n) if t != s]
+            picks = rng.choice(others, size=int(rng.integers(1, 4)), replace=False)
+            w = rng.uniform(0.2, 1.0, len(picks))
+            e = float(10.0 ** -rng.uniform(1, 11)) if kind == 2 else 1.0
+            dist = {names[int(t)]: float(p) for t, p in zip(picks, e * w / w.sum())}
+            if kind == 2:
+                dist[names[s]] = 1.0 - e
+            acts.append(dist)
+        rows[names[s]] = acts
+    for t in names[-2:]:
+        rows[t] = [{t: 1.0}]
+    labels = {names[-2]: ["psi"]}
+    return {"states": names, "initial": names[0], "labels": labels, "transitions": rows}
+
+
+def test_improvement_step_matches_scalar_reference(mdp_corpus, monkeypatch):
+    # Every round of policy iteration, and rounds on values drawn from a
+    # few levels so that many actions tie exactly, against the scalar
+    # step: the same choices and the same verdict on improvement.
+    rng = np.random.default_rng(904)
+    models = list(mdp_corpus) + [parse_model(json.dumps(_tied_mdp_doc(rng))) for _ in range(150)]
+    seen = {"rounds": 0, "improved": 0, "ties": 0}
+
+    class Checked(scheduling._Improvement):
+        def __init__(self, m, target):
+            super().__init__(m, target)
+            self.m, self.target = m, target
+
+        def __call__(self, values, choice):
+            x = values.tolist()
+            want = _scalar_improvement(self.m, self.target, x, choice.tolist())
+            # every distribution's value on leaving, to the byte
+            assert self.leaving(values).tolist() == [
+                _leaving_value(s, dist, x) for s in self.states.tolist() for dist in self.m.actions[s]
+            ]
+            improved = super().__call__(values, choice)
+            assert (choice.tolist(), improved) == want
+            seen["rounds"] += 1
+            seen["improved"] += improved
+            return improved
+
+    monkeypatch.setattr(scheduling, "_Improvement", Checked)
+    for m in models:
+        goal = {m.num_states - 2}
+        extract_max_scheduler(m, goal)
+        step = Checked(m, goal)
+        for _ in range(3):
+            x = rng.choice([0.0, 0.25, 0.5, 1.0], size=m.num_states)
+            seen["ties"] += sum(
+                len({_leaving_value(s, d, x.tolist()) for d in dists}) < len(dists)
+                for s, dists in enumerate(m.actions)
+            )
+            step(x, np.array([int(rng.integers(len(d))) for d in m.actions]))
+    assert seen["rounds"] > 1000 and seen["improved"] > 500 and seen["ties"] > 500, seen
+
+
+def test_improvement_step_memory_follows_the_entries():
+    # 1000 states with two actions each, and one reset action spread over
+    # every state: the step's arrays grow with the 4000 or so entries, not
+    # with the widest distribution times the states.
+    n = 1000
+    names = ["q%d" % s for s in range(n)]
+    rows = {t: [{t: 1.0}] for t in names[-2:]}
+    for s in range(n - 2):
+        rows[names[s]] = [{names[s + 1]: 1.0}, {names[-2]: 0.25, names[-1]: 0.75}]
+    rows[names[0]].append({t: 1.0 / n for t in names})
+    doc = {"states": names, "initial": names[0], "labels": {names[-2]: ["psi"]}, "transitions": rows}
+    m = parse_model(json.dumps(doc))
+    m.rows  # built before the trace starts
+    goal = {n - 2}
+    values = np.random.default_rng(5).uniform(size=n)
+    choice = np.zeros(n, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        improved = scheduling._Improvement(m, goal)(values, choice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert (choice.tolist(), improved) == _scalar_improvement(m, goal, values.tolist(), [0] * n)

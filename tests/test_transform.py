@@ -1,13 +1,14 @@
 import json
 import math
+from bisect import bisect_left
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import reduce_to_psi
+from conftest import assert_rows_equal, reduce_to_psi, ring_chain_doc
 from railcheck import transform
-from railcheck.model import ModelError, mc_row, parse_model, successors
+from railcheck.model import ModelError, dirac, mc_row, parse_model, successors
 from railcheck.numerics import SingularMatrixError, max_reach, solve_linear
 from railcheck.oracle import brute_force_max_reach
 from railcheck.transform import (
@@ -45,8 +46,9 @@ def _nx_partition(m):
     return {frozenset(c) for c in nx.strongly_connected_components(g)}
 
 
-def test_scc_decompose_matches_networkx(m0, big1, fig5, mc_corpus):
-    models = [m0, big1, fig5] + [entry[0] for entry in mc_corpus[:30]]
+def test_scc_decompose_matches_networkx(m0, big1, fig5, mc_corpus, mdp_corpus):
+    # an MDP's successors are those of all its distributions
+    models = [m0, big1, fig5] + [entry[0] for entry in mc_corpus[:30]] + mdp_corpus[:30]
     for m in models:
         infos = scc_decompose(m)
         assert {info.members for info in infos} == _nx_partition(m)
@@ -94,16 +96,68 @@ def test_initial_state_counts_as_input():
     assert 0 in info.inputs
 
 
+def input_rows(info):
+    """Each input's escape distribution: outputs ascending, zero entries
+    dropped; empty without an escape solve. The reference the reduced
+    chain's input rows are checked against."""
+    if info.escape is None:
+        return {}
+    outs, members = sorted(info.outputs), sorted(info.members)
+    rows = {u: info.escape[bisect_left(members, u)].tolist() for u in sorted(info.inputs)}
+    return {u: tuple([(t, p) for t, p in zip(outs, row) if p > 0.0]) for u, row in rows.items()}
+
+
 def test_scc_reach_values(m0, big1):
     m = make_absorbing(m0, {3, 4})
-    infos = scc_reach(m, scc_io(m, scc_decompose(m)))
+    infos = scc_io(m, scc_decompose(m))
+    escaping = scc_reach(m, infos)
     by_members = {frozenset(i.members): i for i in infos}
-    assert by_members[frozenset({2})].input_rows()[2] == ((4, 1.0),)
-    assert by_members[frozenset({1})].input_rows()[1] == ((3, 1.0),)
+    assert input_rows(by_members[frozenset({2})])[2] == ((4, 1.0),)
+    assert input_rows(by_members[frozenset({1})])[1] == ((3, 1.0),)
+    assert sorted(escaping.states.tolist()) == [1, 2]
     b = make_absorbing(big1, {3})
-    info = next(i for i in scc_reach(b, scc_io(b, scc_decompose(b))) if len(i.members) == 2)
+    infos = scc_io(b, scc_decompose(b))
+    escaping = scc_reach(b, infos)
+    info = next(i for i in infos if len(i.members) == 2)
     assert info.members == frozenset({1, 2})
-    assert info.input_rows()[1] == ((3, 1.0),)
+    assert input_rows(info)[1] == ((3, 1.0),)
+    assert escaping.states.tolist() == [1] and escaping.lens.tolist() == [1]
+    assert escaping.succ.tolist() == [3] and escaping.prob.tolist() == [1.0]
+
+
+def test_reduced_rows_equal_the_tuple_construction(mc_corpus, dag_corpus):
+    # The reduced chain as acyclic_reduce built it tuple by tuple: a
+    # solved input carries its escape row, a kept state of a trivial
+    # component its source row, every other state a Dirac self loop.
+    rng = np.random.default_rng(905)
+    chains = [red.origin for _, _, red, _ in mc_corpus + dag_corpus]
+    for rings in (1, 3, 40):
+        m = parse_model(json.dumps(ring_chain_doc(rng, rings)))
+        chains.append(make_absorbing(m, {m.num_states - 2}))
+    for _ in range(10):
+        doc = _sticky_rings_doc(rng, int(rng.integers(2, 6)), [0] * 5)
+        chains.append(parse_model(json.dumps(doc)))
+    solved = 0
+    for mc in chains:
+        red = acyclic_reduce(mc)
+        rows = {}
+        kept = set()
+        for info in red.sccs:
+            if info.nontrivial:
+                rows.update(input_rows(info))
+                kept |= info.inputs
+            else:
+                kept |= info.members
+        actions = tuple(
+            (rows[s],) if s in rows
+            else mc.actions[s] if s in kept and not red.sccs[red.scc_of[s]].nontrivial
+            else (dirac(s),)
+            for s in range(mc.num_states)
+        )
+        assert_rows_equal(red.chain.rows, actions)
+        assert red.kept == kept
+        solved += len(rows)
+    assert solved > 300
 
 
 def _sticky_rings_doc(rng, k, sticky):
@@ -155,7 +209,8 @@ def test_scc_reach_batch_matches_each_component_alone(stack_floats, monkeypatch)
             if info.nontrivial and info.outputs:
                 assert len(info.members) == k and len(info.outputs) == 2
                 try:
-                    alone[info.id] = scc_reach(mc, [info])[0].escape
+                    scc_reach(mc, [info])
+                    alone[info.id] = info.escape
                 except SingularMatrixError as err:
                     alone[info.id] = err.pivot
         failed = [j for j in sticky if j]
