@@ -5,10 +5,10 @@ are immutable. State names are mapped to dense integer indices at parse
 time (document order of the ``states`` array); every algorithm works on
 indices and only parsing and reporting deal in display names.
 
-A model holds its transition relation in two forms, each built from the
-other on first use and then kept: `actions`, per state a tuple of sparse
-distributions, which names, reports and tests read, and `rows`, the same
-entries as flat arrays, which every layer of the pipeline reads.
+A model holds its transition relation as `rows`, flat arrays that the
+parser builds and every layer of the pipeline reads. `actions`, per state
+a tuple of sparse distributions, is derived from them on first read, for
+the oracles, the component table and the tests.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -45,17 +46,6 @@ class Rows:
     entry_at: np.ndarray
     succ: np.ndarray
     prob: np.ndarray
-
-    @classmethod
-    def of(cls, actions: Sequence[Sequence[Distribution]]) -> "Rows":
-        dists = list(itertools.chain.from_iterable(actions))
-        succ, prob = zip(*itertools.chain.from_iterable(dists))
-        return cls(
-            offsets(np.fromiter(map(len, actions), np.int64, len(actions))),
-            offsets(np.fromiter(map(len, dists), np.int64, len(dists))),
-            np.array(succ, dtype=np.int64),
-            np.array(prob, dtype=np.float64),
-        )
 
     @property
     def num_dists(self) -> int:
@@ -109,38 +99,18 @@ def chain_rows(starts: np.ndarray, lens: np.ndarray, succ: np.ndarray, prob: np.
 
 
 class Model:
-    """A Markov chain or MDP. Give `actions`, `rows` or both; a form
-    not given is built from the other on first use."""
+    """A Markov chain or MDP over its `rows`."""
 
-    __slots__ = ("names", "initial", "labels", "actions", "rows")
-
-    def __init__(
-        self,
-        names: Tuple[str, ...],
-        initial: int,
-        labels: Tuple[FrozenSet[str], ...],
-        actions: Optional[Tuple[Tuple[Distribution, ...], ...]] = None,
-        rows: Optional[Rows] = None,
-    ):
-        if actions is None and rows is None:
-            raise ModelError("a model needs its actions or its rows")
+    def __init__(self, names: Tuple[str, ...], initial: int, labels: Tuple[FrozenSet[str], ...], rows: Rows):
         self.names = names
         self.initial = initial
         self.labels = labels
-        if actions is not None:
-            self.actions = actions
-        if rows is not None:
-            self.rows = rows
+        self.rows = rows
 
-    def __getattr__(self, name: str):
-        # reached only for a form not set yet
-        if name == "actions":
-            self.actions = self.rows.actions()
-            return self.actions
-        if name == "rows":
-            self.rows = Rows.of(self.actions)
-            return self.rows
-        raise AttributeError(name)
+    @cached_property
+    def actions(self) -> Tuple[Tuple[Distribution, ...], ...]:
+        """Per state a tuple of distributions, built from the rows on first read."""
+        return self.rows.actions()
 
     @property
     def num_states(self) -> int:
@@ -268,52 +238,80 @@ def parse_model(text: str, tol: float = ROW_SUM_TOL) -> Model:
     for name in trans:
         if name not in index:
             raise ModelError(f"transitions given for unknown state {name!r}")
-    actions: List[Tuple[Distribution, ...]] = []
-    for name in names:
-        rows = trans.get(name)
-        if not isinstance(rows, list) or not rows:
-            raise ModelError(f"state {name!r} needs a non-empty array of distributions")
-        actions.append(
-            tuple(_parse_distribution(name, k, row, index, tol) for k, row in enumerate(rows))
-        )
 
-    return Model(
-        names=tuple(names),
-        initial=index[doc["initial"]],
-        labels=tuple(labels),
-        actions=tuple(actions),
-    )
+    rows = _parse_rows(names, index, trans, tol)
+    return Model(names=tuple(names), initial=index[doc["initial"]], labels=tuple(labels), rows=rows)
 
 
-def _parse_distribution(state, k, row, index, tol) -> Distribution:
-    if not isinstance(row, dict) or not row:
-        raise ModelError(f"state {state!r} distribution {k} must be a non-empty object")
-    entries = []
-    for target, p in row.items():
-        if target not in index:
-            raise ModelError(
-                f"state {state!r} distribution {k} targets unknown state {target!r}"
-            )
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise ModelError(
-                f"state {state!r} distribution {k}: probability of {target!r} must be a number"
-            )
-        try:
-            p = float(p)
-        except OverflowError:  # an integer beyond the float range
-            p = math.inf if p > 0 else -math.inf
-        if not 0.0 < p <= 1.0 + tol:  # also false for the NaN that json reads
-            raise ModelError(
-                f"state {state!r} distribution {k}: probability {p!r} of {target!r} out of range"
-            )
-        # a probability may overshoot 1 by rounding, as a row sum may; a
-        # stored value above 1 would let a rail's mass exceed 1
-        entries.append((index[target], min(p, 1.0)))
-    total = math.fsum(p for _, p in entries)
-    if abs(total - 1.0) > tol:
-        raise ModelError(f"state {state!r} distribution {k} sums to {total!r}, expected 1")
-    entries.sort()
-    return tuple(entries)
+def _parse_rows(names, index, trans, tol) -> Rows:
+    """The transitions as rows, each distribution sorted by target, from a
+    fixed number of passes over the flattened entries. A fault raises
+    ModelError for the first offending item in document order: each
+    state's array, then each of its distributions in turn (the object,
+    its entries' targets, types and ranges in entry order, then its sum)."""
+    arrays = list(map(trans.get, names))
+    n = _first_bad(arrays, list)
+    dist_at = list(itertools.accumulate(map(len, arrays[:n]), initial=0))
+    dists = list(itertools.chain.from_iterable(arrays[:n]))
+    d = _first_bad(dists, dict)
+    lens = list(map(len, dists[:d]))
+    entry_at = list(itertools.accumulate(lens, initial=0))
+    targets = list(itertools.chain.from_iterable(dists[:d]))
+    values = list(itertools.chain.from_iterable(map(dict.values, dists[:d])))
+    succ = list(map(index.get, targets))
+    e = succ.index(None) if None in succ else len(succ)  # the first faulty entry
+    if not {int, float}.issuperset(map(type, values)):  # json reads true as a bool: no number
+        e = min(e, next(i for i, p in enumerate(values) if type(p) not in (int, float)))
+    try:
+        prob = np.array(values[:e], dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        prob = np.array(list(map(_as_float, values[:e])), dtype=np.float64)
+    # both are false for the NaN that json reads
+    if e and not (0.0 < prob.min() and prob.max() <= 1.0 + tol):
+        e = next(i for i, p in enumerate(prob.tolist()) if not 0.0 < p <= 1.0 + tol)
+    e_dist = bisect_right(entry_at, e) - 1  # d if no entry is faulty
+
+    def where(k: int) -> str:
+        s = bisect_right(dist_at, k) - 1
+        return f"state {names[s]!r} distribution {k - dist_at[s]}"
+
+    # a probability may overshoot 1 by rounding, as a row sum may; a
+    # stored value above 1 would let a rail's mass exceed 1
+    flat = np.minimum(prob, 1.0, out=prob).tolist()
+    totals = list(map(math.fsum, map(flat.__getitem__, map(slice, entry_at, entry_at[1 : e_dist + 1]))))
+    # the largest |total - 1| is at the largest or the smallest total
+    if totals and (max(totals) - 1.0 > tol or 1.0 - min(totals) > tol):
+        k = next(k for k, total in enumerate(totals) if abs(total - 1.0) > tol)
+        raise ModelError(f"{where(k)} sums to {totals[k]!r}, expected 1")
+    if e < len(values):
+        target = targets[e]
+        if succ[e] is None:
+            raise ModelError(f"{where(e_dist)} targets unknown state {target!r}")
+        if type(values[e]) not in (int, float):
+            raise ModelError(f"{where(e_dist)}: probability of {target!r} must be a number")
+        raise ModelError(f"{where(e_dist)}: probability {_as_float(values[e])!r} of {target!r} out of range")
+    if d < len(dists):
+        raise ModelError(f"{where(d)} must be a non-empty object")
+    if n < len(names):
+        raise ModelError(f"state {names[n]!r} needs a non-empty array of distributions")
+    # one sort key per entry: its distribution, then its target
+    succ = np.array(succ, dtype=np.int64)
+    order = np.argsort(np.arange(0, d * n, n).repeat(lens) + succ, kind="stable")
+    return Rows(np.array(dist_at, dtype=np.int64), np.array(entry_at, dtype=np.int64), succ[order], prob[order])
+
+
+def _first_bad(items: list, kind: type) -> int:
+    """The index of the first item that is not a non-empty `kind`, or len(items)."""
+    if set(map(type, items)) <= {kind} and all(items):
+        return len(items)
+    return next(i for i, x in enumerate(items) if type(x) is not kind or not x)
+
+
+def _as_float(p) -> float:
+    try:
+        return float(p)
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if p > 0 else -math.inf
 
 
 def names_of_path(m: Model, path: Sequence[int]) -> List[str]:

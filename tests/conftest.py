@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from railcheck.model import Model, mc_row, parse_model
+from railcheck.model import ROW_SUM_TOL, Model, ModelError, mc_row, parse_model
 from railcheck.oracle import brute_force_max_reach
 from railcheck.props import Atom, sat_states
 from railcheck.search import ranked_rails
@@ -48,6 +48,59 @@ def assert_rows_equal(rows, actions):
     assert rows.dist_at.tolist() == dist_at and rows.entry_at.tolist() == entry_at
     assert rows.succ.tolist() == succ
     assert rows.prob.tobytes() == np.array(prob, dtype=np.float64).tobytes()
+
+
+def reference_actions(doc: dict, tol: float = ROW_SUM_TOL):
+    """A model document's transitions, read and validated entry by entry
+    in document order: per state a tuple of distributions, each a tuple of
+    (target index, probability) pairs sorted by target, a probability
+    above 1 read as 1. The reference for `parse_model`, which checks whole
+    arrays at once; it raises the same ModelError messages. The document's
+    other fields must be valid."""
+    names = doc["states"]
+    index = {name: i for i, name in enumerate(names)}
+    trans = doc["transitions"]
+    for name in trans:
+        if name not in index:
+            raise ModelError(f"transitions given for unknown state {name!r}")
+    actions = []
+    for name in names:
+        rows = trans.get(name)
+        if not isinstance(rows, list) or not rows:
+            raise ModelError(f"state {name!r} needs a non-empty array of distributions")
+        actions.append(
+            tuple(_reference_distribution(name, k, row, index, tol) for k, row in enumerate(rows))
+        )
+    return tuple(actions)
+
+
+def _reference_distribution(state, k, row, index, tol):
+    if not isinstance(row, dict) or not row:
+        raise ModelError(f"state {state!r} distribution {k} must be a non-empty object")
+    entries = []
+    for target, p in row.items():
+        if target not in index:
+            raise ModelError(
+                f"state {state!r} distribution {k} targets unknown state {target!r}"
+            )
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ModelError(
+                f"state {state!r} distribution {k}: probability of {target!r} must be a number"
+            )
+        try:
+            p = float(p)
+        except OverflowError:  # an integer beyond the float range
+            p = math.inf if p > 0 else -math.inf
+        if not 0.0 < p <= 1.0 + tol:  # also false for the NaN that json reads
+            raise ModelError(
+                f"state {state!r} distribution {k}: probability {p!r} of {target!r} out of range"
+            )
+        entries.append((index[target], min(p, 1.0)))
+    total = math.fsum(p for _, p in entries)
+    if abs(total - 1.0) > tol:
+        raise ModelError(f"state {state!r} distribution {k} sums to {total!r}, expected 1")
+    entries.sort()
+    return tuple(entries)
 
 
 def truncated_rail_mass(red: AcyclicReduction, rail, max_steps: int = 500):
@@ -287,6 +340,17 @@ def build_dag_corpus(count: int = 40, master: int = DAG_CORPUS_SEED):
         if got is not None:
             out.append(got)
     return out
+
+
+def corpus_docs():
+    """Documents from the corpora's generators and master seeds, before
+    any filter: 200 chains, 100 MDPs (the whole MDP corpus) and 40
+    forward-only chains."""
+    return (
+        [_mc_doc(np.random.default_rng([MC_CORPUS_SEED, i])) for i in range(200)]
+        + [_mdp_doc(np.random.default_rng([MDP_CORPUS_SEED, i])) for i in range(100)]
+        + [_dag_doc(np.random.default_rng([DAG_CORPUS_SEED, i])) for i in range(40)]
+    )
 
 
 # fixtures

@@ -643,13 +643,12 @@ def test_error_missing_file():
     assert report["error"]["stage"] == "parse"
 
 
-def test_error_bad_model(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"states": ["a"], "initial": "a", "transitions": {"a": [{"a": 0.9}]}}')
+def test_error_bad_model(m0_path):
+    # the fixture CI also sends through the installed console script
+    bad = m0_path.parent / "malformed" / "short_row.json"
     code, report = _run(bad, "P<=0.5 [ F psi ]")
     assert code == 2
-    assert report["error"]["stage"] == "parse"
-    assert "sums to 0.9" in report["error"]["message"]
+    assert report["error"] == {"stage": "parse", "message": "state 'a' distribution 0 sums to 0.9, expected 1"}
 
 
 def test_malformed_initial_and_labels_fail_in_parse(tmp_path, capsys):

@@ -8,9 +8,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import assert_rows_equal
+from conftest import FIXTURES, assert_rows_equal, corpus_docs, reference_actions
 from railcheck import scheduling
-from railcheck.model import parse_model
+from railcheck.model import ROW_SUM_TOL, parse_model
 from railcheck.numerics import max_reach
 from railcheck.oracle import brute_force_max_reach
 from railcheck.scheduling import IMPROVE_TOL, Scheduler, extract_max_scheduler, induced_mc
@@ -157,14 +157,48 @@ def _dead_end_doc(rng):
     return {"states": names, "initial": names[0], "labels": labels, "transitions": rows}
 
 
+def _scrambled_doc(rng):
+    # A chain or an MDP with its states named out of index order and its
+    # transitions, and each distribution's entries, in random order. A
+    # Dirac step is written as 1.0, as the integer 1, or overshooting 1
+    # within the tolerance, which the parser stores as 1.
+    n = int(rng.integers(3, 12))
+    names = ["x%d" % s for s in rng.permutation(n)]
+    mdp = rng.random() < 0.5
+    rows = {}
+    for s in rng.permutation(n):
+        acts = []
+        for _ in range(int(rng.integers(1, 4)) if mdp else 1):
+            picks = rng.choice(n, size=int(rng.integers(1, min(n, 5) + 1)), replace=False)
+            if len(picks) == 1:
+                w = [(1.0, 1, 1.0 + float(rng.uniform(0.0, 1.0)) * ROW_SUM_TOL)[int(rng.integers(3))]]
+            else:
+                w = rng.uniform(0.1, 1.0, len(picks))
+                w = (w / w.sum()).tolist()
+            acts.append({names[t]: p for t, p in zip(picks, w)})
+        rows[names[s]] = acts
+    return {"states": names, "initial": names[0], "labels": {names[-1]: ["psi"]}, "transitions": rows}
+
+
 def test_rows_equal_flattened_actions(mc_corpus, mdp_corpus, dag_corpus):
-    # The arrays every layer reads, of the parsed models and of every
-    # model the pipeline derives from them, against the tuples.
-    chains = [m for m, _, _, _ in mc_corpus + dag_corpus]
+    # The arrays every layer reads: a parsed model's against its document,
+    # flattened entry by entry in conftest.reference_actions, and those of
+    # every model the pipeline derives, against its tuples.
     rng = np.random.default_rng(903)
-    chains += [parse_model(json.dumps(_dead_end_doc(rng))) for _ in range(60)]
-    for m in chains + list(mdp_corpus):
-        _assert_rows_match(m, m.actions)
+    dead_ends = [_dead_end_doc(rng) for _ in range(60)]
+    docs = corpus_docs() + dead_ends + [_scrambled_doc(rng) for _ in range(60)]
+    docs += [json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+    unsorted = 0
+    for doc in docs:
+        m = parse_model(json.dumps(doc))
+        expected = reference_actions(doc)
+        _assert_rows_match(m, expected)
+        assert m.actions == expected  # the tuples built from the rows
+        dists = [dist for dists in doc["transitions"].values() for dist in dists]
+        unsorted += any(list(dist) != sorted(dist, key=m.names.index) for dist in dists)
+    assert unsorted >= 30
+    chains = [m for m, _, _, _ in mc_corpus + dag_corpus]
+    chains += [parse_model(json.dumps(doc)) for doc in dead_ends]
     rewritten = 0
     for m in chains:
         psi = {s for s in range(m.num_states) if "psi" in m.labels[s]}

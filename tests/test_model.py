@@ -1,9 +1,12 @@
+import copy
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import assert_rows_equal, corpus_docs, reference_actions
 from railcheck.cli import run_check
 from railcheck.model import (
     ROW_SUM_TOL,
@@ -95,6 +98,75 @@ def _doc(**over):
 def test_parse_rejects_bad_documents(doc, message):
     with pytest.raises(ModelError, match=message):
         parse_model(doc)
+
+
+# values that are no probability: no number, or out of range for the
+# default tolerance (json writes NaN and the infinities as literals it reads)
+_BAD_VALUES = [True, False, "0.5", None, [0.5], {"p": 0.5}, math.nan, math.inf, -math.inf,
+               0, 0.0, -0.0, -0.25, 1.0 + 2 * ROW_SUM_TOL, 2, 10**400, -(10**400)]
+
+
+def _break(rng, doc):
+    # One fault at a random place of a model document, in place.
+    trans = doc["transitions"]
+    name = list(trans)[int(rng.integers(len(trans)))]
+    dists = trans[name]
+    if not isinstance(dists, list) or not dists or not all(isinstance(d, dict) and d for d in dists):
+        return  # a fault already sits here
+    k = int(rng.integers(len(dists)))
+    dist = dists[k]
+    target = list(dist)[int(rng.integers(len(dist)))]
+    kind = int(rng.integers(8))
+    if kind == 0:  # a value that is no probability
+        dist[target] = _BAD_VALUES[int(rng.integers(len(_BAD_VALUES)))]
+    elif kind == 1:  # an unknown target, in place of a known one or added last
+        if rng.random() < 0.5:
+            dists[k] = {("nowhere" if t == target else t): p for t, p in dist.items()}
+        else:
+            dist["nowhere"] = 0.5
+    elif kind == 2 and type(dist[target]) is float:  # a sum off by twice the tolerance
+        dist[target] += (1 if rng.random() < 0.5 else -1) * 2 * ROW_SUM_TOL
+    elif kind == 3:  # an empty or non-object distribution
+        dists[k] = [{}, [], None, 0.5, "x", [dist]][int(rng.integers(6))]
+    elif kind == 4:  # an empty or non-list array of distributions
+        trans[name] = [[], {}, None, "x", dist][int(rng.integers(5))]
+    elif kind == 5:  # no array at all
+        del trans[name]
+    elif kind == 6:  # an array for an undeclared state
+        trans["ghost"] = [{name: 1.0}]
+    else:  # a probability rounded above 1 but within the tolerance: no fault
+        dists[k] = {target: 1.0 + ROW_SUM_TOL / 2}
+
+
+_MESSAGES = ("transitions given for unknown state", "needs a non-empty array", "must be a non-empty object",
+             "targets unknown state", "must be a number", "out of range", "sums to")
+
+
+def test_parse_matches_the_reference_on_broken_documents():
+    # Corpus documents with one to three faults, parsed at four tolerances:
+    # parse_model must name the first fault that the sequential reference
+    # (conftest.reference_actions) meets, with its exact message, and read
+    # every document that the reference reads to the same rows.
+    rng = np.random.default_rng(4444)
+    docs = corpus_docs()
+    kinds = Counter()
+    for i in range(1200):
+        doc = copy.deepcopy(docs[int(rng.integers(len(docs)))])
+        for _ in range(int(rng.integers(1, 4))):
+            _break(rng, doc)
+        text = json.dumps(doc)
+        tol = (ROW_SUM_TOL, ROW_SUM_TOL, 0.0, 0.5)[i % 4]
+        try:
+            expected = reference_actions(json.loads(text), tol)
+        except ModelError as err:
+            with pytest.raises(ModelError) as got:
+                parse_model(text, tol)
+            assert str(got.value) == str(err), text
+            kinds[next(k for k in _MESSAGES if k in str(err))] += 1
+        else:
+            assert_rows_equal(parse_model(text, tol).rows, expected)
+            kinds["read"] += 1
+    assert min(kinds[k] for k in _MESSAGES + ("read",)) >= 20, kinds
 
 
 def test_parse_reports_json_position():
