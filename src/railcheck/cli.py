@@ -162,7 +162,7 @@ def _scc_table(m: Model, red) -> List[Dict]:
                 "reach": {
                     f"{m.names[u]}->{m.names[t]}": p
                     for u in solved
-                    for t, p in red.chain.actions[u][0]
+                    for t, p in red.chain.rows.row(u)  # a chain: distribution u is state u's row
                 },
             }
         )

@@ -277,12 +277,26 @@ def _parse_rows(names, index, trans, tol) -> Rows:
 
     # a probability may overshoot 1 by rounding, as a row sum may; a
     # stored value above 1 would let a rail's mass exceed 1
-    flat = np.minimum(prob, 1.0, out=prob).tolist()
-    totals = list(map(math.fsum, map(flat.__getitem__, map(slice, entry_at, entry_at[1 : e_dist + 1]))))
-    # the largest |total - 1| is at the largest or the smallest total
-    if totals and (max(totals) - 1.0 > tol or 1.0 - min(totals) > tol):
-        k = next(k for k, total in enumerate(totals) if abs(total - 1.0) > tol)
-        raise ModelError(f"{where(k)} sums to {totals[k]!r}, expected 1")
+    np.minimum(prob, 1.0, out=prob)
+    bounds = np.array(entry_at, dtype=np.int64)
+    if e_dist:
+        # Float sums screen the exact ones. The float sum s of k <= K
+        # entries in (0, 1], added in any order, lies within K·2**-52·s of
+        # the correctly rounded sum that math.fsum gives, so s·(1 ± K·2**-50),
+        # each rounded, bracket that, and x - 1 rounds monotonically: where
+        # both brackets lie within tol of 1, so does the exact sum. The
+        # largest and the smallest s bound all brackets; past them, only
+        # the sums whose brackets stray take math.fsum.
+        sums = np.add.reduceat(prob[: entry_at[e_dist]], bounds[:e_dist]).tolist()
+        slack = max(lens) * 2.0**-50
+        up, down = 1.0 + slack, 1.0 - slack
+        if max(sums) * up - 1.0 > tol or 1.0 - min(sums) * down > tol:
+            flat = prob.tolist()
+            for k, s in enumerate(sums):
+                if s * up - 1.0 > tol or 1.0 - s * down > tol:
+                    total = math.fsum(flat[entry_at[k] : entry_at[k + 1]])
+                    if abs(total - 1.0) > tol:
+                        raise ModelError(f"{where(k)} sums to {total!r}, expected 1")
     if e < len(values):
         target = targets[e]
         if succ[e] is None:
@@ -297,7 +311,7 @@ def _parse_rows(names, index, trans, tol) -> Rows:
     # one sort key per entry: its distribution, then its target
     succ = np.array(succ, dtype=np.int64)
     order = np.argsort(np.arange(0, d * n, n).repeat(lens) + succ, kind="stable")
-    return Rows(np.array(dist_at, dtype=np.int64), np.array(entry_at, dtype=np.int64), succ[order], prob[order])
+    return Rows(np.array(dist_at, dtype=np.int64), bounds, succ[order], prob[order])
 
 
 def _first_bad(items: list, kind: type) -> int:

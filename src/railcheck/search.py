@@ -2,19 +2,22 @@
 
 The reduced chain is a DAG apart from absorbing self loops, so rails can be
 streamed best-first with one lazily materialized sorted suffix stream per
-state, merged along edges (the recursive enumeration scheme of Jiménez &
-Marzal). The streams are lists indexed by state. An item is (m, -e,
-successor, successor's item index), the successor None at a target, and
-costs one request: a request names only a state, as it always wants that
-state's next item. A rail costs its length once, as it leaves the stream.
-Its mass m·2**e, m in [0.5, 1), is the product of the steps right to
-left: a step multiplies its probability's mantissa into the successor
-item's. In the normal float range that has
-the bits of the float product, and below it nothing underflows. Exponents
-are stored negated: masses are at most 1, so nearly all are small ints
-that CPython shares. A state that cannot reach the target has an empty
-stream and never enters a heap, so no separate liveness pass is needed.
-Work is proportional to the rails consumed.
+state, merged along edges: the recursive enumeration algorithm of Jiménez
+& Marzal, in its two phases. One depth-first pass gives each state the
+initial state reaches its first item; a state's heap of candidates is
+built on its second request. The streams are lists indexed by state. An
+item is (m, -e, successor, successor's item index), the successor None at
+a target, and costs one request: a request names only a state, as it
+always wants that state's next item. A rail costs its length once, as it
+leaves the stream. Its mass m·2**e, m in [0.5, 1), is the product of the
+steps right to left: a step multiplies its probability's mantissa into
+the successor item's. In the normal float range that has the bits of the
+float product, and below it nothing underflows. Exponents are stored
+negated: masses are at most 1, so nearly all are small ints that CPython
+shares. A state that cannot reach the target has an empty stream and
+never enters a heap, so no separate liveness pass is needed. Work is one
+pass over the states the initial state reaches, then proportional to the
+rails consumed.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -38,37 +41,112 @@ class SearchLimitError(RuntimeError):
 
 
 class _SuffixStreams:
-    """Per state, the paths to the first target hit, heaviest first.
+    """Per state, the paths to the first target hit, heaviest first, in
+    the two phases of the recursive enumeration algorithm.
 
-    `items`, `heaps` and `waiting` are lists indexed by state. A state's
-    stream pops from a heap of its successors' next items, each
-    multiplied by the step to that successor, keyed (-e, -m, successor).
-    `waiting` holds, last first, the successor items to push before the
-    next pop: at the start all first items in edge order, later the
-    follow-up of the item just popped. A heap holds one candidate per
-    successor, so the successor settles equal masses. A request names
-    just a state, as a stream is only asked for its next item, and is
-    done once that item is appended: the follow-up it leaves in `waiting`
-    waits for the state's next request instead of resolving down the DAG.
+    `items`, `heaps` and `waiting` are lists indexed by state. Phase 1
+    gives a state its first item: one depth-first pass from the requested
+    state over the flat rows in which each state, once its edges are
+    done, takes the least key (-e, -m, successor) over its successors'
+    first items, each multiplied by the step to that successor. A state
+    the pass leaves without an item cannot reach the target. Until its
+    second request a state's stream is a tuple of that one item: a tuple
+    of numbers leaves the cyclic collector's lists, so the pass adds
+    nothing for a full collection to walk. Phase 2 starts at the second
+    request: the stream becomes a list, the heap (None until then) holds
+    the first candidates of the state's other successors, and `waiting`
+    the follow-up of the one it took. From then on `waiting` holds, last
+    first, the successor items to push before the next pop: the follow-up
+    of the item just popped. A heap holds one candidate per successor, so
+    the successor settles equal masses. A request names just a state, as
+    a stream is only asked for its next item, and is done once that item
+    is appended: the follow-up it leaves in `waiting` waits for the
+    state's next request instead of resolving down the DAG.
     """
 
     def __init__(self, chain, targets: Set[int]):
         n, rows = chain.num_states, chain.rows
-        self.items: List[List[tuple]] = [[] for _ in range(n)]
-        self.heaps: List[list] = [[] for _ in range(n)]
-        # every step but a self loop, with its probability's mantissa and
-        # negated exponent; the counts of those before each state's row
-        step = rows.succ != rows.source
-        pm, pe = np.frexp(rows.prob[step])
-        steps = list(
-            zip(rows.succ[step].tolist(), itertools.repeat(0), pm.tolist(), (-pe).tolist())
-        )
-        at = np.concatenate(([0], step.cumsum()))[rows.entry_at].tolist()
-        self.waiting: List[List[Tuple[int, int, float, int]]] = [
-            [] if u in targets else steps[at[u] : at[u + 1]][::-1] for u in range(n)
-        ]
+        # every entry's target and its probability's mantissa and negated
+        # exponent; distribution u is state u's row
+        pm, pe = np.frexp(rows.prob)
+        self.succ: List[int] = rows.succ.tolist()
+        self.pm: List[float] = pm.tolist()
+        self.npe: List[int] = (-pe).tolist()
+        self.at: List[int] = rows.entry_at.tolist()
+        self.items: List[Sequence[tuple]] = [()] * n
+        self.heaps: List[Optional[list]] = [None] * n
+        self.waiting: List[Optional[List[Tuple[int, int, float, int]]]] = [None] * n
+        self.seen = bytearray(n)  # states phase 1 has passed
         for u in targets:
-            self.items[u].append((0.5, -1, None, 0))
+            self.items[u] = ((0.5, -1, None, 0),)
+            self.heaps[u], self.waiting[u], self.seen[u] = [], [], 1
+
+    def _first_items(self, u: int) -> None:
+        """Phase 1: the first item of every state u reaches that phase 1
+        has not passed yet. Each state folds its successors' first items
+        into the least key in edge order, descending into a successor
+        not passed yet; a stack of the states it descended from, each
+        with its next edge and least key so far, keeps the DAG's depth
+        off the call stack."""
+        items, seen, succ, pms, npes, at = self.items, self.seen, self.succ, self.pm, self.npe, self.at
+        seen[u] = 1
+        stack = []
+        v, k, bm, bne, bt = u, at[u], 0.0, 0, None
+        while True:
+            end = at[v + 1]
+            while k < end:
+                t = succ[k]
+                if not seen[t]:  # v's own self loop is seen
+                    seen[t] = 1
+                    stack.append((v, k, bm, bne, bt))
+                    v, k, bm, bne, bt = t, at[t], 0.0, 0, None
+                    break
+                t_items = items[t]
+                if t_items:  # else t is dead, or t is v
+                    m, ne, _, _ = t_items[0]
+                    m *= pms[k]
+                    ne += npes[k]
+                    if m < 0.5:  # exact: the product of two mantissas is at least 1/4
+                        m += m
+                        ne += 1
+                    # the key (-e, -m, t): rows are sorted by target, so on
+                    # a tie the successor found first stays
+                    if bt is None or ne < bne or ne == bne and m > bm:
+                        bm, bne, bt = m, ne, t
+                k += 1
+            else:  # every successor is folded in
+                if bt is not None:
+                    items[v] = ((bm, bne, bt, 0),)
+                if not stack:
+                    return
+                v, k, bm, bne, bt = stack.pop()
+
+    def _start_heap(self, v: int) -> list:
+        """Phase 2's start: v's heap of the first candidates of its
+        successors but the one its first item took, whose follow-up waits."""
+        items, succ, pms, npes = self.items, self.succ, self.pm, self.npe
+        items[v] = list(items[v])
+        took = items[v][0][2]
+        heap = []
+        for k in range(self.at[v], self.at[v + 1]):
+            t = succ[k]
+            t_items = items[t]
+            if t == v or not t_items:
+                continue
+            pm, npe = pms[k], npes[k]
+            if t == took:
+                self.waiting[v] = [(t, 1, pm, npe)]
+                continue
+            m, ne, _, _ = t_items[0]
+            m *= pm
+            ne += npe
+            if m < 0.5:
+                m += m
+                ne += 1
+            heap.append((ne, -m, t, 0, pm, npe))
+        heapq.heapify(heap)
+        self.heaps[v] = heap
+        return heap
 
     def item(self, u: int, i: int) -> Optional[tuple]:
         """Item i of u, None if u has fewer; u has at least i items."""
@@ -76,17 +154,24 @@ class _SuffixStreams:
         assert i <= len(items[u]), "items are requested in order"
         if i < len(items[u]):
             return items[u][i]
+        if i == 0:
+            if not self.seen[u]:
+                self._first_items(u)
+            return items[u][0] if items[u] else None
         # A stack of states, each waiting for the next item of the one
         # above it, keeps the DAG's depth off the call stack.
         requests = [u]
         while requests:
             v = requests[-1]
-            v_waiting, heap = waiting[v], heaps[v]
+            heap = heaps[v]
+            if heap is None:
+                heap = self._start_heap(v)
+            v_waiting = waiting[v]
             while v_waiting:
                 t, j, pm, npe = v_waiting[-1]
                 t_items = items[t]
                 if j == len(t_items):  # the successor's next item
-                    if heaps[t] or waiting[t]:
+                    if heaps[t] is None or heaps[t] or waiting[t]:
                         requests.append(t)
                         break
                     v_waiting.pop()  # t's stream is exhausted
@@ -115,6 +200,9 @@ def ranked_rails(
     0 unless it lies below the normal float range. Rounding to nearest is
     monotone, so each stream is sorted by exactly the masses it reports;
     equal masses come in the order of their successors.
+
+    The first rail costs one pass over the states the initial state
+    reaches; each later rail, the requests it makes.
 
     The stream of a state that cannot reach the target is empty, whether
     it is absorbing or leads into a dead region, so the rails are the

@@ -9,11 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import diamond_chain_doc, ring_chain_doc
+from conftest import diamond_chain_doc, load_model, ring_chain_doc
 from railcheck import cli, search
 from railcheck.cli import main, render_report, run_check
+from railcheck.model import is_markov_chain
 from railcheck.numerics import SingularMatrixError
-from railcheck.props import parse_property
+from railcheck.props import Atom, parse_property, sat_states
+from railcheck.scheduling import extract_max_scheduler
+from railcheck.transform import acyclic_reduce, make_absorbing
 
 
 def _run(path, prop, **kw):
@@ -85,6 +88,24 @@ def test_dump_scc(big1_path):
     assert entry["inputs"] == ["t"]
     assert entry["outputs"] == ["u"]
     assert entry["reach"] == {"t->u": 1.0}
+
+
+@pytest.mark.parametrize("name, atom", [("m0.json", "psi"), ("m0_trap.json", "psi"), ("big1.json", "psi"),
+                                        ("fig5.json", "psi"), ("mdp2.json", "goal")])
+def test_scc_table_reads_rows(name, atom):
+    # The table reads each solved input's escape row from the reduced
+    # chain's rows, and builds no tuples for its states; the reach it
+    # reports is the row the tuples give.
+    m = load_model(name)
+    psi = sat_states(m, Atom(atom))
+    red = acyclic_reduce(make_absorbing(m, psi)) if is_markov_chain(m) else extract_max_scheduler(m, psi)[1]
+    assert "actions" not in red.chain.__dict__
+    table = cli._scc_table(m, red)
+    assert "actions" not in red.chain.__dict__
+    for info, entry in zip(red.sccs, table):
+        solved = sorted(info.inputs) if info.escape is not None else []
+        assert entry["reach"] == {
+            f"{m.names[u]}->{m.names[t]}": p for u in solved for t, p in red.chain.actions[u][0]}
 
 
 def test_verification_block(m0_path):

@@ -191,6 +191,55 @@ def test_row_sum_tolerance():
             parse_model(doc, tol=tol)
 
 
+def _near_edge_doc(rng, tol):
+    # States with one or two distributions of 1 to 8 entries. A third of
+    # them sum to within a few ulps either side of 1 - tol or 1 + tol: the
+    # last entry makes up the rest of such a sum, the others share
+    # (k-1)/k of it. The others are multiples of 1/64 that sum to 1.
+    n = int(rng.integers(2, 9))
+    names = ["q%d" % s for s in range(n)]
+    rows = {}
+    for name in names:
+        rows[name] = []
+        for _ in range(int(rng.integers(1, 3))):
+            k = int(rng.integers(1, n + 1))
+            if rng.random() < 1 / 3:
+                edge = 1.0 + tol if rng.random() < 0.5 else 1.0 - tol
+                total = edge + int(rng.integers(-4, 5)) * math.ulp(edge)
+                w = rng.uniform(0.5, 1.0, k - 1)
+                head = (w / w.sum() * total * (k - 1) / k).tolist()
+                values = head + [total - math.fsum(head)]
+            else:
+                cuts = np.sort(rng.choice(np.arange(1, 64), size=k - 1, replace=False))
+                values = (np.diff(np.concatenate(([0], cuts, [64]))) / 64).tolist()
+            targets = rng.choice(names, size=k, replace=False).tolist()
+            rows[name].append(dict(zip(targets, values)))
+    return {"states": names, "initial": names[0], "transitions": rows}
+
+
+@pytest.mark.parametrize("tol", [0.0, ROW_SUM_TOL, 0.5])
+def test_parse_matches_the_reference_at_the_tolerance_edges(tol):
+    # Float sums so close to 1 ± tol that rounding decides: parse_model,
+    # which adds each distribution up in floats first, must read and
+    # reject what the reference reads and rejects, with its messages.
+    rng = np.random.default_rng(4545)
+    kinds = Counter()
+    for _ in range(400):
+        doc = _near_edge_doc(rng, tol)
+        text = json.dumps(doc)
+        try:
+            expected = reference_actions(json.loads(text), tol)
+        except ModelError as err:
+            with pytest.raises(ModelError) as got:
+                parse_model(text, tol)
+            assert str(got.value) == str(err), text
+            kinds["sums to" if "sums to" in str(err) else "out of range"] += 1
+        else:
+            assert_rows_equal(parse_model(text, tol).rows, expected)
+            kinds["read"] += 1
+    assert kinds["read"] >= 20 and kinds["sums to"] >= 20, kinds
+
+
 def _merged_weights_doc(rng):
     # A short line of states, each row merging two normalized weights for
     # its one successor, as a generator that adds up duplicate targets

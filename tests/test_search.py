@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from graphlib import TopologicalSorter
 
 import numpy as np
 import pytest
@@ -358,8 +359,9 @@ def _as_reported(rail, m, e):
     return (rail, math.ldexp(m, e), 0) if e > -1022 else (rail, m, e)
 
 
-def _all_rails(chain, targets):
-    rails, stack = [], [(chain.initial,)]
+def _all_rails(chain, targets, start=None):
+    """Every path from start, by default the initial state, to the first target hit."""
+    rails, stack = [], [(chain.initial if start is None else start,)]
     while stack:
         rail = stack.pop()
         if rail[-1] in targets:
@@ -401,3 +403,107 @@ def test_pointer_stream_matches_brute_force(mc_corpus, dag_corpus):
     assert got == [_as_reported(rail, *_exact_key(red.chain, rail)[1:]) for rail, _, _ in got]
     assert got[0][1:] == (0.5, -1099)
     assert [rail for rail, _, _ in got] == sorted(rail for rail, _, _ in got)
+
+
+def _successors(chain):
+    return [[t for t, _ in mc_row(chain, u) if t != u] for u in range(chain.num_states)]
+
+
+def _reached_live(chain, targets):
+    """The states the initial state reaches before it hits a target, and
+    those of them that reach one, by a search of their own."""
+    succ = _successors(chain)
+    reached, stack = {chain.initial}, [chain.initial]
+    while stack:
+        u = stack.pop()
+        if u not in targets:
+            new = set(succ[u]) - reached
+            reached |= new
+            stack.extend(new)
+    live = set()
+    # successors first: the reached part of the chain is a DAG but for self loops
+    for u in TopologicalSorter({u: [] if u in targets else succ[u] for u in reached}).static_order():
+        if u in targets or not live.isdisjoint(succ[u]):
+            live.add(u)
+    return reached, live
+
+
+@pytest.mark.parametrize("make, sizes", [(diamond_chain_doc, (5, 50, 500, 3333)), (ring_chain_doc, (3, 30, 300, 2500))])
+def test_one_rail_check_builds_no_heap(make, sizes, monkeypatch):
+    # P<=0 stops after the first rail: the stream gives the first item of
+    # each state the initial state reaches, and only of those, and starts
+    # no state's heap.
+    made = []
+
+    class Recorded(search._SuffixStreams):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_SuffixStreams", Recorded)
+    rng = np.random.default_rng(1515)
+    for size in sizes:
+        red, psi = reduce_to_psi(parse_model(json.dumps(make(rng, size))))
+        out = most_indicative(red, PropertySpec("<=", 0.0, Atom("psi")), psi)
+        assert out.verdict == "violated" and len(out.witnesses) == 1
+        streams = made.pop()
+        reached, live = _reached_live(red.chain, psi)
+        assert [len(items) for items in streams.items] == [
+            int(u in psi or u in live) for u in range(red.chain.num_states)]
+        assert all(heap is None for u, heap in enumerate(streams.heaps) if u not in psi)
+        assert all(streams.seen[u] for u in reached)
+
+
+def test_first_items_are_the_least_suffixes(mc_corpus, dag_corpus):
+    # Each reached state's first item is the least `_exact_key` of all
+    # its suffixes; a state that reaches no target has none.
+    def check(red, psi):
+        streams = search._SuffixStreams(red.chain, psi)
+        streams.item(red.chain.initial, 0)
+        reached, _ = _reached_live(red.chain, psi)
+        for u in reached - set(psi):
+            keyed = [_exact_key(red.chain, path) for path in _all_rails(red.chain, psi, u)]
+            if keyed:
+                key, m, e = min(keyed)
+                assert list(streams.items[u]) == [(m, -e, key[0][2], 0)]
+            else:
+                assert not streams.items[u]
+
+    for _, psi, red, _ in mc_corpus[:40] + dag_corpus:
+        check(red, psi)
+    rng = np.random.default_rng(1616)
+    for rings in (2, 3, 5):
+        check(*reduce_to_psi(parse_model(json.dumps(ring_chain_doc(rng, rings)))))
+    for spread in (None, 0, 10):
+        for levels in (1, 3, 8):
+            check(*reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, spread)))))
+
+
+@pytest.mark.parametrize("levels, spread", [(1100, 0), (1100, 10), (2000, None)])
+def test_first_items_below_the_float_range(levels, spread):
+    # A diamond of 1100 levels has 2**1100 rails, and its masses fall
+    # below the float range, as those of 2000 unfair levels do. Rounding
+    # is monotone, so a state's least suffix is its step to some
+    # successor followed by that successor's least suffix: from the
+    # target back, each state's least key is the least of `_exact_key`'s
+    # step onto each successor's.
+    rng = np.random.default_rng(1717)
+    red, psi = reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, spread))))
+    chain = red.chain
+    streams = search._SuffixStreams(chain, psi)
+    streams.item(chain.initial, 0)
+    reached, _ = _reached_live(chain, psi)
+    succ = _successors(chain)
+    least = {u: (0.5, 1) for u in psi}  # per state, its least suffix's mass as (m, e)
+    for u in TopologicalSorter({u: [] if u in psi else succ[u] for u in reached}).static_order():
+        if u not in psi:
+            steps = []
+            for t, p in mc_row(chain, u):
+                pm, pe = math.frexp(p)
+                m, k = math.frexp(pm * least[t][0])
+                e = least[t][1] + pe + k
+                steps.append(((-e, -m, t), m, e))
+            (_, _, t), m, e = min(steps)
+            least[u] = (m, e)
+            assert list(streams.items[u]) == [(m, -e, t, 0)]
+    assert least[chain.initial][1] < -1021
