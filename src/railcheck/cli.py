@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, List, Optional, Tuple
 
 from .model import ROW_SUM_TOL, Model, ModelError, is_markov_chain, names_of_path, parse_model
-from .numerics import SingularMatrixError, max_reach
+from .numerics import SingularMatrixError
 from .oracle import (
     OracleLimitError,
     RNG_ALGORITHM,
@@ -67,8 +67,7 @@ def run_check(
     try:
         tick = time.perf_counter()
         with open(model_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        m = parse_model(text, tol=tolerance)
+            m = parse_model(fh.read(), tol=tolerance)  # the text is freed once parsed
         spec = parse_property(prop_text)
         timings["parse"] = time.perf_counter() - tick
 
@@ -80,20 +79,20 @@ def run_check(
         if is_mc:
             mc_psi = make_absorbing(m, psi)
         else:  # policy iteration reduces every chain it evaluates
-            sched, red, values = extract_max_scheduler(m, psi)
+            sched, red, _ = extract_max_scheduler(m, psi)
         timings["pre-processing"] = time.perf_counter() - tick
 
         stage = "scc-analysis"
         tick = time.perf_counter()
         if is_mc:
             red = acyclic_reduce(mc_psi)
-            values = max_reach(red, psi)
-        max_prob = float(values[m.initial])
         timings["scc-analysis"] = time.perf_counter() - tick
 
         stage = "searching"
         tick = time.perf_counter()
+        # the search's first pass sums max_prob off the reduction it explains
         outcome = most_indicative(red, spec, psi, max_witnesses=max_witnesses)
+        max_prob = outcome.max_prob
         timings["searching"] = time.perf_counter() - tick
 
         verification = None

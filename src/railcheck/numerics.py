@@ -102,7 +102,10 @@ def prob0_states(m: Model, target: Iterable[int]) -> Set[int]:
 
 def max_reach(red: "AcyclicReduction", target: Iterable[int]) -> np.ndarray:
     """Probability of reaching the target from every state of the chain
-    that `red` reduces, whose target states are absorbing.
+    that `red` reduces, whose target states are absorbing: policy
+    iteration's evaluation of a policy. (A check reads the initial
+    state's value off the rail search's first pass, which sums the kept
+    states' rows the same way.)
 
     One backward pass over the components in reverse topological order
     (ascending `rank`): a target is 1, and every other kept state sums its

@@ -15,9 +15,10 @@ the successor item's. In the normal float range that has the bits of the
 float product, and below it nothing underflows. Exponents are stored
 negated: masses are at most 1, so nearly all are small ints that CPython
 shares. A state that cannot reach the target has an empty stream and
-never enters a heap, so no separate liveness pass is needed. Work is one
-pass over the states the initial state reaches, then proportional to the
-rails consumed.
+never enters a heap, so no separate liveness pass is needed. The first
+pass also sums each state's value, its probability of reaching the
+target. Work is one pass over the states the initial state reaches, then
+proportional to the rails consumed.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -44,12 +46,14 @@ class _SuffixStreams:
     """Per state, the paths to the first target hit, heaviest first, in
     the two phases of the recursive enumeration algorithm.
 
-    `items`, `heaps` and `waiting` are lists indexed by state. Phase 1
-    gives a state its first item: one depth-first pass from the requested
-    state over the flat rows in which each state, once its edges are
-    done, takes the least key (-e, -m, successor) over its successors'
-    first items, each multiplied by the step to that successor. A state
-    the pass leaves without an item cannot reach the target. Until its
+    `items`, `heaps`, `waiting` and `value` are lists indexed by state.
+    Phase 1 gives a state its first item and its value: one depth-first
+    pass from the requested state over the flat rows in which each state,
+    once its edges are done, takes the least key (-e, -m, successor) over
+    its successors' first items, each multiplied by the step to that
+    successor, and sums its row times its successors' values, the
+    probabilities of reaching the target. A state the pass leaves without
+    an item cannot reach the target, and its value stays 0. Until its
     second request a state's stream is a tuple of that one item: a tuple
     of numbers leaves the cyclic collector's lists, so the pass adds
     nothing for a full collection to walk. Phase 2 starts at the second
@@ -73,6 +77,8 @@ class _SuffixStreams:
         self.pm: List[float] = pm.tolist()
         self.npe: List[int] = (-pe).tolist()
         self.at: List[int] = rows.entry_at.tolist()
+        self.prob: List[float] = rows.prob.tolist()
+        self.value: List[float] = [0.0] * n  # set by phase 1, 0 where it leaves no item
         self.items: List[Sequence[tuple]] = [()] * n
         self.heaps: List[Optional[list]] = [None] * n
         self.waiting: List[Optional[List[Tuple[int, int, float, int]]]] = [None] * n
@@ -80,15 +86,19 @@ class _SuffixStreams:
         for u in targets:
             self.items[u] = ((0.5, -1, None, 0),)
             self.heaps[u], self.waiting[u], self.seen[u] = [], [], 1
+            self.value[u] = 1.0
 
     def _first_items(self, u: int) -> None:
-        """Phase 1: the first item of every state u reaches that phase 1
-        has not passed yet. Each state folds its successors' first items
-        into the least key in edge order, descending into a successor
-        not passed yet; a stack of the states it descended from, each
-        with its next edge and least key so far, keeps the DAG's depth
-        off the call stack."""
+        """Phase 1: the first item and the value of every state u reaches
+        that phase 1 has not passed yet. Each state folds its successors'
+        first items into the least key in edge order, descending into a
+        successor not passed yet; a stack of the states it descended
+        from, each with its next edge and least key so far, keeps the
+        DAG's depth off the call stack. A state that takes an item then
+        sums its row times its successors' values, as `max_reach` does."""
         items, seen, succ, pms, npes, at = self.items, self.seen, self.succ, self.pm, self.npe, self.at
+        prob, value, fsum = self.prob, self.value, math.fsum
+        value_at = value.__getitem__
         seen[u] = 1
         stack = []
         v, k, bm, bne, bt = u, at[u], 0.0, 0, None
@@ -117,6 +127,10 @@ class _SuffixStreams:
             else:  # every successor is folded in
                 if bt is not None:
                     items[v] = ((bm, bne, bt, 0),)
+                    # max_reach's sum and cap; v's own self loop reads its value as 0
+                    a = at[v]
+                    x = fsum(map(mul, prob[a:end], map(value_at, succ[a:end])))
+                    value[v] = x if x <= 1.0 else 1.0
                 if not stack:
                     return
                 v, k, bm, bne, bt = stack.pop()
@@ -147,6 +161,13 @@ class _SuffixStreams:
         heapq.heapify(heap)
         self.heaps[v] = heap
         return heap
+
+    def value_of(self, u: int) -> float:
+        """The probability of reaching the target from u, capped at 1:
+        phase 1 runs from u unless it has passed u."""
+        if not self.seen[u]:
+            self._first_items(u)
+        return self.value[u]
 
     def item(self, u: int, i: int) -> Optional[tuple]:
         """Item i of u, None if u has fewer; u has at least i items."""
@@ -193,7 +214,7 @@ class _SuffixStreams:
 
 
 def ranked_rails(
-    red: AcyclicReduction, targets: Iterable[int]
+    red: AcyclicReduction, targets: Iterable[int], *, _streams: Optional[_SuffixStreams] = None
 ) -> Iterator[Tuple[FinitePath, float, int]]:
     """Rails from the initial state to the first target hit, heaviest
     first, as (rail, mass, exp): the rail's mass is mass·2**exp, with exp
@@ -206,9 +227,12 @@ def ranked_rails(
 
     The stream of a state that cannot reach the target is empty, whether
     it is absorbing or leads into a dead region, so the rails are the
-    same with or without the probability-zero states made absorbing."""
+    same with or without the probability-zero states made absorbing.
+
+    `_streams`, streams of red's chain and targets that no rail has been
+    read from, saves building them again."""
     s0 = red.chain.initial
-    streams = _SuffixStreams(red.chain, set(targets))
+    streams = _SuffixStreams(red.chain, set(targets)) if _streams is None else _streams
     items = streams.items
     for i in itertools.count():
         item = streams.item(s0, i)
@@ -226,6 +250,7 @@ class TorrentCounterexample:
     witnesses: List[Witness]
     total_mass: float
     verdict: str  # "violated" or "holds"
+    max_prob: float  # the probability of reaching the target, capped at 1
     total_mass_exp: int = 0  # the total is total_mass·2**total_mass_exp
 
 
@@ -256,16 +281,22 @@ def most_indicative(
     clamped below 2**1024 units, far beyond any sum of rails, they cannot
     overflow.
 
+    max_prob is the initial state's value, summed by the first pass of
+    the rail stream, which runs even if the bound breaks at no rail.
+
     Only rails through a nontrivial component's input before their last
     state need `representant`; any other rail is its own representant,
     and its mass is the same right-to-left product of the same rows.
     """
+    targets = set(targets)
+    streams = _SuffixStreams(red.chain, targets)
+    max_prob = streams.value_of(red.chain.initial)
     found: List[Tuple[FinitePath, float, int]] = []
     partials: List[float] = []
     total, scale = 0.0, 0
     violated = _violated(spec, total, spec.threshold)
     if not violated:
-        for rail, mass, exp in ranked_rails(red, targets):
+        for rail, mass, exp in ranked_rails(red, targets, _streams=streams):
             if max_witnesses is not None and len(found) >= max_witnesses:
                 raise SearchLimitError(
                     f"bound still undecided after {max_witnesses} witnesses"
@@ -291,6 +322,7 @@ def most_indicative(
             if _violated(spec, total, limit):
                 violated = True
                 break
+    del streams  # the stream is done with: free it before the witnesses
     # the reduced chain copies every other kept row from the source chain
     entries = {s for info in red.sccs if info.nontrivial for s in info.inputs}
     witnesses = [
@@ -302,4 +334,4 @@ def most_indicative(
     m, e = math.frexp(total)
     total, total_exp = split_mass(m, e + scale)
     verdict = "violated" if violated else "holds"
-    return TorrentCounterexample(witnesses, total, verdict, total_exp)
+    return TorrentCounterexample(witnesses, total, verdict, max_prob, total_exp)

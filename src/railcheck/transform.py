@@ -6,8 +6,9 @@ its members' escape probabilities to its outputs (components of one
 shape in one stacked state reduction), then rebuild the chain
 keeping only states outside nontrivial components plus component inputs.
 The result has no cycles apart from Dirac self loops on absorbing states,
-and reachability probabilities from the initial state are preserved;
-`numerics.max_reach` reads every state's probability off it.
+and reachability probabilities from the initial state are preserved: the
+rail search's first pass sums them over the states the initial state
+reaches, and policy iteration's `numerics.max_reach` over every state.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import diamond_chain_doc, load_model, ring_chain_doc
-from railcheck import cli, search
+from conftest import corpus_docs, diamond_chain_doc, load_model, ring_chain_doc
+from railcheck import cli, numerics, scheduling, search
 from railcheck.cli import main, render_report, run_check
 from railcheck.model import is_markov_chain
 from railcheck.numerics import SingularMatrixError
@@ -200,8 +200,8 @@ def test_sampling_check_passes_many_rails(tmp_path):
 def test_sampling_check_fails_a_mass_ten_percent_off(m0_path, monkeypatch):
     real = search.ranked_rails
 
-    def skewed(red, psi):
-        for i, (rail, mass, exp) in enumerate(real(red, psi)):
+    def skewed(red, psi, **streams):
+        for i, (rail, mass, exp) in enumerate(real(red, psi, **streams)):
             yield rail, mass * 1.1 if i == 0 else mass, exp
 
     monkeypatch.setattr(search, "ranked_rails", skewed)
@@ -223,6 +223,47 @@ def test_verify_samples_only_the_witnesses(tmp_path):
     assert len(v["sampling"]["rails"]) == len(report["witnesses"]) == 1
     (w,), (checked,) = report["witnesses"], v["sampling"]["rails"]
     assert (checked["rail"], checked["mass"]) == (w["rail"], w["mass"])
+
+
+def test_a_check_evaluates_each_reduction_once(tmp_path, monkeypatch):
+    # A chain's max_prob comes from the search's first pass: no max_reach
+    # call and one rail stream, with or without --verify. Policy iteration
+    # evaluates every policy it tries with max_reach, once per round, and
+    # reduces once per round.
+    calls = {"max_reach": 0, "rounds": 0, "streams": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    class Counted(search._SuffixStreams):
+        def __init__(self, *args):
+            super().__init__(*args)
+            calls["streams"] += 1
+
+    monkeypatch.setattr(numerics, "max_reach", counted("max_reach", numerics.max_reach))
+    monkeypatch.setattr(scheduling, "max_reach", counted("max_reach", scheduling.max_reach))
+    monkeypatch.setattr(scheduling, "acyclic_reduce", counted("rounds", scheduling.acyclic_reduce))
+    monkeypatch.setattr(search, "_SuffixStreams", Counted)
+    rng = np.random.default_rng(2121)
+    docs = [ring_chain_doc(rng, 5), diamond_chain_doc(rng, 6)] + corpus_docs()[200:230]
+    kinds, rounds = set(), set()
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps(doc))
+        for prop, verify in (("P<=0.3 [ F psi ]", False), ("P<0 [ F psi ]", False), ("P<1 [ F psi ]", i < 8)):
+            calls.update(dict.fromkeys(calls, 0))
+            code, report = _run(path, prop, verify=verify)
+            assert code in (0, 1) and calls["streams"] == 1
+            kinds.add(report["model"]["kind"])
+            if report["model"]["kind"] == "mc":
+                assert calls["max_reach"] == calls["rounds"] == 0
+            else:
+                assert calls["max_reach"] == calls["rounds"] > 0
+                rounds.add(calls["rounds"])
+    assert kinds == {"mc", "mdp"} and max(rounds) > 1
 
 
 def test_timings_only_on_request(m0_path):

@@ -8,10 +8,12 @@ import pytest
 
 from conftest import diamond_chain_doc, reduce_to_psi, ring_chain_doc
 from railcheck import search
-from railcheck.model import cylinder_prob, mc_row, parse_model
+from railcheck.model import cylinder_prob, mc_row, parse_model, successors
+from railcheck.numerics import max_reach
 from railcheck.oracle import enumerate_freach
 from railcheck.props import Atom, PropertySpec, parse_property, sat_states
 from railcheck.rails import rail_mass, representant
+from railcheck.scheduling import extract_max_scheduler
 from railcheck.search import SearchLimitError, most_indicative, ranked_rails
 from railcheck.transform import acyclic_reduce, make_absorbing
 
@@ -134,6 +136,33 @@ def test_strict_zero_bound_is_trivially_violated(m0):
     assert out.verdict == "violated"
     assert out.witnesses == []
     assert out.total_mass == 0.0
+
+
+def test_max_prob_is_max_reach_bit_for_bit(mc_corpus, dag_corpus, mdp_corpus):
+    # The stream's first pass sums each state's value as max_reach does,
+    # over rows that reach only kept states, so the initial state's value
+    # keeps its bits; P<0 breaks the bound before any rail is taken.
+    cases = [(red, psi) for _, psi, red, _ in mc_corpus + dag_corpus]
+    for m in mdp_corpus:  # the reduction policy iteration ends on
+        psi = sat_states(m, Atom("psi"))
+        cases.append((extract_max_scheduler(m, psi)[1], psi))
+    for m, psi, _, _ in mc_corpus[:60] + dag_corpus:
+        reached, stack = {m.initial}, [m.initial]
+        while stack:
+            for t in successors(m, stack.pop()) - reached:
+                reached.add(t)
+                stack.append(t)
+        # the initial state in the target; dead, with or without a target
+        for target in (psi | {m.initial}, set(range(m.num_states)) - reached, set()):
+            cases.append((acyclic_reduce(make_absorbing(m, target)), target))
+    seen = set()
+    for red, psi in cases:
+        want = max_reach(red, psi)[red.chain.initial]
+        seen.add(float(want) if want in (0.0, 1.0) else None)
+        for bound, threshold in (("<", 0.0), ("<=", 0.5), ("<=", 1.0)):
+            out = most_indicative(red, PropertySpec(bound, threshold, Atom("psi")), psi)
+            assert out.max_prob.hex() == float(want).hex()
+    assert seen == {0.0, 1.0, None}
 
 
 def test_strict_versus_weak_at_the_boundary(m0):
