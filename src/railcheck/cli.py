@@ -8,11 +8,14 @@ pipeline stage they happened in.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 import time
+from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import is_, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .model import ROW_SUM_TOL, Model, ModelError, is_markov_chain, names_of_path, parse_model
@@ -121,19 +124,21 @@ def run_check(
     }
     if sched is not None:
         report["scheduler"] = {m.names[s]: k for s, k in enumerate(sched.choice)}
-    report["witnesses"] = []
-    for w in outcome.witnesses:
-        rail = names_of_path(m, w.rail)
-        entry = {"rail": rail, "mass": w.mass}
-        if w.mass_exp:  # only below the normal float range
-            entry["mass_exp"] = w.mass_exp
-        # a rail that is its own representant shares its name list
-        entry["representant"] = (
-            rail if w.representant is w.rail else names_of_path(m, w.representant))
-        entry["representant_prob"] = w.representant_prob
-        if w.representant_prob_exp:
-            entry["representant_prob_exp"] = w.representant_prob_exp
-        report["witnesses"].append(entry)
+    name = m.names.__getitem__
+    # only masses below the normal float range carry an exponent, and a
+    # rail that is its own representant shares its name list
+    report["witnesses"] = [
+        {
+            "rail": names,
+            "mass": mass,
+            **({"mass_exp": mass_exp} if mass_exp else {}),
+            "representant": names if rep is rail else list(map(name, rep)),
+            "representant_prob": prob,
+            **({"representant_prob_exp": prob_exp} if prob_exp else {}),
+        }
+        for rail, mass, mass_exp, rep, prob, prob_exp in outcome.witnesses
+        for names in [list(map(name, rail))]
+    ]
     report["total_mass"] = outcome.total_mass
     if outcome.total_mass_exp:
         report["total_mass_exp"] = outcome.total_mass_exp
@@ -259,33 +264,111 @@ def _json(value, indent: str = "") -> str:
     """`json.dumps(value, indent=2)` for a value nested at `indent`, with
     string dict keys. With an indent, `json.dumps` runs its pure-Python
     encoder; this one hands strings to the C string encoder and finite
-    floats to `float.__repr__`, exactly as that encoder does."""
+    floats to `float.__repr__`, exactly as that encoder does, and writes
+    lists by `_lists` and dicts by `_dicts`."""
     if isinstance(value, str):
         return _encode_str(value)
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return _lists([value], indent)[0]
+    if isinstance(value, dict):
+        return _dicts([value], indent)[0]
+    return json.dumps(value)
+
+
+def _column(values: list, indent: str) -> List[str]:
+    """`_json` of each value: values of one type at once, strings, finite
+    floats and ints each in one C-level pass, lists as one column of all
+    their items a level deeper, dicts key by key in `_rows`."""
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return [_json(v, indent) for v in values]
+    (kind,) = kinds
+    if issubclass(kind, str):
+        return list(map(_encode_str, values))
+    if kind is float and math.isfinite(sum(values)):  # else some value is NaN or infinite
+        return list(map(float.__repr__, values))
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if issubclass(kind, (list, tuple)):
+        return _lists(values, indent)
+    if issubclass(kind, dict):
+        return _dicts(values, indent)
+    return list(map(_json, values))  # bools, None, NaN or infinite floats, subclasses
+
+
+def _lists(values: list, indent: str) -> List[str]:
+    """Lists and tuples, each item a level deeper than the list."""
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        written: Dict[int, str] = {}  # a value held under two keys is written once
-        items = []
-        for k, v in value.items():
-            text = written.get(id(v))
-            if text is None:
-                text = written[id(v)] = _json(v, inner)
-            items.append(f"{_encode_str(k)}: {text}")
-        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        try:  # a list of strings, such as a path, in one pass
-            body = sep.join(map(_encode_str, value))
-        except TypeError:
-            body = sep.join([_json(x, inner) for x in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    return json.dumps(value)
+    bodies = None
+    if isinstance(next(filter(None, values), [None])[0], str):
+        try:  # lists of strings, such as paths, one C-level pass each
+            bodies = list(map(sep.join, map(partial(map, _encode_str), values)))
+        except TypeError:  # not all of them
+            pass
+    if bodies is None:
+        texts = iter(_column(list(itertools.chain.from_iterable(values)), inner))
+        bodies = [sep.join(itertools.islice(texts, len(v))) for v in values]
+    out = list(map(f"[\n{inner}%s\n{indent}]".__mod__, bodies))
+    if not all(values):
+        out = [text if v else "[]" for text, v in zip(out, values)]
+    return out
+
+
+def _dicts(values: list, indent: str) -> List[str]:
+    """Dicts as tables: the rows with the same keys in the same order are
+    written together by `_rows`, a lone dict as a table of one row."""
+    if type(values[0]) is not dict:  # json.dumps writes a subclass's items()
+        values = [dict(v.items()) for v in values]
+    keys = list(map(tuple, values))
+    if keys.count(keys[0]) == len(keys):
+        return _rows(keys[0], values, indent)
+    tables: Dict[tuple, List[int]] = {}
+    for i, k in enumerate(keys):
+        tables.setdefault(k, []).append(i)
+    out = [""] * len(values)
+    for k, at in tables.items():
+        for i, text in zip(at, _rows(k, [values[i] for i in at], indent)):
+            out[i] = text
+    return out
+
+
+def _rows(keys: tuple, rows: List[dict], indent: str) -> List[str]:
+    """Dicts that all have these keys, in this order, filled into one
+    template: a lone dict's values as one column, else one column per
+    key, where a value that sits under an earlier key of the same row,
+    the last one whose values have the same types, takes that key's text."""
+    if not keys:
+        return ["{}"] * len(rows)
+    inner = indent + "  "
+    # the string encoder escapes NUL, so NUL can stand between the keys
+    names = "\0".join(map(_encode_str, keys)).replace("%", "%%").replace("\0", f": %s,\n{inner}")
+    template = f"{{\n{inner}{names}: %s\n{indent}}}"
+    if len(rows) == 1:
+        return [template % tuple(_column(list(rows[0].values()), inner))]
+    texts: List[List[str]] = []
+    last: Dict[frozenset, Tuple[list, List[str]]] = {}  # per set of types, a column and its texts
+    for k in keys:
+        column = list(map(itemgetter(k), rows))
+        kinds = frozenset(map(type, column))
+        earlier = last.get(kinds)
+        same = list(map(is_, column, earlier[0])) if earlier else []
+        if not any(same):
+            text = _column(column, inner)
+        elif all(same):
+            text = earlier[1]
+        else:
+            rest = iter(_column([v for v, s in zip(column, same) if not s], inner))
+            text = [t if s else next(rest) for t, s in zip(earlier[1], same)]
+        last[kinds] = column, text
+        texts.append(text)
+    return list(map(template.__mod__, zip(*texts)))
 
 
 def render_report(report: Dict, fmt: str = "text") -> str:

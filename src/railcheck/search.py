@@ -8,17 +8,18 @@ initial state reaches its first item; a state's heap of candidates is
 built on its second request. The streams are lists indexed by state. An
 item is (m, -e, successor, successor's item index), the successor None at
 a target, and costs one request: a request names only a state, as it
-always wants that state's next item. A rail costs its length once, as it
-leaves the stream. Its mass m·2**e, m in [0.5, 1), is the product of the
-steps right to left: a step multiplies its probability's mantissa into
-the successor item's. In the normal float range that has the bits of the
-float product, and below it nothing underflows. Exponents are stored
-negated: masses are at most 1, so nearly all are small ints that CPython
-shares. A state that cannot reach the target has an empty stream and
-never enters a heap, so no separate liveness pass is needed. The first
-pass also sums each state's value, its probability of reaching the
-target. Work is one pass over the states the initial state reaches, then
-proportional to the rails consumed.
+always wants that state's next item, and a state holds at most one
+follow-up, the successor item to push before its next pop. A rail costs
+its length once, as it leaves the stream. Its mass m·2**e, m in [0.5, 1),
+is the product of the steps right to left: a step multiplies its
+probability's mantissa into the successor item's. In the normal float
+range that has the bits of the float product, and below it nothing
+underflows. Exponents are stored negated: masses are at most 1, so nearly
+all are small ints that CPython shares. A state that cannot reach the
+target has an empty stream and never enters a heap, so no separate
+liveness pass is needed. The first pass also sums each state's value, its
+probability of reaching the target. Work is one pass over the states the
+initial state reaches, then proportional to the rails consumed.
 """
 
 from __future__ import annotations
@@ -59,11 +60,14 @@ class _SuffixStreams:
     nothing for a full collection to walk. Phase 2 starts at the second
     request: the stream becomes a list, the heap (None until then) holds
     the first candidates of the state's other successors, and `waiting`
-    the follow-up of the one it took. From then on `waiting` holds, last
-    first, the successor items to push before the next pop: the follow-up
-    of the item just popped. A heap holds one candidate per successor, so
-    the successor settles equal masses. A request names just a state, as
-    a stream is only asked for its next item, and is done once that item
+    the follow-up of the one it took. `waiting` is one slot per state:
+    None, or the follow-up of the item last popped as (successor, index
+    of its next item, the step's mantissa and negated exponent). A pop
+    fills the slot; the state's next request pushes that item onto the
+    heap, or empties the slot if the successor's stream is exhausted,
+    before it pops. A heap holds one candidate per successor, so the
+    successor settles equal masses. A request names just a state, as a
+    stream is only asked for its next item, and is done once that item
     is appended: the follow-up it leaves in `waiting` waits for the
     state's next request instead of resolving down the DAG.
     """
@@ -81,11 +85,11 @@ class _SuffixStreams:
         self.value: List[float] = [0.0] * n  # set by phase 1, 0 where it leaves no item
         self.items: List[Sequence[tuple]] = [()] * n
         self.heaps: List[Optional[list]] = [None] * n
-        self.waiting: List[Optional[List[Tuple[int, int, float, int]]]] = [None] * n
+        self.waiting: List[Optional[Tuple[int, int, float, int]]] = [None] * n
         self.seen = bytearray(n)  # states phase 1 has passed
         for u in targets:
             self.items[u] = ((0.5, -1, None, 0),)
-            self.heaps[u], self.waiting[u], self.seen[u] = [], [], 1
+            self.heaps[u], self.seen[u] = [], 1
             self.value[u] = 1.0
 
     def _first_items(self, u: int) -> None:
@@ -149,7 +153,7 @@ class _SuffixStreams:
                 continue
             pm, npe = pms[k], npes[k]
             if t == took:
-                self.waiting[v] = [(t, 1, pm, npe)]
+                self.waiting[v] = (t, 1, pm, npe)
                 continue
             m, ne, _, _ = t_items[0]
             m *= pm
@@ -181,35 +185,39 @@ class _SuffixStreams:
             return items[u][0] if items[u] else None
         # A stack of states, each waiting for the next item of the one
         # above it, keeps the DAG's depth off the call stack.
+        pushpop, pop = heapq.heappushpop, heapq.heappop
         requests = [u]
         while requests:
             v = requests[-1]
             heap = heaps[v]
             if heap is None:
                 heap = self._start_heap(v)
-            v_waiting = waiting[v]
-            while v_waiting:
-                t, j, pm, npe = v_waiting[-1]
+            w = waiting[v]
+            if w is not None:
+                t, j, pm, npe = w
                 t_items = items[t]
-                if j == len(t_items):  # the successor's next item
-                    if heaps[t] is None or heaps[t] or waiting[t]:
-                        requests.append(t)
-                        break
-                    v_waiting.pop()  # t's stream is exhausted
-                    continue
-                v_waiting.pop()
-                nxt = t_items[j]
-                m, ne = pm * nxt[0], npe + nxt[1]
-                if m < 0.5:  # exact: the product of two mantissas is at least 1/4
-                    m += m
-                    ne += 1
-                heapq.heappush(heap, (ne, -m, t, j, pm, npe))
-            else:
-                requests.pop()
-                if heap:
-                    ne, m, t, j, pm, npe = heapq.heappop(heap)
+                if j < len(t_items):  # push the follow-up and pop at once
+                    requests.pop()
+                    m, ne, _, _ = t_items[j]
+                    m *= pm
+                    ne += npe
+                    if m < 0.5:  # exact: the product of two mantissas is at least 1/4
+                        m += m
+                        ne += 1
+                    # keys differ in the successor, so pops come in one order
+                    ne, m, t, j, pm, npe = pushpop(heap, (ne, -m, t, j, pm, npe))
                     items[v].append((-m, ne, t, j))
-                    v_waiting.append((t, j + 1, pm, npe))
+                    waiting[v] = (t, j + 1, pm, npe)
+                    continue
+                if heaps[t] is None or heaps[t] or waiting[t] is not None:
+                    requests.append(t)  # the successor's next item first
+                    continue
+                waiting[v] = None  # t's stream is exhausted
+            requests.pop()
+            if heap:
+                ne, m, t, j, pm, npe = pop(heap)
+                items[v].append((-m, ne, t, j))
+                waiting[v] = (t, j + 1, pm, npe)
         return items[u][i] if i < len(items[u]) else None
 
 
@@ -323,14 +331,19 @@ def most_indicative(
                 violated = True
                 break
     del streams  # the stream is done with: free it before the witnesses
-    # the reduced chain copies every other kept row from the source chain
-    entries = {s for info in red.sccs if info.nontrivial for s in info.inputs}
-    witnesses = [
-        Witness(rail, mass, exp, rail, mass, exp)
-        if entries.isdisjoint(rail[:-1])
-        else Witness(rail, mass, exp, *representant(red, rail))
-        for rail, mass, exp in found
-    ]
+    # the reduced chain copies every other kept row from the source chain;
+    # a component that has no outputs keeps its inputs absorbing, so they
+    # end a rail if they lie on one
+    entries = {s for info in red.sccs if info.nontrivial and info.outputs for s in info.inputs}
+    if not entries:
+        witnesses = [Witness(*item, *item) for item in found]  # every rail is its own representant
+    else:
+        witnesses = [
+            Witness(rail, mass, exp, rail, mass, exp)
+            if entries.isdisjoint(rail[:-1])
+            else Witness(rail, mass, exp, *representant(red, rail))
+            for rail, mass, exp in found
+        ]
     m, e = math.frexp(total)
     total, total_exp = split_mass(m, e + scale)
     verdict = "violated" if violated else "holds"

@@ -440,6 +440,70 @@ def test_json_writer_matches_json_dumps_on_generated_values():
     assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
 
 
+class _Float(float):
+    pass
+
+
+# keys the row template must escape or the string encoder must write
+_KEYS = ["%", "%s", "%%(x)d", 'say "hi"', "back\\slash", "caf\u00e9", "astral \U0001d11e", "lone \ud800", ""]
+# what a float column may hold besides finite floats
+_NOT_FINITE = [float("nan"), float("inf"), float("-inf"), _Float(0.1), _Float("-inf"), 0, -3, True, False, None]
+
+
+def _table(rng, size):
+    """`size` dicts with the same keys, as witness lists have them: a list
+    of names under one key and, in some rows only, under a second; floats
+    with some NaN, infinity, subclass, int, bool or None among them;
+    empty lists and dicts; and one row with its keys in another order."""
+    keys = [_KEYS[int(i)] for i in rng.permutation(len(_KEYS))[: int(rng.integers(3, 7))]]
+    empty = ([], {}, (), {"": []}, [{}])
+    floats = [float(x) for x in rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)]
+    for i in rng.integers(size, size=int(rng.integers(0, 3))):
+        floats[i] = _NOT_FINITE[int(rng.integers(len(_NOT_FINITE)))]
+    rows = []
+    for r in range(size):
+        names = [_STRINGS[int(i)] for i in rng.integers(len(_STRINGS), size=int(rng.integers(0, 6)))]
+        values = [
+            names,
+            floats[r],
+            names if rng.random() < 0.7 else list(names),  # the same list object in some rows only
+            floats[r] if rng.random() < 0.7 else float(r),
+            empty[int(rng.integers(len(empty)))],
+            _random_json(rng, 3),
+        ]
+        rows.append(dict(zip(keys, values)))
+    if size > 1 and rng.random() < 0.5:
+        r = int(rng.integers(size))
+        rows[r] = dict(reversed(list(rows[r].items())))
+    return rows
+
+
+def test_json_writer_matches_json_dumps_on_tables():
+    # lists of same-keyed dicts, which the writer writes key by key
+    rng = np.random.default_rng(5050)
+    for _ in range(200):
+        rows = _table(rng, int(rng.integers(1, 30)))
+        for value in ({"witnesses": rows}, {"a": [rows, {"b": rows[:1]}]}, rows[0]):
+            assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
+    # the float column in full: every kind json.dumps writes apart
+    value = {"rows": [{"%s": x, "x": [x, x]} for x in _NOT_FINITE + [0.5, -0.0, 5e-324]]}
+    assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
+    # dict subclasses are written as their items() list them
+    od = OrderedDict(b=1, a=[0.5])
+    od.move_to_end("b")
+    for value in ({"rows": [od, OrderedDict(od)]}, {"rows": [od, {"a": [0.5], "b": 1}]}):
+        assert render_report(value, "json") == json.dumps(value, indent=2) + "\n"
+
+
+def test_json_writer_matches_json_dumps_on_many_witnesses(tmp_path):
+    # 2**14 rails of a layered DAG: P<=1 holds, so every rail is a witness
+    path = tmp_path / "dag.json"
+    path.write_text(json.dumps(_layered_dag_doc(np.random.default_rng(2), 14)))
+    code, report = _run(path, "P<=1 [ F goal ]", dump_scc=True)
+    assert code == 0 and len(report["witnesses"]) == 2 ** 14
+    assert render_report(report, "json") == json.dumps(report, indent=2) + "\n"
+
+
 def _model_doc(m):
     names = m.names
     return {

@@ -11,12 +11,14 @@ from railcheck.cli import run_check
 from railcheck.model import (
     ROW_SUM_TOL,
     ModelError,
+    cylinder_mass,
     cylinder_prob,
     dirac,
     is_markov_chain,
     mc_row,
     names_of_path,
     parse_model,
+    split_mass,
     successors,
 )
 
@@ -56,6 +58,55 @@ def test_cylinder_prob(m0, mdp2):
         cylinder_prob(m0, (0, 3))
     with pytest.raises(ModelError, match="Markov chains only"):
         cylinder_prob(mdp2, (0, 1))
+
+
+def _cylinder_reference(m, path):
+    """cylinder_mass one step at a time, right to left, each row read by
+    mc_row, which rejects a state with several distributions."""
+    frac, exp = 0.5, 1
+    for s, t in reversed(list(zip(path, path[1:]))):
+        p = dict(mc_row(m, s)).get(t, 0.0)
+        if not p > 0.0:
+            raise ModelError(f"no transition {m.names[s]} -> {m.names[t]}")
+        pm, pe = math.frexp(p)
+        frac, k = math.frexp(pm * frac)
+        exp += pe + k
+    return split_mass(frac, exp)
+
+
+def test_cylinder_mass_matches_a_step_by_step_reference(mc_corpus, mdp_corpus):
+    # random walks with a wrong step now and then, on chains and MDPs: the
+    # same mass, or the same error, the rightmost faulty step's
+    rng = np.random.default_rng(2121)
+    faults = Counter()
+    for m in [m for m, _, _, _ in mc_corpus[:50]] + mdp_corpus[:50]:
+        for _ in range(10):
+            path = [int(rng.integers(m.num_states))]
+            for _ in range(int(rng.integers(0, 8))):
+                if rng.random() < 0.15:
+                    path.append(int(rng.integers(m.num_states)))
+                else:
+                    dists = m.actions[path[-1]]
+                    targets = [t for t, _ in dists[int(rng.integers(len(dists)))]]
+                    path.append(targets[int(rng.integers(len(targets)))])
+            try:
+                want = _cylinder_reference(m, path)
+            except ModelError as err:
+                faults[str(err).split()[0]] += 1
+                with pytest.raises(ModelError) as got:
+                    cylinder_mass(m, tuple(path))
+                assert str(got.value) == str(err)
+            else:
+                assert cylinder_mass(m, tuple(path)) == want
+    assert faults["no"] > 0 and faults["state"] > 0
+    # both faults on one path: the rightmost raises
+    doc = {"states": ["a", "b", "c"], "initial": "a",
+           "transitions": {"a": [{"b": 1.0}], "b": [{"c": 1.0}, {"a": 1.0}], "c": [{"c": 1.0}]}}
+    m = parse_model(json.dumps(doc))
+    with pytest.raises(ModelError, match="no transition c -> a"):
+        cylinder_mass(m, (1, 2, 0))
+    with pytest.raises(ModelError, match="'b' has 2 distributions"):
+        cylinder_mass(m, (2, 1, 2))
 
 
 def test_path_name_round_trip(m0):

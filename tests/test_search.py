@@ -536,3 +536,54 @@ def test_first_items_below_the_float_range(levels, spread):
             least[u] = (m, e)
             assert list(streams.items[u]) == [(m, -e, t, 0)]
     assert least[chain.initial][1] < -1021
+
+
+def _rails_of(streams, u):
+    """The rails of u's items so far, in stream order, read off the items."""
+    rails = []
+    for _, _, t, j in streams.items[u]:
+        rail = [u]
+        while t is not None:
+            rail.append(t)
+            _, _, t, j = streams.items[t][j]
+        rails.append(tuple(rail))
+    return rails
+
+
+def _drain(streams, u):
+    i = 0
+    while streams.item(u, i) is not None:
+        i += 1
+
+
+def test_stream_items_do_not_depend_on_request_order(mc_corpus, dag_corpus):
+    # A request leaves the follow-up of its pop in the state's one slot,
+    # whoever asked. So inner states' items requested first, partly and in
+    # any interleaving, leave every stream as requests from the initial
+    # state alone do, and each state's stream is all its rails.
+    rng = np.random.default_rng(1818)
+
+    def check(red, psi):
+        chain, s0 = red.chain, red.chain.initial
+        fresh = search._SuffixStreams(chain, psi)
+        _drain(fresh, s0)
+        reached, live = _reached_live(chain, psi)
+        inner = sorted(live - {s0} - set(psi))
+        for _ in range(3):
+            streams = search._SuffixStreams(chain, psi)
+            asked = {u: 0 for u in inner}
+            for u in rng.choice(inner, size=4 * len(inner)) if inner else ():
+                if streams.item(int(u), asked[u]) is not None:
+                    asked[u] += 1
+            _drain(streams, s0)
+            assert _rails_of(streams, s0) == [rail for rail, _, _ in ranked_rails(red, psi)]
+            for u in rng.permutation(inner):
+                _drain(streams, int(u))
+            for u in reached:
+                assert list(streams.items[u]) == list(fresh.items[u])
+                assert sorted(_rails_of(streams, u)) == sorted(_all_rails(chain, psi, u))
+
+    for _, psi, red, _ in mc_corpus[:40] + dag_corpus:
+        check(red, psi)
+    for rings in (2, 3, 5):
+        check(*reduce_to_psi(parse_model(json.dumps(ring_chain_doc(rng, rings)))))
