@@ -265,7 +265,7 @@ def _json(value, indent: str = "") -> str:
     string dict keys. With an indent, `json.dumps` runs its pure-Python
     encoder; this one hands strings to the C string encoder and finite
     floats to `float.__repr__`, exactly as that encoder does, and writes
-    lists by `_lists` and dicts by `_dicts`."""
+    a list or dict as a column of one by `_column`."""
     if isinstance(value, str):
         return _encode_str(value)
     if isinstance(value, float) and math.isfinite(value):
@@ -274,10 +274,8 @@ def _json(value, indent: str = "") -> str:
         return int.__repr__(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
-    if isinstance(value, (list, tuple)):
-        return _lists([value], indent)[0]
-    if isinstance(value, dict):
-        return _dicts([value], indent)[0]
+    if isinstance(value, (list, tuple, dict)):
+        return _column([value], indent)[0]
     return json.dumps(value)
 
 

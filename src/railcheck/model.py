@@ -155,32 +155,22 @@ def cylinder_mass(m: Model, path: Sequence[int]) -> Tuple[float, int]:
     """Measure of the cone of all infinite extensions of a finite path,
     i.e. the product of one-step probabilities along it, right to left in
     mantissa and exponent as the rail stream takes it, so it is rounded
-    once and cannot underflow; returned as `split_mass` gives it. The
-    rows of the path's states are read in one gather and each step scans
-    its source's row, so the cost is the summed row length along the
-    path; a state on the path with several distributions is rejected, as
-    `mc_row` rejects it. The rightmost faulty step raises."""
+    once and cannot underflow; returned as `split_mass` gives it. Each
+    step scans its source's row in place, so the cost is the summed row
+    length along the path; a state on the path with several
+    distributions is rejected, as `mc_row` rejects it."""
     if not path:
         raise ModelError("empty path has no cylinder")
     rows = m.rows
-    src = np.array(path[:-1], dtype=np.int64)
-    first = rows.dist_at[src]  # each step's first distribution
-    counts = (rows.dist_at[src + 1] - first).tolist()
-    lo = rows.entry_at[first]
-    lens = rows.entry_at[first + 1] - lo
-    at = offsets(lens)
-    idx = ranges(lo, lens, at)
-    succ, prob, at = rows.succ[idx].tolist(), rows.prob[idx].tolist(), at.tolist()
     frac, exp = 0.5, 1
-    for k in range(len(src) - 1, -1, -1):
-        s, t = path[k], path[k + 1]
-        _require_one(m, s, counts[k])
-        a, b = at[k], at[k + 1]
-        for target, p in zip(succ[a:b], prob[a:b]):
+    for s, t in reversed(list(zip(path, path[1:]))):
+        d, e = rows.dist_at[s : s + 2].tolist()
+        _require_one(m, s, e - d)
+        for target, p in rows.row(d):
             if target == t and p > 0.0:
                 pm, pe = math.frexp(p)
-                frac, e = math.frexp(pm * frac)
-                exp += pe + e
+                frac, k = math.frexp(pm * frac)
+                exp += pe + k
                 break
         else:
             raise ModelError(f"no transition {m.names[s]} -> {m.names[t]}")

@@ -335,15 +335,12 @@ def most_indicative(
     # a component that has no outputs keeps its inputs absorbing, so they
     # end a rail if they lie on one
     entries = {s for info in red.sccs if info.nontrivial and info.outputs for s in info.inputs}
-    if not entries:
-        witnesses = [Witness(*item, *item) for item in found]  # every rail is its own representant
-    else:
-        witnesses = [
-            Witness(rail, mass, exp, rail, mass, exp)
-            if entries.isdisjoint(rail[:-1])
-            else Witness(rail, mass, exp, *representant(red, rail))
-            for rail, mass, exp in found
-        ]
+    witnesses = [
+        Witness(rail, mass, exp, rail, mass, exp)
+        if not entries or entries.isdisjoint(rail[:-1])
+        else Witness(rail, mass, exp, *representant(red, rail))
+        for rail, mass, exp in found
+    ]
     m, e = math.frexp(total)
     total, total_exp = split_mass(m, e + scale)
     verdict = "violated" if violated else "holds"
