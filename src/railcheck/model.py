@@ -19,7 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ ROW_SUM_TOL = 1e-9
 # target index, entries strictly positive, summing to 1 within tolerance.
 Distribution = Tuple[Tuple[int, float], ...]
 FinitePath = Tuple[int, ...]
+WeightedPath = Tuple[FinitePath, Tuple[float, ...]]  # a path and its step probabilities
 
 
 class ModelError(ValueError):
@@ -57,21 +58,26 @@ class Rows:
         bounds = self.entry_at[self.dist_at]  # each state's first entry, and the end
         return np.arange(len(bounds) - 1).repeat(bounds[1:] - bounds[:-1])
 
+    # The list form of each array, converted on its first read and kept
+    # with the rows, for the loops that walk rows entry by entry.
+    dist_list = cached_property(lambda self: self.dist_at.tolist())
+    entry_list = cached_property(lambda self: self.entry_at.tolist())
+    succ_list = cached_property(lambda self: self.succ.tolist())
+    prob_list = cached_property(lambda self: self.prob.tolist())
+
     def row(self, s: int) -> List[Tuple[int, float]]:
-        """Distribution s's entries as (target, probability) pairs; in a
-        chain, state s's row."""
-        a, b = self.entry_at[s : s + 2].tolist()
-        return list(zip(self.succ[a:b].tolist(), self.prob[a:b].tolist()))
+        """Distribution s's entries as (target, probability) pairs: in a chain, state s's row."""
+        a, b = self.entry_list[s : s + 2]
+        return list(zip(self.succ_list[a:b], self.prob_list[a:b]))
 
     def actions(self) -> Tuple[Tuple[Distribution, ...], ...]:
-        entries = list(zip(self.succ.tolist(), self.prob.tolist()))
+        entries = list(zip(self.succ_list, self.prob_list))
         singles = list(zip(entries))  # each entry as a distribution of its own
-        at = self.entry_at.tolist()
+        at = self.entry_list
         dists = [singles[a] if b - a == 1 else tuple(entries[a:b]) for a, b in zip(at, at[1:])]
         if self.num_dists == len(self.dist_at) - 1:  # a chain
             return tuple(zip(dists))
-        bounds = self.dist_at.tolist()
-        return tuple([tuple(dists[a:b]) for a, b in zip(bounds, bounds[1:])])
+        return tuple([tuple(dists[a:b]) for a, b in zip(self.dist_list, self.dist_list[1:])])
 
 
 def offsets(lens: np.ndarray) -> np.ndarray:
@@ -151,30 +157,38 @@ def split_mass(frac: float, exp: int) -> Tuple[float, int]:
     return (math.ldexp(frac, exp), 0) if exp > -1022 else (frac, exp)
 
 
+def step_prob(m: Model, s: int, t: int) -> float:
+    """The probability of the step from s to t, read off s's row; a state
+    with several distributions is rejected, as `mc_row` rejects it."""
+    rows, d = m.rows, s  # in a chain, distribution s is state s's row
+    if rows.num_dists != m.num_states:
+        d, e = rows.dist_list[s : s + 2]
+        _require_one(m, s, e - d)
+    for target, p in rows.row(d):
+        if target == t and p > 0.0:
+            return p
+    raise ModelError(f"no transition {m.names[s]} -> {m.names[t]}")
+
+
+def product_mass(probs: Iterable[float]) -> Tuple[float, int]:
+    """The product of a path's step probabilities, given and multiplied
+    right to left in mantissa and exponent, as the rail stream takes it,
+    so it is rounded once and cannot underflow; as `split_mass` gives it."""
+    frac, exp = 0.5, 1
+    for p in probs:
+        pm, pe = math.frexp(p)
+        frac, k = math.frexp(pm * frac)
+        exp += pe + k
+    return split_mass(frac, exp)
+
+
 def cylinder_mass(m: Model, path: Sequence[int]) -> Tuple[float, int]:
-    """Measure of the cone of all infinite extensions of a finite path,
-    i.e. the product of one-step probabilities along it, right to left in
-    mantissa and exponent as the rail stream takes it, so it is rounded
-    once and cannot underflow; returned as `split_mass` gives it. Each
-    step scans its source's row in place, so the cost is the summed row
-    length along the path; a state on the path with several
-    distributions is rejected, as `mc_row` rejects it."""
+    """Measure of the cone of all infinite extensions of a finite path:
+    the `product_mass` of its steps, each read by `step_prob` as the
+    product takes it, so the rightmost faulty step raises."""
     if not path:
         raise ModelError("empty path has no cylinder")
-    rows = m.rows
-    frac, exp = 0.5, 1
-    for s, t in reversed(list(zip(path, path[1:]))):
-        d, e = rows.dist_at[s : s + 2].tolist()
-        _require_one(m, s, e - d)
-        for target, p in rows.row(d):
-            if target == t and p > 0.0:
-                pm, pe = math.frexp(p)
-                frac, k = math.frexp(pm * frac)
-                exp += pe + k
-                break
-        else:
-            raise ModelError(f"no transition {m.names[s]} -> {m.names[t]}")
-    return split_mass(frac, exp)
+    return product_mass(step_prob(m, s, t) for s, t in reversed(list(zip(path, path[1:]))))
 
 
 def cylinder_prob(m: Model, path: Sequence[int]) -> float:

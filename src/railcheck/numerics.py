@@ -116,7 +116,6 @@ def max_reach(red: "AcyclicReduction", target: Iterable[int]) -> np.ndarray:
     """
     target = set(target)
     rows, kept = red.chain.rows, red.kept
-    succ, prob, at = rows.succ.tolist(), rows.prob.tolist(), rows.entry_at.tolist()
     x = [1.0 if s in target else 0.0 for s in range(red.chain.num_states)]
     for info in sorted(red.sccs, key=attrgetter("rank")):
         if info.escape is not None:
@@ -125,7 +124,6 @@ def max_reach(red: "AcyclicReduction", target: Iterable[int]) -> np.ndarray:
                 if s not in kept:
                     x[s] = min(v, 1.0)
         for s in info.members & kept:
-            if s not in target:
-                a, b = at[s], at[s + 1]
-                x[s] = min(math.fsum([p * x[t] for t, p in zip(succ[a:b], prob[a:b])]), 1.0)
+            if s not in target:  # a chain: distribution s is state s's row
+                x[s] = min(math.fsum([p * x[t] for t, p in rows.row(s)]), 1.0)
     return np.array(x)

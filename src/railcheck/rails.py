@@ -12,18 +12,11 @@ left-to-right scan.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .model import FinitePath, cylinder_mass, cylinder_prob, offsets, ranges
+from .model import FinitePath, Rows, WeightedPath, cylinder_prob, product_mass, step_prob
 from .transform import AcyclicReduction
-
-
-# (span, succ, prob): state u's row is the entries of succ and prob in span[u]
-_Gathered = Tuple[Dict[int, Tuple[int, int]], List[int], List[float]]
 
 
 class Witness(NamedTuple):
@@ -93,54 +86,42 @@ def representant(red: AcyclicReduction, rail: Sequence[int]) -> Tuple[FinitePath
     Steps out of a nontrivial component are expanded to the best path
     through the component in the source chain; steps between trivial
     states are copied verbatim. Segment optima concatenate to the global
-    optimum because generators factor over the rail's steps. The rows of
-    the members of every component the rail leaves are gathered at once.
+    optimum because generators factor over the rail's steps. A crossing,
+    from a component's input to the output the rail takes next, is
+    searched once per reduction: its path and step probabilities are kept
+    in the reduction's `crossings`. The first faulty step raises.
     """
-    rail = tuple(rail)
-    comps = [red.sccs[red.scc_of[u]] for u in rail[:-1]]
-    rows = _gather_rows(red.origin, [info.members for info in comps if info.nontrivial])
-    path: List[int] = [rail[0]]
-    for u, t, info in zip(rail, rail[1:], comps):
-        if info.nontrivial:
-            path.extend(_best_escape(rows, info.members, u, t)[1:])
+    rail, origin = tuple(rail), red.origin
+    full, probs = [rail[0]], []
+    for u, t in zip(rail, rail[1:]):
+        info = red.sccs[red.scc_of[u]]
+        if not info.nontrivial:
+            path, steps = (u, t), (step_prob(origin, u, t),)
+        elif (u, t) in red.crossings:
+            path, steps = red.crossings[u, t]
         else:
-            path.append(t)
-    full = tuple(path)
-    return (full, *cylinder_mass(red.origin, full))
+            path, steps = red.crossings[u, t] = _best_escape(origin.rows, info.members, u, t)
+        full += path[1:]
+        probs += steps
+    return (tuple(full), *product_mass(reversed(probs)))
 
 
-def _gather_rows(mc, groups: List[FrozenSet[int]]) -> _Gathered:
-    """The rows of the states in groups, read off the chain's arrays in
-    one gather: state u's row is the entries of succ and prob in span[u]."""
-    states = np.fromiter(itertools.chain.from_iterable(groups), np.int64, sum(map(len, groups)))
-    entry_at = mc.rows.entry_at  # a chain: distribution u is state u's row
-    lo = entry_at[states]
-    lens = entry_at[states + 1] - lo
-    at = offsets(lens)
-    entry = ranges(lo, lens, at)
-    at = at.tolist()
-    span = dict(zip(states.tolist(), zip(at, at[1:])))
-    return span, mc.rows.succ[entry].tolist(), mc.rows.prob[entry].tolist()
-
-
-def _best_escape(rows: _Gathered, members: FrozenSet[int], src: int, dst: int) -> FinitePath:
+def _best_escape(rows: Rows, members: FrozenSet[int], src: int, dst: int) -> WeightedPath:
     """Highest-probability path from src to dst whose intermediate states
-    stay inside the component; ties resolved by the lexicographically
-    smallest state index sequence. rows holds every member's row, as
-    `_gather_rows` gives it."""
-    span, succ, prob = rows
-    heap: List[Tuple[float, FinitePath]] = [(0.0, (src,))]
+    stay inside the component, with its step probabilities; ties resolved
+    by the lexicographically smallest state index sequence. rows are a
+    chain's, so distribution u is state u's row."""
+    heap: List[Tuple[float, FinitePath, Tuple[float, ...]]] = [(0.0, (src,), ())]
     settled = set()
     while heap:
-        weight, path = heapq.heappop(heap)
+        weight, path, probs = heapq.heappop(heap)
         u = path[-1]
         if u == dst:
-            return path
+            return path, probs
         if u in settled:
             continue
         settled.add(u)
-        a, b = span[u]
-        for t, p in zip(succ[a:b], prob[a:b]):
+        for t, p in rows.row(u):
             if (t in members or t == dst) and t not in settled:
-                heapq.heappush(heap, (weight - math.log(p), path + (t,)))
+                heapq.heappush(heap, (weight - math.log(p), path + (t,), probs + (p,)))
     raise ValueError(f"no path from {src} to {dst} inside the component")

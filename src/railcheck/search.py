@@ -74,14 +74,14 @@ class _SuffixStreams:
 
     def __init__(self, chain, targets: Set[int]):
         n, rows = chain.num_states, chain.rows
-        # every entry's target and its probability's mantissa and negated
-        # exponent; distribution u is state u's row
+        # the rows' list form, shared with max_reach, and every entry's
+        # mantissa and negated exponent; distribution u is state u's row
         pm, pe = np.frexp(rows.prob)
-        self.succ: List[int] = rows.succ.tolist()
+        self.succ: List[int] = rows.succ_list
         self.pm: List[float] = pm.tolist()
         self.npe: List[int] = (-pe).tolist()
-        self.at: List[int] = rows.entry_at.tolist()
-        self.prob: List[float] = rows.prob.tolist()
+        self.at: List[int] = rows.entry_list
+        self.prob: List[float] = rows.prob_list
         self.value: List[float] = [0.0] * n  # set by phase 1, 0 where it leaves no item
         self.items: List[Sequence[tuple]] = [()] * n
         self.heaps: List[Optional[list]] = [None] * n

@@ -14,12 +14,12 @@ reaches, and policy iteration's `numerics.max_reach` over every state.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .model import Model, ModelError, chain_rows, is_markov_chain, ranges
+from .model import Model, ModelError, WeightedPath, chain_rows, is_markov_chain, ranges
 from .numerics import SingularMatrixError, prob0_states, solve_linear
 
 
@@ -43,6 +43,9 @@ class AcyclicReduction:
     sccs: Tuple[SccInfo, ...]
     scc_of: Tuple[int, ...]  # state index to component id
     origin: Model
+    # a component's (input, output) to the best path between them inside
+    # it, filled by `rails.representant` on demand
+    crossings: Dict[Tuple[int, int], WeightedPath] = field(default_factory=dict)
 
 
 def make_absorbing(mc: Model, psi: Iterable[int]) -> Model:
@@ -74,6 +77,8 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
     ascending and once each; an MDP's distributions are merged first.
     """
     n, rows = mc.num_states, mc.rows
+    # lists of its own, not the rows' list form: kept with the absorbing
+    # chain, that would stay alive through the rail search's peak
     if rows.num_dists == n:
         succ, at = rows.succ.tolist(), rows.entry_at.tolist()
     else:

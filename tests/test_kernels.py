@@ -140,6 +140,12 @@ def _assert_rows_match(m, actions):
     assert m.rows.source.tolist() == [
         s for s, dists in enumerate(actions) for dist in dists for _ in dist
     ]
+    # the list form: each array's tolist(), converted once and then kept
+    rows = m.rows
+    for name, array in (("dist_list", rows.dist_at), ("entry_list", rows.entry_at),
+                        ("succ_list", rows.succ), ("prob_list", rows.prob)):
+        assert getattr(rows, name) == array.tolist()
+        assert getattr(rows, name) is getattr(rows, name)
 
 
 def _dead_end_doc(rng):

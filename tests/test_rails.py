@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import reduce_to_psi, truncated_rail_mass
-from railcheck.model import cylinder_prob
+from railcheck.model import ModelError, cylinder_prob, mc_row
 from railcheck.oracle import enumerate_freach
 from railcheck.rails import Witness, behaves_as, generator_member, rail_mass, representant
 from railcheck.search import ranked_rails
@@ -78,6 +80,43 @@ def test_representant_is_the_heaviest_generator(mc_corpus):
             best = [p for path, p in paths if generator_member(red, rail, path)]
             if best:
                 assert rep_prob >= max(best) - 1e-12
+
+
+def test_representant_errors_on_broken_rails(mc_corpus):
+    # A rail cut after a random state u and sent on to a state w that u's
+    # step cannot reach. From a trivial u, a non-edge raises the ModelError
+    # `cylinder_mass` raises; from a component member, a state that no
+    # path inside the component leads to raises the search's ValueError.
+    # Either way the reduction's table of crossings keeps what it had.
+    rng = np.random.default_rng(2323)
+    faults = Counter()
+    for m, _, red, rails in mc_corpus:
+        origin = red.origin
+        for rail, _ in rails[:3]:
+            if len(rail) < 2:
+                continue
+            i = int(rng.integers(len(rail) - 1))
+            u = rail[i]
+            info = red.sccs[red.scc_of[u]]
+            sources = info.members if info.nontrivial else {u}  # a component is strongly connected
+            reached = {t for s in sources for t, _ in mc_row(origin, s)}
+            bad = [w for w in range(m.num_states) if w not in reached and w != u]
+            if not bad:
+                continue
+            w = bad[int(rng.integers(len(bad)))]
+            representant(red, rail[: i + 1])  # the crossings before u are sound
+            table = dict(red.crossings)
+            with pytest.raises(ValueError) as err:
+                representant(red, rail[: i + 1] + (w,))
+            if info.nontrivial:
+                assert type(err.value) is ValueError
+                assert str(err.value) == f"no path from {u} to {w} inside the component"
+            else:
+                assert type(err.value) is ModelError
+                assert str(err.value) == f"no transition {m.names[u]} -> {m.names[w]}"
+            assert red.crossings == table
+            faults[info.nontrivial] += 1
+    assert faults[True] >= 20 and faults[False] >= 20
 
 
 def test_each_path_generates_exactly_one_rail(fig5, mc_corpus):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import diamond_chain_doc, reduce_to_psi, ring_chain_doc
-from railcheck import search
-from railcheck.model import cylinder_prob, mc_row, parse_model, successors
+from railcheck import rails, search
+from railcheck.model import cylinder_mass, cylinder_prob, mc_row, parse_model, successors
 from railcheck.numerics import max_reach
 from railcheck.oracle import enumerate_freach
 from railcheck.props import Atom, PropertySpec, parse_property, sat_states
@@ -221,6 +221,63 @@ def test_representant_shortcut_is_exact(dag_corpus, mc_corpus, monkeypatch):
         assert sum(w.representant is w.rail for w in out.witnesses) == skipped
         shortcut += skipped
     assert calls and shortcut > 0
+
+
+def test_representant_searches_each_crossing_once(monkeypatch):
+    # Ring chains at P<=0.5 list hundreds to thousands of witnesses that
+    # cross a few dozen (input, output) pairs of components between them:
+    # the check searches each distinct pair once and keeps it with the
+    # reduction.
+    calls = []
+    best_escape = rails._best_escape
+
+    def counted(rows, members, src, dst):
+        calls.append((src, dst))
+        return best_escape(rows, members, src, dst)
+
+    monkeypatch.setattr(rails, "_best_escape", counted)
+    for seed, rings in ((6, 8), (7, 12), (8, 14)):
+        m = parse_model(json.dumps(ring_chain_doc(np.random.default_rng(seed), rings)))
+        red, psi = reduce_to_psi(m)
+        calls.clear()
+        out = most_indicative(red, parse_property("P<=0.5 [ F psi ]"), psi)
+        assert out.verdict == "violated" and len(out.witnesses) > 100
+        crossings = [
+            (u, t)
+            for w in out.witnesses
+            for u, t in zip(w.rail, w.rail[1:])
+            if red.sccs[red.scc_of[u]].nontrivial
+        ]
+        assert sorted(calls) == sorted(set(crossings))
+        assert set(red.crossings) == set(crossings)
+        assert len(crossings) > 5 * len(calls)
+
+
+def test_witness_representants_equal_a_fresh_search(mc_corpus, mdp_corpus):
+    # Every witness's representant and its probability, assembled from the
+    # crossings the reduction keeps, equal `representant` on a fresh
+    # reduction, whose table is empty, and the cylinder mass of the
+    # representant: on the chain corpus, the final reductions of policy
+    # iteration, and deep ring chains whose representants fall below the
+    # float range.
+    cases = [(red, psi, "P<=1 [ F psi ]") for _, psi, red, _ in mc_corpus]
+    for m in mdp_corpus:
+        psi = {m.num_states - 2}
+        cases.append((extract_max_scheduler(m, psi)[1], psi, "P<=1 [ F psi ]"))
+    for seed, rings in ((11, 1600), (12, 2000)):
+        m = parse_model(json.dumps(ring_chain_doc(np.random.default_rng(seed), rings)))
+        cases.append((*reduce_to_psi(m), "P<=0 [ F psi ]"))
+    deep = searched = 0
+    for red, psi, prop in cases:
+        out = most_indicative(red, parse_property(prop), psi)
+        fresh = acyclic_reduce(red.origin)
+        for w in out.witnesses:
+            rep = (w.representant, w.representant_prob, w.representant_prob_exp)
+            assert rep == representant(fresh, w.rail)
+            assert rep[1:] == cylinder_mass(red.origin, w.representant)
+            deep += w.representant_prob_exp < -1021
+            searched += w.representant != w.rail
+    assert deep == 2 and searched > 100
 
 
 def test_witness_cap(m0):
