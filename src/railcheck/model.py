@@ -19,7 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,10 +123,6 @@ class Model:
         return len(self.names)
 
 
-def dirac(state: int) -> Distribution:
-    return ((state, 1.0),)
-
-
 def is_markov_chain(m: Model) -> bool:
     """True iff every state carries exactly one distribution: every state
     has one at least, so iff there are as many as states."""
@@ -145,11 +141,6 @@ def _require_one(m: Model, s: int, count: int) -> None:
             f"state {m.names[s]!r} has {count} distributions: one-step and"
             " cylinder probabilities are defined for Markov chains only"
         )
-
-
-def successors(m: Model, s: int) -> Set[int]:
-    """Support of the successor relation under any distribution of s."""
-    return {t for dist in m.actions[s] for t, _ in dist}
 
 
 def split_mass(frac: float, exp: int) -> Tuple[float, int]:

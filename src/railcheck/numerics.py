@@ -4,7 +4,6 @@ values read off an acyclic reduction."""
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Set
 
 import numpy as np
@@ -107,23 +106,24 @@ def max_reach(red: "AcyclicReduction", target: Iterable[int]) -> np.ndarray:
     state's value off the rail search's first pass, which sums the kept
     states' rows the same way.)
 
-    One backward pass over the components in reverse topological order
-    (ascending `rank`): a target is 1, and every other kept state sums its
+    One backward pass over the kept states in `red.order`, successors
+    first: a target is 1, and every other kept state sums its
     reduced-chain row times its successors' values, so a Dirac self loop
-    that is no target stays 0. A member the reduction drops gets its
-    escape row times the outputs' values. Rows may sum to 1 plus the parse
-    tolerance, so each value is capped at 1.
+    that is no target stays 0. Every output is kept, so a member the
+    reduction drops then gets its escape row times the outputs' values.
+    Rows may sum to 1 plus the parse tolerance, so each value is capped
+    at 1.
     """
     target = set(target)
     rows, kept = red.chain.rows, red.kept
     x = [1.0 if s in target else 0.0 for s in range(red.chain.num_states)]
-    for info in sorted(red.sccs, key=attrgetter("rank")):
+    for s in red.order:
+        if s not in target:  # a chain: distribution s is state s's row
+            x[s] = min(math.fsum([p * x[t] for t, p in rows.row(s)]), 1.0)
+    for info in red.sccs:
         if info.escape is not None:
             outs = [x[t] for t in sorted(info.outputs)]
             for s, v in zip(sorted(info.members), (info.escape @ outs).tolist()):
                 if s not in kept:
                     x[s] = min(v, 1.0)
-        for s in info.members & kept:
-            if s not in target:  # a chain: distribution s is state s's row
-                x[s] = min(math.fsum([p * x[t] for t, p in rows.row(s)]), 1.0)
     return np.array(x)

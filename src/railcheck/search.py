@@ -3,9 +3,10 @@
 The reduced chain is a DAG apart from absorbing self loops, so rails can be
 streamed best-first with one lazily materialized sorted suffix stream per
 state, merged along edges: the recursive enumeration algorithm of Jiménez
-& Marzal, in its two phases. One depth-first pass gives each state the
-initial state reaches its first item; a state's heap of candidates is
-built on its second request. The streams are lists indexed by state. An
+& Marzal, in its two phases. One pass over the reduction's kept states,
+successors first, up to the initial state gives each state the initial
+state reaches its first item; a state's heap of candidates is built on
+its second request. The streams are lists indexed by state. An
 item is (m, -e, successor, successor's item index), the successor None at
 a target, and costs one request: a request names only a state, as it
 always wants that state's next item, and a state holds at most one
@@ -18,8 +19,9 @@ underflows. Exponents are stored negated: masses are at most 1, so nearly
 all are small ints that CPython shares. A state that cannot reach the
 target has an empty stream and never enters a heap, so no separate
 liveness pass is needed. The first pass also sums each state's value, its
-probability of reaching the target. Work is one pass over the states the
-initial state reaches, then proportional to the rails consumed.
+probability of reaching the target. Work is one pass over the kept states
+of the components the initial state reaches, then proportional to the
+rails consumed.
 """
 
 from __future__ import annotations
@@ -48,96 +50,85 @@ class _SuffixStreams:
     the two phases of the recursive enumeration algorithm.
 
     `items`, `heaps`, `waiting` and `value` are lists indexed by state.
-    Phase 1 gives a state its first item and its value: one depth-first
-    pass from the requested state over the flat rows in which each state,
-    once its edges are done, takes the least key (-e, -m, successor) over
-    its successors' first items, each multiplied by the step to that
-    successor, and sums its row times its successors' values, the
-    probabilities of reaching the target. A state the pass leaves without
-    an item cannot reach the target, and its value stays 0. Until its
-    second request a state's stream is a tuple of that one item: a tuple
-    of numbers leaves the cyclic collector's lists, so the pass adds
-    nothing for a full collection to walk. Phase 2 starts at the second
-    request: the stream becomes a list, the heap (None until then) holds
-    the first candidates of the state's other successors, and `waiting`
-    the follow-up of the one it took. `waiting` is one slot per state:
-    None, or the follow-up of the item last popped as (successor, index
-    of its next item, the step's mantissa and negated exponent). A pop
-    fills the slot; the state's next request pushes that item onto the
-    heap, or empties the slot if the successor's stream is exhausted,
-    before it pops. A heap holds one candidate per successor, so the
-    successor settles equal masses. A request names just a state, as a
-    stream is only asked for its next item, and is done once that item
-    is appended: the follow-up it leaves in `waiting` waits for the
-    state's next request instead of resolving down the DAG.
+    Phase 1 runs when the streams are built and gives a state its first
+    item and its value: one pass over the reduction's `order`, successors
+    first, up to the initial state, in which each state takes the least
+    key (-e, -m, successor) over its successors' first items, each
+    multiplied by the step to that successor, and sums its row times its
+    successors' values, the probabilities of reaching the target. A state
+    the pass leaves without an item cannot reach the target, or lies past
+    the initial state, and its value stays 0. Until its second request a
+    state's stream is a tuple of that one item: a tuple of numbers leaves
+    the cyclic collector's lists, so the pass adds nothing for a full
+    collection to walk. Phase 2 starts at the second request: the stream
+    becomes a list, the heap (None until then) holds the first candidates
+    of the state's other successors, and `waiting` the follow-up of the
+    one it took. `waiting` is one slot per state: None, or the follow-up
+    of the item last popped as (successor, index of its next item, the
+    step's mantissa and negated exponent). A pop fills the slot; the
+    state's next request pushes that item onto the heap, or empties the
+    slot if the successor's stream is exhausted, before it pops. A heap
+    holds one candidate per successor, so the successor settles equal
+    masses. A request names just a state, as a stream is only asked for
+    its next item, and is done once that item is appended: the follow-up
+    it leaves in `waiting` waits for the state's next request instead of
+    resolving down the DAG.
     """
 
-    def __init__(self, chain, targets: Set[int]):
-        n, rows = chain.num_states, chain.rows
+    def __init__(self, red: AcyclicReduction, targets: Set[int]):
+        n, rows = red.chain.num_states, red.chain.rows
         # the rows' list form, shared with max_reach, and every entry's
         # mantissa and negated exponent; distribution u is state u's row
         pm, pe = np.frexp(rows.prob)
         self.succ: List[int] = rows.succ_list
         self.pm: List[float] = pm.tolist()
         self.npe: List[int] = (-pe).tolist()
+        del pm, pe  # freed before phase 1 runs
         self.at: List[int] = rows.entry_list
         self.prob: List[float] = rows.prob_list
         self.value: List[float] = [0.0] * n  # set by phase 1, 0 where it leaves no item
         self.items: List[Sequence[tuple]] = [()] * n
         self.heaps: List[Optional[list]] = [None] * n
         self.waiting: List[Optional[Tuple[int, int, float, int]]] = [None] * n
-        self.seen = bytearray(n)  # states phase 1 has passed
         for u in targets:
             self.items[u] = ((0.5, -1, None, 0),)
-            self.heaps[u], self.seen[u] = [], 1
+            self.heaps[u] = []
             self.value[u] = 1.0
+        self._first_items(red.order, red.chain.initial)
 
-    def _first_items(self, u: int) -> None:
-        """Phase 1: the first item and the value of every state u reaches
-        that phase 1 has not passed yet. Each state folds its successors'
-        first items into the least key in edge order, descending into a
-        successor not passed yet; a stack of the states it descended
-        from, each with its next edge and least key so far, keeps the
-        DAG's depth off the call stack. A state that takes an item then
-        sums its row times its successors' values, as `max_reach` does."""
-        items, seen, succ, pms, npes, at = self.items, self.seen, self.succ, self.pm, self.npe, self.at
+    def _first_items(self, order: Sequence[int], s0: int) -> None:
+        """Phase 1: the first item and the value of every state in order
+        up to s0. Each state folds its successors' first items into the
+        least key in edge order; a state that takes an item then sums its
+        row times its successors' values, as `max_reach` does."""
+        items, succ, pms, npes, at = self.items, self.succ, self.pm, self.npe, self.at
         prob, value, fsum = self.prob, self.value, math.fsum
         value_at = value.__getitem__
-        seen[u] = 1
-        stack = []
-        v, k, bm, bne, bt = u, at[u], 0.0, 0, None
-        while True:
-            end = at[v + 1]
-            while k < end:
-                t = succ[k]
-                if not seen[t]:  # v's own self loop is seen
-                    seen[t] = 1
-                    stack.append((v, k, bm, bne, bt))
-                    v, k, bm, bne, bt = t, at[t], 0.0, 0, None
-                    break
-                t_items = items[t]
-                if t_items:  # else t is dead, or t is v
-                    m, ne, _, _ = t_items[0]
-                    m *= pms[k]
-                    ne += npes[k]
-                    if m < 0.5:  # exact: the product of two mantissas is at least 1/4
-                        m += m
-                        ne += 1
-                    # the key (-e, -m, t): rows are sorted by target, so on
-                    # a tie the successor found first stays
-                    if bt is None or ne < bne or ne == bne and m > bm:
-                        bm, bne, bt = m, ne, t
-                k += 1
-            else:  # every successor is folded in
+        for v in order:
+            if not items[v]:  # else v is a target
+                a, end = at[v], at[v + 1]
+                bm, bne, bt = 0.0, 0, None
+                for k in range(a, end):
+                    t = succ[k]
+                    t_items = items[t]
+                    if t_items:  # else t is dead, or t is v
+                        m, ne, _, _ = t_items[0]
+                        m *= pms[k]
+                        ne += npes[k]
+                        if m < 0.5:  # exact: the product of two mantissas is at least 1/4
+                            m += m
+                            ne += 1
+                        # the key (-e, -m, t): rows are sorted by target, so
+                        # on a tie the successor found first stays
+                        if bt is None or ne < bne or ne == bne and m > bm:
+                            bm, bne, bt = m, ne, t
                 if bt is not None:
                     items[v] = ((bm, bne, bt, 0),)
                     # max_reach's sum and cap; v's own self loop reads its value as 0
-                    a = at[v]
                     x = fsum(map(mul, prob[a:end], map(value_at, succ[a:end])))
                     value[v] = x if x <= 1.0 else 1.0
-                if not stack:
-                    return
-                v, k, bm, bne, bt = stack.pop()
+            if v == s0:
+                return
 
     def _start_heap(self, v: int) -> list:
         """Phase 2's start: v's heap of the first candidates of its
@@ -166,23 +157,14 @@ class _SuffixStreams:
         self.heaps[v] = heap
         return heap
 
-    def value_of(self, u: int) -> float:
-        """The probability of reaching the target from u, capped at 1:
-        phase 1 runs from u unless it has passed u."""
-        if not self.seen[u]:
-            self._first_items(u)
-        return self.value[u]
-
     def item(self, u: int, i: int) -> Optional[tuple]:
         """Item i of u, None if u has fewer; u has at least i items."""
         items, heaps, waiting = self.items, self.heaps, self.waiting
         assert i <= len(items[u]), "items are requested in order"
         if i < len(items[u]):
             return items[u][i]
-        if i == 0:
-            if not self.seen[u]:
-                self._first_items(u)
-            return items[u][0] if items[u] else None
+        if i == 0:  # phase 1 left u without an item
+            return None
         # A stack of states, each waiting for the next item of the one
         # above it, keeps the DAG's depth off the call stack.
         pushpop, pop = heapq.heappushpop, heapq.heappop
@@ -230,8 +212,9 @@ def ranked_rails(
     monotone, so each stream is sorted by exactly the masses it reports;
     equal masses come in the order of their successors.
 
-    The first rail costs one pass over the states the initial state
-    reaches; each later rail, the requests it makes.
+    Building the streams costs one pass over the kept states of the
+    components the initial state reaches; each rail, the requests it
+    makes.
 
     The stream of a state that cannot reach the target is empty, whether
     it is absorbing or leads into a dead region, so the rails are the
@@ -240,7 +223,7 @@ def ranked_rails(
     `_streams`, streams of red's chain and targets that no rail has been
     read from, saves building them again."""
     s0 = red.chain.initial
-    streams = _SuffixStreams(red.chain, set(targets)) if _streams is None else _streams
+    streams = _SuffixStreams(red, set(targets)) if _streams is None else _streams
     items = streams.items
     for i in itertools.count():
         item = streams.item(s0, i)
@@ -297,8 +280,8 @@ def most_indicative(
     and its mass is the same right-to-left product of the same rows.
     """
     targets = set(targets)
-    streams = _SuffixStreams(red.chain, targets)
-    max_prob = streams.value_of(red.chain.initial)
+    streams = _SuffixStreams(red, targets)
+    max_prob = streams.value[red.chain.initial]
     found: List[Tuple[FinitePath, float, int]] = []
     partials: List[float] = []
     total, scale = 0.0, 0

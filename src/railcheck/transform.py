@@ -7,8 +7,9 @@ shape in one stacked state reduction), then rebuild the chain
 keeping only states outside nontrivial components plus component inputs.
 The result has no cycles apart from Dirac self loops on absorbing states,
 and reachability probabilities from the initial state are preserved: the
-rail search's first pass sums them over the states the initial state
-reaches, and policy iteration's `numerics.max_reach` over every state.
+rail search's first pass sums them over the kept states in `order` up to
+the initial state, and policy iteration's `numerics.max_reach` over every
+state.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ class AcyclicReduction:
     sccs: Tuple[SccInfo, ...]
     scc_of: Tuple[int, ...]  # state index to component id
     origin: Model
+    # every kept state, after each state it leads to but itself: the
+    # states the initial state reaches come at or before it
+    order: Tuple[int, ...]
     # a component's (input, output) to the best path between them inside
     # it, filled by `rails.representant` on demand
     crossings: Dict[Tuple[int, int], WeightedPath] = field(default_factory=dict)
@@ -68,30 +72,27 @@ def make_absorbing(mc: Model, psi: Iterable[int]) -> Model:
 
 
 def scc_decompose(mc: Model) -> List[SccInfo]:
-    """Strongly connected components, iterative Tarjan.
+    """Strongly connected components of a Markov chain, iterative Tarjan.
 
     Components are numbered by their smallest member so ids are stable
     under any traversal order; `rank` keeps the order Tarjan completes
-    them in, successors first. Each state's successors are visited
-    ascending, read off the rows: a chain's row lists its targets
-    ascending and once each; an MDP's distributions are merged first.
+    them in, successors first. The first search starts at the initial
+    state, so every component it reaches ranks at most its own. Each
+    state's successors are visited ascending, as its row lists them.
     """
+    if not is_markov_chain(mc):
+        raise ModelError("scc_decompose expects a Markov chain")
     n, rows = mc.num_states, mc.rows
     # lists of its own, not the rows' list form: kept with the absorbing
     # chain, that would stay alive through the rail search's peak
-    if rows.num_dists == n:
-        succ, at = rows.succ.tolist(), rows.entry_at.tolist()
-    else:
-        edges = np.unique(rows.source * n + rows.succ)
-        succ = (edges % n).tolist()
-        at = edges.searchsorted(np.arange(n + 1) * n).tolist()
+    succ, at = rows.succ.tolist(), rows.entry_at.tolist()
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: List[int] = []
     comps: List[List[int]] = []
     counter = 0
-    for root in range(n):
+    for root in itertools.chain((mc.initial,), range(n)):
         if index[root] != -1:
             continue
         index[root] = low[root] = counter
@@ -301,8 +302,13 @@ def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
     lens[dropped] = 1
     starts[escaping.states] = pool + escaping.lens.cumsum() - escaping.lens
     lens[escaping.states] = escaping.lens
-    kept = frozenset((~inside).nonzero()[0].tolist()).union(
-        *(info.inputs for info in sccs if info.nontrivial))
+    keep = ~inside
+    keep[np.fromiter(itertools.chain.from_iterable(info.inputs for info in sccs), np.int64)] = True
+    kept = keep.nonzero()[0]
+    # Tarjan's completion order of their components, the initial state
+    # first in its own; members of one component have no edge between them
+    rank = np.array([info.rank for info in sccs])[scc_of[kept]]
+    order = tuple(kept[np.lexsort((kept != mc_psi.initial, rank))].tolist())
     chain = Model(
         names=mc_psi.names,
         initial=mc_psi.initial,
@@ -312,8 +318,9 @@ def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
     )
     return AcyclicReduction(
         chain=chain,
-        kept=kept,
+        kept=frozenset(order),  # sharing order's ints
         sccs=tuple(sccs),
         scc_of=tuple(scc_of.tolist()),
         origin=mc_psi,
+        order=order,
     )

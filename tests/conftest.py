@@ -28,6 +28,11 @@ def load_model(name: str) -> Model:
     return parse_model((FIXTURES / name).read_text())
 
 
+def successors(m: Model, s: int) -> set:
+    """Support of the successor relation under any distribution of s."""
+    return {t for dist in m.actions[s] for t, _ in dist}
+
+
 def reduce_to_psi(mc: Model):
     """Absorb the psi states and reduce; returns (reduction, psi set)."""
     psi = sat_states(mc, Atom("psi"))

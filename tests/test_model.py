@@ -6,20 +6,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import assert_rows_equal, corpus_docs, reference_actions
+from conftest import assert_rows_equal, corpus_docs, reference_actions, successors
 from railcheck.cli import run_check
 from railcheck.model import (
     ROW_SUM_TOL,
     ModelError,
     cylinder_mass,
     cylinder_prob,
-    dirac,
     is_markov_chain,
     mc_row,
     names_of_path,
     parse_model,
     split_mass,
-    successors,
 )
 
 
@@ -38,7 +36,6 @@ def test_rows_and_lookups(m0):
     assert 3 not in dict(mc_row(m0, 0))
     assert successors(m0, 0) == {1, 2}
     assert successors(m0, 3) == {3}
-    assert dirac(3) == ((3, 1.0),)
 
 
 def test_mdp_is_not_a_chain(mdp2):

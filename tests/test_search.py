@@ -6,9 +6,9 @@ from graphlib import TopologicalSorter
 import numpy as np
 import pytest
 
-from conftest import diamond_chain_doc, reduce_to_psi, ring_chain_doc
+from conftest import diamond_chain_doc, reduce_to_psi, ring_chain_doc, successors
 from railcheck import rails, search
-from railcheck.model import cylinder_mass, cylinder_prob, mc_row, parse_model, successors
+from railcheck.model import cylinder_mass, cylinder_prob, mc_row, parse_model
 from railcheck.numerics import max_reach
 from railcheck.oracle import enumerate_freach
 from railcheck.props import Atom, PropertySpec, parse_property, sat_states
@@ -141,7 +141,8 @@ def test_strict_zero_bound_is_trivially_violated(m0):
 def test_max_prob_is_max_reach_bit_for_bit(mc_corpus, dag_corpus, mdp_corpus):
     # The stream's first pass sums each state's value as max_reach does,
     # over rows that reach only kept states, so the initial state's value
-    # keeps its bits; P<0 breaks the bound before any rail is taken.
+    # keeps its bits, and so does that of every state the pass gives an
+    # item; P<0 breaks the bound before any rail is taken.
     cases = [(red, psi) for _, psi, red, _ in mc_corpus + dag_corpus]
     for m in mdp_corpus:  # the reduction policy iteration ends on
         psi = sat_states(m, Atom("psi"))
@@ -155,14 +156,21 @@ def test_max_prob_is_max_reach_bit_for_bit(mc_corpus, dag_corpus, mdp_corpus):
         # the initial state in the target; dead, with or without a target
         for target in (psi | {m.initial}, set(range(m.num_states)) - reached, set()):
             cases.append((acyclic_reduce(make_absorbing(m, target)), target))
-    seen = set()
+    seen, firsts = set(), 0
     for red, psi in cases:
-        want = max_reach(red, psi)[red.chain.initial]
+        values = max_reach(red, psi)
+        streams = search._SuffixStreams(red, psi)
+        for u, items in enumerate(streams.items):
+            if items:
+                assert streams.value[u].hex() == float(values[u]).hex()
+                firsts += 1
+        want = values[red.chain.initial]
         seen.add(float(want) if want in (0.0, 1.0) else None)
         for bound, threshold in (("<", 0.0), ("<=", 0.5), ("<=", 1.0)):
             out = most_indicative(red, PropertySpec(bound, threshold, Atom("psi")), psi)
             assert out.max_prob.hex() == float(want).hex()
     assert seen == {0.0, 1.0, None}
+    assert firsts > 2 * len(cases)
 
 
 def test_strict_versus_weak_at_the_boundary(m0):
@@ -382,15 +390,14 @@ def test_first_rail_materializes_one_item_per_state(make, sizes):
     for size in sizes:
         m = parse_model(json.dumps(make(rng, size)))
         red, psi = reduce_to_psi(m)
-        streams = search._SuffixStreams(red.chain, psi)
+        streams = search._SuffixStreams(red, psi)
         first = streams.item(red.chain.initial, 0)
         assert first is not None and first[2] == next(iter(ranked_rails(red, psi)))[0][1]
         assert max(len(items) for items in streams.items) == 1
 
 
 def _rail_counts(chain, targets):
-    """Per state, its rails if the initial state reaches it, else 0: by
-    dynamic programming over the reduced DAG."""
+    """Per state, its rails: by dynamic programming over the reduced DAG."""
     succ = [[t for t, _ in mc_row(chain, u) if t != u] for u in range(chain.num_states)]
     memo = {}
 
@@ -399,26 +406,33 @@ def _rail_counts(chain, targets):
             memo[u] = 1 if u in targets else sum(rails(t) for t in succ[u])
         return memo[u]
 
-    rails(chain.initial)
-    return [memo.get(u, 0) for u in range(chain.num_states)]
+    return [rails(u) for u in range(chain.num_states)]
 
 
 def test_exhausted_stream_materializes_each_rail_once(dag_corpus, mc_corpus):
     # A state's items are its own rails, and each ends some rail from the
     # initial state. So once that stream runs out, every reachable state
     # holds one item per rail from it: none twice, none past its end. A
-    # state the initial state cannot reach materializes nothing, apart
-    # from the one item a target starts with.
+    # state the initial state cannot reach holds at most one item: a
+    # target's, or the first item phase 1 gives it, if it lies at or
+    # before the initial state in the reduction's order (an input of a
+    # component the initial state reaches, entered from elsewhere).
+    unreached_firsts = 0
+
     def check(red, psi):
-        streams = search._SuffixStreams(red.chain, psi)
+        nonlocal unreached_firsts
+        streams = search._SuffixStreams(red, psi)
         s0, rails = red.chain.initial, 0
         while streams.item(s0, rails) is not None:
             rails += 1
         want = _rail_counts(red.chain, psi)
         assert rails == want[s0] > 0
+        reached, _ = _reached_live(red.chain, psi)
+        passed = set(red.order[: red.order.index(s0) + 1])
         assert [len(items) for items in streams.items] == [
-            max(n, int(u in psi)) for u, n in enumerate(want)
+            n if u in reached else min(n, int(u in psi or u in passed)) for u, n in enumerate(want)
         ]
+        unreached_firsts += sum(1 for u in passed - reached - set(psi) if want[u])
 
     for _, psi, red, _ in dag_corpus + mc_corpus:
         check(red, psi)
@@ -426,6 +440,7 @@ def test_exhausted_stream_materializes_each_rail_once(dag_corpus, mc_corpus):
     for spread in (None, 0, 10):
         for levels in range(1, 10):
             check(*reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, spread)))))
+    assert unreached_firsts > 0
 
 
 def _exact_key(chain, rail):
@@ -537,14 +552,14 @@ def test_one_rail_check_builds_no_heap(make, sizes, monkeypatch):
         assert [len(items) for items in streams.items] == [
             int(u in psi or u in live) for u in range(red.chain.num_states)]
         assert all(heap is None for u, heap in enumerate(streams.heaps) if u not in psi)
-        assert all(streams.seen[u] for u in reached)
+        assert reached <= set(red.order[: red.order.index(red.chain.initial) + 1])
 
 
 def test_first_items_are_the_least_suffixes(mc_corpus, dag_corpus):
     # Each reached state's first item is the least `_exact_key` of all
     # its suffixes; a state that reaches no target has none.
     def check(red, psi):
-        streams = search._SuffixStreams(red.chain, psi)
+        streams = search._SuffixStreams(red, psi)
         streams.item(red.chain.initial, 0)
         reached, _ = _reached_live(red.chain, psi)
         for u in reached - set(psi):
@@ -576,7 +591,7 @@ def test_first_items_below_the_float_range(levels, spread):
     rng = np.random.default_rng(1717)
     red, psi = reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, spread))))
     chain = red.chain
-    streams = search._SuffixStreams(chain, psi)
+    streams = search._SuffixStreams(red, psi)
     streams.item(chain.initial, 0)
     reached, _ = _reached_live(chain, psi)
     succ = _successors(chain)
@@ -622,12 +637,12 @@ def test_stream_items_do_not_depend_on_request_order(mc_corpus, dag_corpus):
 
     def check(red, psi):
         chain, s0 = red.chain, red.chain.initial
-        fresh = search._SuffixStreams(chain, psi)
+        fresh = search._SuffixStreams(red, psi)
         _drain(fresh, s0)
         reached, live = _reached_live(chain, psi)
         inner = sorted(live - {s0} - set(psi))
         for _ in range(3):
-            streams = search._SuffixStreams(chain, psi)
+            streams = search._SuffixStreams(red, psi)
             asked = {u: 0 for u in inner}
             for u in rng.choice(inner, size=4 * len(inner)) if inner else ():
                 if streams.item(int(u), asked[u]) is not None:

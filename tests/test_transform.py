@@ -6,11 +6,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import assert_rows_equal, reduce_to_psi, ring_chain_doc
+from conftest import assert_rows_equal, diamond_chain_doc, reduce_to_psi, ring_chain_doc, successors
 from railcheck import transform
-from railcheck.model import ModelError, dirac, mc_row, parse_model, successors
+from railcheck.model import ModelError, mc_row, parse_model
 from railcheck.numerics import SingularMatrixError, max_reach, solve_linear
 from railcheck.oracle import brute_force_max_reach
+from railcheck.props import Atom, sat_states
+from railcheck.scheduling import extract_max_scheduler
 from railcheck.transform import (
     acyclic_reduce,
     make_absorbing,
@@ -46,9 +48,8 @@ def _nx_partition(m):
     return {frozenset(c) for c in nx.strongly_connected_components(g)}
 
 
-def test_scc_decompose_matches_networkx(m0, big1, fig5, mc_corpus, mdp_corpus):
-    # an MDP's successors are those of all its distributions
-    models = [m0, big1, fig5] + [entry[0] for entry in mc_corpus[:30]] + mdp_corpus[:30]
+def test_scc_decompose_matches_networkx(m0, big1, fig5, mc_corpus, mdp2):
+    models = [m0, big1, fig5] + [entry[0] for entry in mc_corpus[:30]]
     for m in models:
         infos = scc_decompose(m)
         assert {info.members for info in infos} == _nx_partition(m)
@@ -61,6 +62,8 @@ def test_scc_decompose_matches_networkx(m0, big1, fig5, mc_corpus, mdp_corpus):
                 t in info.members for s in info.members for t in successors(m, s)
             )
             assert info.nontrivial == internal
+    with pytest.raises(ModelError):
+        scc_decompose(mdp2)
 
 
 def test_fig5_components(fig5):
@@ -151,7 +154,7 @@ def test_reduced_rows_equal_the_tuple_construction(mc_corpus, dag_corpus):
         actions = tuple(
             (rows[s],) if s in rows
             else mc.actions[s] if s in kept and not red.sccs[red.scc_of[s]].nontrivial
-            else (dirac(s),)
+            else (((s, 1.0),),)
             for s in range(mc.num_states)
         )
         assert_rows_equal(red.chain.rows, actions)
@@ -262,6 +265,68 @@ def test_reduce_big1(big1):
     assert 1 in red.kept and 2 not in red.kept
     assert mc_row(red.chain, 1) == ((3, 1.0),)
     assert mc_row(red.chain, 2) == ((2, 1.0),)
+
+
+def _reversed(m):
+    """m with its states listed last to first: the corpora's initial state
+    is state 0, where a search over the states in index order starts too."""
+    n = m.num_states
+    return parse_model(json.dumps({
+        "states": list(m.names[::-1]),
+        "initial": m.names[m.initial],
+        "labels": {m.names[s]: sorted(m.labels[s]) for s in range(n) if m.labels[s]},
+        "transitions": {m.names[s]: [{m.names[t]: p for t, p in d} for d in m.actions[s]] for s in range(n)},
+    }))
+
+
+def _reached(m):
+    """The states m's initial state reaches."""
+    reached, stack = {m.initial}, [m.initial]
+    while stack:
+        for t in successors(m, stack.pop()) - reached:
+            reached.add(t)
+            stack.append(t)
+    return reached
+
+
+def _reductions(mc_corpus, dag_corpus, mdp_corpus):
+    """The corpora's reductions, policy iteration's last for an MDP, each
+    also with the states reversed, and those of seeded ring and diamond
+    chains."""
+    for m, _, _, _ in mc_corpus + dag_corpus:
+        yield reduce_to_psi(m)[0]
+        yield reduce_to_psi(_reversed(m))[0]
+    for m in mdp_corpus:
+        for m in (m, _reversed(m)):
+            yield extract_max_scheduler(m, sat_states(m, Atom("psi")))[1]
+    rng = np.random.default_rng(2323)
+    for rings in (1, 2, 5, 30):
+        yield reduce_to_psi(parse_model(json.dumps(ring_chain_doc(rng, rings))))[0]
+    for spread in (None, 0):
+        for levels in (1, 4, 40):
+            yield reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, spread))))[0]
+
+
+def test_order_is_a_post_order_of_the_kept_states(mc_corpus, dag_corpus, mdp_corpus):
+    # Every kept state once and no dropped one; each after its successors
+    # in the reduced chain, its own self loop aside; and every state the
+    # initial state reaches at or before it. The states up to the initial
+    # state, which the rail stream's first pass walks, are the kept states
+    # of the components it reaches in the source chain, but for the other
+    # inputs of its own.
+    count = 0
+    for red in _reductions(mc_corpus, dag_corpus, mdp_corpus):
+        order = red.order
+        assert len(order) == len(red.kept) and set(order) == red.kept
+        at = {s: i for i, s in enumerate(order)}
+        for s in order:
+            assert all(at[t] < at[s] for t, _ in mc_row(red.chain, s) if t != s)
+        s0 = red.chain.initial
+        assert all(at[s] <= at[s0] for s in _reached(red.chain))
+        comps = {red.scc_of[s] for s in _reached(red.origin)} - {red.scc_of[s0]}
+        assert set(order[: at[s0] + 1]) == {s for s in red.kept if red.scc_of[s] in comps} | {s0}
+        count += 1
+    assert count == 2 * (200 + 40 + 100) + 4 + 6
 
 
 def test_reduction_is_acyclic(mc_corpus):
