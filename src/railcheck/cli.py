@@ -8,6 +8,8 @@ pipeline stage they happened in.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import itertools
 import json
 import math
@@ -49,6 +51,23 @@ _FAILURES = (
 )
 
 
+@contextlib.contextmanager
+def _cyclic_gc_paused():
+    """Run without the cyclic collector, then restore the caller's state.
+    A check allocates hundreds of thousands of lists, tuples and dicts,
+    a report one dict and a few lists per witness, and every collection
+    those allocations trigger walks them all again. They form no cycles,
+    so reference counting frees them, and no collection runs at the end."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_cyclic_gc_paused()
 def run_check(
     model_path: str,
     prop_text: str,
@@ -369,6 +388,7 @@ def _rows(keys: tuple, rows: List[dict], indent: str) -> List[str]:
     return list(map(template.__mod__, zip(*texts)))
 
 
+@_cyclic_gc_paused()
 def render_report(report: Dict, fmt: str = "text") -> str:
     """Render a report for stdout; json output is byte-stable for fixed
     inputs and seed (insertion order, repr floats, no wall-clock fields

@@ -249,6 +249,21 @@ def _violated(spec: PropertySpec, mass: float, limit: float) -> bool:
     return mass > limit if spec.bound == "<=" else mass >= limit
 
 
+def _add_exact(partials: List[float], x: float) -> None:
+    """Add x to Shewchuk's non-overlapping partials, in place."""
+    kept = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[kept] = lo
+            kept += 1
+        x = hi
+    partials[kept:] = [x]
+
+
 def most_indicative(
     red: AcyclicReduction,
     spec: PropertySpec,
@@ -262,15 +277,31 @@ def most_indicative(
     mass. If the stream runs out first the property holds and the
     accumulated rails are reported with their total mass.
 
-    The running sum is exact: Shewchuk's non-overlapping partials, as in
-    the math.fsum recipe, so total_mass is the correctly rounded sum of
-    the witness masses at O(partials) per rail, not O(witnesses), capped
-    at 1: rows may sum to 1 plus the parse tolerance, and a probability
-    cannot, so a bound of 1 is never violated. The partials count in
-    units of the heaviest rail's 2**exp, so masses below the float range
-    add up too. The threshold and the cap in those units compare exactly;
-    clamped below 2**1024 units, far beyond any sum of rails, they cannot
-    overflow.
+    The running sum is a plain float sum of the masses, in units of the
+    heaviest rail's 2**exp so that masses below the float range add up
+    too, until it comes near the threshold; from there it is exact:
+    Shewchuk's non-overlapping partials, as in the math.fsum recipe, built
+    once from the rails so far. Either way total_mass is the correctly
+    rounded sum of the witness masses, capped at 1: rows may sum to 1
+    plus the parse tolerance, and a probability cannot, so a bound of 1
+    is never violated. The threshold and the cap in those units compare
+    exactly; clamped below 2**1024 units, far beyond any sum of rails,
+    they cannot overflow.
+
+    The float sum `fast` stands in while it lies below guard =
+    fl(limit·(1 - 4·room·u)), u = 2**-53, where room is at least the rail
+    count k: it becomes twice the count whenever the count passes it.
+    Recursive summation of k non-negative terms errs by at most γ(k-1)·S,
+    γ(j) = j·u/(1 - j·u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., §4.2), so the exact sum S of the first k masses
+    is at most fast/(1 - γ(k-1)). Below 2**-1022 the float sum is exact,
+    each addition landing on the subnormal grid, so S = fast < guard <=
+    limit. Else guard is normal: at most limit·(1 - 4·room·u)/(1 - u),
+    also where the product rounds up to the least normal, and limit's
+    predecessor is at least limit·(1 - 2u). As 4·room >= 2k + 1,
+    S < limit·(1 - 2u), so S rounds below limit. Under `<` and `<=` alike
+    no such prefix reaches the threshold, and its rail costs one addition
+    and one comparison.
 
     max_prob is the initial state's value, summed by the first pass of
     the rail stream, which runs even if the bound breaks at no rail.
@@ -283,36 +314,40 @@ def most_indicative(
     streams = _SuffixStreams(red, targets)
     max_prob = streams.value[red.chain.initial]
     found: List[Tuple[FinitePath, float, int]] = []
-    partials: List[float] = []
-    total, scale = 0.0, 0
+    partials: Optional[List[float]] = None  # None while the float sum is certified
+    total, scale, fast, guard, room = 0.0, 0, 0.0, 0.0, 0
+    ldexp = math.ldexp
     violated = _violated(spec, total, spec.threshold)
     if not violated:
         for rail, mass, exp in ranked_rails(red, targets, _streams=streams):
-            if max_witnesses is not None and len(found) >= max_witnesses:
+            count = len(found)
+            if max_witnesses is not None and count >= max_witnesses:
                 raise SearchLimitError(
                     f"bound still undecided after {max_witnesses} witnesses"
                 )
-            if not found:  # the heaviest rail sets the units
+            if not count:  # the heaviest rail sets the units
                 scale = exp
                 limit, one = (math.ldexp(m, min(e - exp, 1024))
                               for m, e in (math.frexp(spec.threshold), (0.5, 1)))
             found.append((rail, mass, exp))
-            x = math.ldexp(mass, exp - scale)
-            kept = 0
-            for y in partials:
-                if abs(x) < abs(y):
-                    x, y = y, x
-                hi = x + y
-                lo = y - (hi - x)
-                if lo:
-                    partials[kept] = lo
-                    kept += 1
-                x = hi
-            partials[kept:] = [x]
+            x = ldexp(mass, exp - scale)
+            if partials is None:
+                fast += x
+                if count >= room:  # count + 1 rails passed room
+                    room = 2 * (count + 1)
+                    guard = limit * (1.0 - room * 2.0 ** -51)
+                if fast < guard:
+                    continue
+                partials = []
+                for _, m, e in itertools.islice(found, count):
+                    _add_exact(partials, ldexp(m, e - scale))
+            _add_exact(partials, x)
             total = min(math.fsum(partials), one)
             if _violated(spec, total, limit):
                 violated = True
                 break
+        if found and partials is None:  # the float sum was certified to the end
+            total = min(math.fsum(ldexp(m, e - scale) for _, m, e in found), one)
     del streams  # the stream is done with: free it before the witnesses
     # the reduced chain copies every other kept row from the source chain;
     # a component that has no outputs keeps its inputs absorbing, so they

@@ -200,11 +200,12 @@ class InputRows(NamedTuple):
 _STACK_FLOATS = 1 << 15
 
 
-def scc_reach(mc: Model, sccs: Sequence[SccInfo]) -> InputRows:
+def scc_reach(mc: Model, sccs: Sequence[SccInfo], is_input: np.ndarray) -> InputRows:
     """Fill the escape probabilities from each member to each output of
     every nontrivial component that has outputs, all outputs solved in
     one state reduction of the component block, and return the inputs'
-    escape rows, read off the solved stacks.
+    escape rows, read off the solved stacks. is_input marks every
+    component's inputs.
 
     Each block is built once. Blocks of one shape (members, outputs) are
     stacked, members first, up to `_STACK_FLOATS`, and a stack is solved
@@ -221,8 +222,6 @@ def scc_reach(mc: Model, sccs: Sequence[SccInfo]) -> InputRows:
     if not groups:
         none = np.zeros(0, dtype=np.int64)
         return InputRows(none, none, none, np.zeros(0))
-    is_input = np.zeros(mc.num_states, dtype=bool)
-    is_input[list(itertools.chain.from_iterable(info.inputs for info in sccs))] = True
     failures = []
     parts = []
     for (n, m), group in groups.items():
@@ -291,7 +290,9 @@ def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
     sccs = scc_decompose(mc_psi)
     scc_of = _scc_index(sccs, n)
     scc_io(mc_psi, sccs, scc_of)
-    escaping = scc_reach(mc_psi, sccs)
+    is_input = np.zeros(n, dtype=bool)
+    is_input[np.fromiter(itertools.chain.from_iterable(info.inputs for info in sccs), np.int64)] = True
+    escaping = scc_reach(mc_psi, sccs, is_input)
     # a trivial state's own row; an escape row after the source's entries;
     # a Dirac self loop, after the escapes, for every other state
     pool, at = len(rows.succ), rows.entry_at
@@ -302,9 +303,7 @@ def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
     lens[dropped] = 1
     starts[escaping.states] = pool + escaping.lens.cumsum() - escaping.lens
     lens[escaping.states] = escaping.lens
-    keep = ~inside
-    keep[np.fromiter(itertools.chain.from_iterable(info.inputs for info in sccs), np.int64)] = True
-    kept = keep.nonzero()[0]
+    kept = (~inside | is_input).nonzero()[0]
     # Tarjan's completion order of their components, the initial state
     # first in its own; members of one component have no edge between them
     rank = np.array([info.rank for info in sccs])[scc_of[kept]]

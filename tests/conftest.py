@@ -184,6 +184,50 @@ def ring_chain_doc(rng, rings, size=4):
     return {"states": names, "initial": names[0], "labels": {"goal": ["psi"]}, "transitions": rows}
 
 
+def layered_dag_doc(rng, layers, width=16):
+    """The benchmark's layered DAG: an initial state, then `layers` layers
+    of `width` states, each stepping to two distinct states of the next
+    layer, the last layer to the goal or a trap; states are numbered
+    breadth-first, successors in ascending provisional id, and the
+    unreachable ones last."""
+    goal, trap = 1 + layers * width, 2 + layers * width
+    rows = {goal: {goal: 1.0}, trap: {trap: 1.0}}
+
+    def step(lo):
+        a, b = (int(t) for t in rng.choice(np.arange(lo, lo + width), size=2, replace=False))
+        p = float(rng.uniform(0.2, 0.8))
+        return {a: p, b: 1.0 - p}
+
+    rows[0] = step(1)
+    for layer in range(1, layers + 1):
+        base = 1 + (layer - 1) * width
+        for s in range(base, base + width):
+            if layer < layers:
+                rows[s] = step(base + width)
+            else:
+                p = float(rng.uniform(0.3, 0.9))
+                rows[s] = {goal: p, trap: 1.0 - p}
+    order, queue = {0: 0}, [0]
+    for u in queue:
+        for t in sorted(rows[u]):
+            if t not in order:
+                order[t] = len(order)
+                queue.append(t)
+    for u in sorted(rows):  # unreachable states last
+        order.setdefault(u, len(order))
+    name = {u: "s%d" % order[u] for u in rows}
+    states = sorted(rows, key=order.__getitem__)
+    return {
+        "states": [name[u] for u in states],
+        "initial": name[0],
+        "labels": {name[goal]: ["goal"]},
+        "transitions": {
+            name[u]: [{name[t]: rows[u][t] for t in sorted(rows[u], key=order.__getitem__)}]
+            for u in states
+        },
+    }
+
+
 # random corpus builders
 
 def _mc_doc(rng):

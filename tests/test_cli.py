@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import re
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import corpus_docs, diamond_chain_doc, load_model, ring_chain_doc
+from conftest import corpus_docs, diamond_chain_doc, layered_dag_doc, load_model, ring_chain_doc
 from railcheck import cli, numerics, scheduling, search
 from railcheck.cli import main, render_report, run_check
 from railcheck.model import is_markov_chain
@@ -140,56 +141,12 @@ def test_sampling_bound_is_never_below_four_sigma():
                 assert cli._sampling_bound(float(mass), count, n_rails) >= 4.0 * sigma
 
 
-def _layered_dag_doc(rng, layers, width=16):
-    # The benchmark's layered DAG: an initial state, then `layers` layers
-    # of `width` states, each stepping to two distinct states of the next
-    # layer, the last layer to the goal or a trap; states are numbered
-    # breadth-first, successors in ascending provisional id, and the
-    # unreachable ones last.
-    goal, trap = 1 + layers * width, 2 + layers * width
-    rows = {goal: {goal: 1.0}, trap: {trap: 1.0}}
-
-    def step(lo):
-        a, b = (int(t) for t in rng.choice(np.arange(lo, lo + width), size=2, replace=False))
-        p = float(rng.uniform(0.2, 0.8))
-        return {a: p, b: 1.0 - p}
-
-    rows[0] = step(1)
-    for layer in range(1, layers + 1):
-        base = 1 + (layer - 1) * width
-        for s in range(base, base + width):
-            if layer < layers:
-                rows[s] = step(base + width)
-            else:
-                p = float(rng.uniform(0.3, 0.9))
-                rows[s] = {goal: p, trap: 1.0 - p}
-    order, queue = {0: 0}, [0]
-    for u in queue:
-        for t in sorted(rows[u]):
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    for u in sorted(rows):  # unreachable states last
-        order.setdefault(u, len(order))
-    name = {u: "s%d" % order[u] for u in rows}
-    states = sorted(rows, key=order.__getitem__)
-    return {
-        "states": [name[u] for u in states],
-        "initial": name[0],
-        "labels": {name[goal]: ["goal"]},
-        "transitions": {
-            name[u]: [{name[t]: rows[u][t] for t in sorted(rows[u], key=order.__getitem__)}]
-            for u in states
-        },
-    }
-
-
 def test_sampling_check_passes_many_rails(tmp_path):
     # 2048 rails, each checked at 4 sigma alone, failed this correct
     # report at both seeds; the bound now holds over all rails at once.
     # P<=1 holds, so all 2048 rails are witnesses and all are sampled.
     path = tmp_path / "dag.json"
-    path.write_text(json.dumps(_layered_dag_doc(np.random.default_rng(1), 11)))
+    path.write_text(json.dumps(layered_dag_doc(np.random.default_rng(1), 11)))
     for seed in (42, 1):
         code, report = _run(path, "P<=1 [ F goal ]", verify=True, seed=seed)
         sampling = report["verification"]["sampling"]
@@ -498,7 +455,7 @@ def test_json_writer_matches_json_dumps_on_tables():
 def test_json_writer_matches_json_dumps_on_many_witnesses(tmp_path):
     # 2**14 rails of a layered DAG: P<=1 holds, so every rail is a witness
     path = tmp_path / "dag.json"
-    path.write_text(json.dumps(_layered_dag_doc(np.random.default_rng(2), 14)))
+    path.write_text(json.dumps(layered_dag_doc(np.random.default_rng(2), 14)))
     code, report = _run(path, "P<=1 [ F goal ]", dump_scc=True)
     assert code == 0 and len(report["witnesses"]) == 2 ** 14
     assert render_report(report, "json") == json.dumps(report, indent=2) + "\n"
@@ -883,3 +840,40 @@ def test_unexpected_exception_exits_2_with_stage(m0_path, monkeypatch, capsys):
     assert report["error"]["message"] == "RecursionError: maximum recursion depth exceeded"
     assert main([str(m0_path), "--prop", "P<=0.5 [ F psi ]"]) == 2
     assert "error in searching: RecursionError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_checks_leave_the_cyclic_collector_as_they_found_it(enabled, m0_path, monkeypatch):
+    # a check and its rendering run with the collector paused, and give
+    # the caller back its state however they end: a verdict, exit 2 from
+    # a missing file, a search that raises, a renderer that raises
+    seen = []
+
+    def failing(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise RuntimeError("search failed")
+
+    def runs():
+        for path in (m0_path, "no_such_model.json"):
+            yield _run(path, "P<=0.5 [ F psi ]")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "most_indicative", failing)
+            yield _run(m0_path, "P<=0.5 [ F psi ]")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        codes = []
+        for code, report in runs():
+            assert gc.isenabled() is enabled
+            render_report(report, "json")
+            render_report(report, "text")
+            assert gc.isenabled() is enabled
+            codes.append(code)
+        with pytest.raises(KeyError):
+            render_report({}, "text")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert codes == [1, 2, 2]
+    assert seen == [False]

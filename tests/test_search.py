@@ -6,9 +6,9 @@ from graphlib import TopologicalSorter
 import numpy as np
 import pytest
 
-from conftest import diamond_chain_doc, reduce_to_psi, ring_chain_doc, successors
+from conftest import diamond_chain_doc, layered_dag_doc, reduce_to_psi, ring_chain_doc, successors
 from railcheck import rails, search
-from railcheck.model import cylinder_mass, cylinder_prob, mc_row, parse_model
+from railcheck.model import cylinder_mass, cylinder_prob, mc_row, parse_model, split_mass
 from railcheck.numerics import max_reach
 from railcheck.oracle import enumerate_freach
 from railcheck.props import Atom, PropertySpec, parse_property, sat_states
@@ -203,6 +203,80 @@ def test_running_sum_is_exact_at_the_boundary(dag_corpus, mc_corpus):
                 assert out.total_mass == min(math.fsum(w.mass for w in out.witnesses), 1.0)
             checked += 1
     assert checked >= 10
+
+
+def _fsum_reference(sums, scale, exhausted, spec):
+    """What most_indicative reports for a stream whose prefix k sums to
+    sums[k - 1] correctly rounded, in units of 2**scale: (witness count,
+    verdict, total_mass, total_mass_exp), or None if the bound is still
+    undecided after len(sums) rails and the stream goes on."""
+    def violated(total, limit):
+        return total > limit if spec.bound == "<=" else total >= limit
+
+    if violated(0.0, spec.threshold):
+        return 0, "violated", 0.0, 0
+    m, e = math.frexp(spec.threshold)
+    limit, one = math.ldexp(m, min(e - scale, 1024)), math.ldexp(0.5, min(1 - scale, 1024))
+    verdict = "holds"
+    for k, total in enumerate(sums, 1):
+        total = min(total, one)
+        if violated(total, limit):
+            verdict = "violated"
+            break
+    else:
+        if not exhausted:
+            return None
+    m, e = math.frexp(total)
+    return (k, verdict, *split_mass(m, e + scale))
+
+
+def _sum_chains(family, dag_corpus, mc_corpus):
+    """The chains of one family, and how many rails to read of each."""
+    if family == "corpus":
+        return [(red, psi) for _, psi, red, _ in dag_corpus + mc_corpus[::4]], 5000
+    if family == "layered":  # 2**12 rails: the guard's room doubles a dozen times
+        m = parse_model(json.dumps(layered_dag_doc(np.random.default_rng(2323), 12)))
+        psi = sat_states(m, Atom("goal"))
+        return [(acyclic_reduce(make_absorbing(m, psi)), psi)], 5000
+    # 2200 rings: the rails are about 1000 states long, and the heaviest
+    # 40 weigh about 2**-1057 each, below the float range
+    return [reduce_to_psi(parse_model(json.dumps(ring_chain_doc(np.random.default_rng(2424), 2200))))], 40
+
+
+@pytest.mark.parametrize("family", ["corpus", "layered", "ring"])
+def test_float_running_sum_crosses_where_fsum_prefixes_do(family, dag_corpus, mc_corpus):
+    # The running sum adds floats while it is certified below the
+    # threshold. Thresholds one ulp below, at and above the exact prefix
+    # sums must still stop the stream where the correctly rounded prefix
+    # sums cross them, under < and <=: at the first rails, in the middle,
+    # at the last, and at the first prefixes a plain float sum gets wrong.
+    chains, cap = _sum_chains(family, dag_corpus, mc_corpus)
+    for red, psi in chains:
+        stream = ranked_rails(red, psi)
+        masses = [(mass, exp) for _, mass, exp in itertools.islice(stream, cap)]
+        exhausted = next(stream, None) is None
+        if not masses:
+            continue
+        scale = masses[0][1]
+        assert (scale != 0) == (family == "ring")
+        xs = [math.ldexp(mass, exp - scale) for mass, exp in masses]
+        sums = [math.fsum(xs[:k]) for k in range(1, len(xs) + 1)]
+        wrong = (k for k, (a, b) in enumerate(zip(itertools.accumulate(xs), sums), 1) if a != b)
+        ks = {1, 2, len(xs) // 2, len(xs) - 1, len(xs), *itertools.islice(wrong, 5)}
+        thresholds = {1.0, 0.0}
+        for k in ks & set(range(1, len(xs) + 1)):
+            at = math.ldexp(sums[k - 1], scale)
+            thresholds |= {math.nextafter(at, -math.inf), at, math.nextafter(at, math.inf)}
+        specs = [PropertySpec(bound, t, Atom("psi")) for t in thresholds if t >= 0.0 for bound in ("<", "<=")]
+        for spec in specs:
+            want = _fsum_reference(sums, scale, exhausted, spec)
+            if want is None:
+                with pytest.raises(SearchLimitError):
+                    most_indicative(red, spec, psi, max_witnesses=len(xs))
+                continue
+            out = most_indicative(red, spec, psi, max_witnesses=len(xs))
+            assert (len(out.witnesses), out.verdict, out.total_mass, out.total_mass_exp) == want, spec
+
 
 def test_representant_shortcut_is_exact(dag_corpus, mc_corpus, monkeypatch):
     # Every rail is streamed. A rail with no nontrivial input before its

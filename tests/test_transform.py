@@ -110,17 +110,24 @@ def input_rows(info):
     return {u: tuple([(t, p) for t, p in zip(outs, row) if p > 0.0]) for u, row in rows.items()}
 
 
+def _input_mask(mc, infos):
+    """scc_reach's mask of every component's inputs."""
+    is_input = np.zeros(mc.num_states, dtype=bool)
+    is_input[[s for info in infos for s in info.inputs]] = True
+    return is_input
+
+
 def test_scc_reach_values(m0, big1):
     m = make_absorbing(m0, {3, 4})
     infos = scc_io(m, scc_decompose(m))
-    escaping = scc_reach(m, infos)
+    escaping = scc_reach(m, infos, _input_mask(m, infos))
     by_members = {frozenset(i.members): i for i in infos}
     assert input_rows(by_members[frozenset({2})])[2] == ((4, 1.0),)
     assert input_rows(by_members[frozenset({1})])[1] == ((3, 1.0),)
     assert sorted(escaping.states.tolist()) == [1, 2]
     b = make_absorbing(big1, {3})
     infos = scc_io(b, scc_decompose(b))
-    escaping = scc_reach(b, infos)
+    escaping = scc_reach(b, infos, _input_mask(b, infos))
     info = next(i for i in infos if len(i.members) == 2)
     assert info.members == frozenset({1, 2})
     assert input_rows(info)[1] == ((3, 1.0),)
@@ -212,7 +219,7 @@ def test_scc_reach_batch_matches_each_component_alone(stack_floats, monkeypatch)
             if info.nontrivial and info.outputs:
                 assert len(info.members) == k and len(info.outputs) == 2
                 try:
-                    scc_reach(mc, [info])
+                    scc_reach(mc, [info], _input_mask(mc, [info]))
                     alone[info.id] = info.escape
                 except SingularMatrixError as err:
                     alone[info.id] = err.pivot
