@@ -26,7 +26,7 @@ from .oracle import (
     OracleLimitError,
     RNG_ALGORITHM,
     brute_force_max_reach,
-    enumerate_freach,
+    first_hits,
     monte_carlo_classify,
 )
 from .props import PropertyError, format_property, parse_property, sat_states
@@ -38,7 +38,6 @@ DEFAULT_SEED = 42
 DEFAULT_MAX_WITNESSES = 10 ** 6
 VERIFY_SAMPLES = 10 ** 5
 SAMPLING_ALPHA = math.erfc(4 / math.sqrt(2))  # a normal deviate's two-sided 4 sigma tail
-_ENUM_STATE_CAP = 40
 _ENUM_LEN = 20
 
 _FAILURES = (
@@ -208,20 +207,16 @@ def _verification_block(m, is_mc, red, psi, max_prob, witnesses, seed) -> Dict:
     ok &= diff <= 1e-7
 
     # max_prob is the sum of all rail masses, which the witnesses may not exhaust
-    if m.num_states <= _ENUM_STATE_CAP:
-        paths, tail = enumerate_freach(red.origin, psi, _ENUM_LEN)
-        enumerated = math.fsum(p for _, p in paths)
-        bracket = enumerated - 1e-9 <= max_prob <= enumerated + tail + 1e-9
-        checks["enumeration"] = {
-            "paths": len(paths),
-            "enumerated_mass": enumerated,
-            "tail_bound": tail,
-            "max_prob": max_prob,
-            "pass": bracket,
-        }
-        ok &= bracket
-    else:
-        checks["enumeration"] = {"skipped": "model too large for enumeration"}
+    paths, enumerated, tail = first_hits(red.origin, psi, _ENUM_LEN)
+    bracket = enumerated - 1e-9 <= max_prob <= enumerated + tail + 1e-9
+    checks["enumeration"] = {
+        "paths": paths,
+        "enumerated_mass": enumerated,
+        "tail_bound": tail,
+        "max_prob": max_prob,
+        "pass": bracket,
+    }
+    ok &= bracket
 
     run = monte_carlo_classify(red.origin, red, [w.rail for w in witnesses], VERIFY_SAMPLES, seed)
     mass_checks = []

@@ -1,5 +1,7 @@
-"""Independent baselines: exhaustive path enumeration, brute-force
-scheduler search, and seeded Monte Carlo classification.
+"""Independent baselines: the mass of the paths that first hit the target
+within a step bound, in one forward pass, brute-force scheduler search,
+and seeded Monte Carlo classification. `enumerate_freach` lists those
+paths one by one, as a reference for the tests.
 
 These routines deliberately avoid the pipeline's own machinery:
 reachability is recomputed with numpy's solver, graph closures are local,
@@ -65,13 +67,44 @@ def enumerate_freach(
             for t, p in mc_row(mc, path[-1]):
                 stack.append((path + (t,), prob * p))
     found.sort(key=lambda item: (-item[1], item[0]))
-    return found, _residual_mass(mc, targets, max_len)
+    return found, first_hits(mc, targets, max_len)[2]
 
 
-def _can_reach(mc: Model, targets: Set[int]) -> Set[int]:
+def first_hits(mc: Model, targets: Iterable[int], max_len: int) -> Tuple[int, float, float]:
+    """enumerate_freach's path count, the fsum of its path probabilities
+    and its tail bound, in one forward pass that lists no path: step i
+    carries, per last state, the mass and the number of the paths of i + 1
+    live states that have not hit the target yet."""
+    targets = set(targets)
+    if mc.initial in targets:
+        return int(max_len >= 1), float(max_len >= 1), 0.0
+    rows = [mc_row(mc, s) for s in range(mc.num_states)]
+    live = _can_reach(rows, targets)
+    if mc.initial not in live:
+        return 0, 0.0, 0.0
+    alive, ways = {mc.initial: 1.0}, {mc.initial: 1}
+    count, hits = 0, []
+    for _ in range(max_len - 1):
+        step, ahead = {}, {}
+        for s, mass in alive.items():
+            n = ways[s]
+            for t, p in rows[s]:
+                if t in targets:
+                    count += n
+                    hits.append(mass * p)
+                elif t in live:
+                    step[t] = step.get(t, 0.0) + mass * p
+                    ahead[t] = ahead.get(t, 0) + n
+        alive, ways = step, ahead
+        if not alive:
+            break
+    return count, math.fsum(hits), math.fsum(alive.values())
+
+
+def _can_reach(rows: Sequence[Sequence[Tuple[int, float]]], targets: Set[int]) -> Set[int]:
     preds: Dict[int, List[int]] = {}
-    for s in range(mc.num_states):
-        for t, _ in mc_row(mc, s):
+    for s, row in enumerate(rows):
+        for t, _ in row:
             preds.setdefault(t, []).append(s)
     seen = set(targets)
     stack = list(targets)
@@ -82,25 +115,6 @@ def _can_reach(mc: Model, targets: Set[int]) -> Set[int]:
                 seen.add(s)
                 stack.append(s)
     return seen
-
-
-def _residual_mass(mc: Model, targets: Set[int], max_len: int) -> float:
-    live = _can_reach(mc, targets)
-    if mc.initial not in live or mc.initial in targets:
-        return 0.0
-    if max_len < 1:
-        return 1.0
-    alive = {mc.initial: 1.0}
-    for _ in range(max_len - 1):
-        step: Dict[int, float] = {}
-        for s, mass in alive.items():
-            for t, p in mc_row(mc, s):
-                if t in live and t not in targets:
-                    step[t] = step.get(t, 0.0) + mass * p
-        alive = step
-        if not alive:
-            break
-    return math.fsum(alive.values())
 
 
 def brute_force_max_reach(m: Model, targets: Iterable[int]) -> float:
@@ -130,18 +144,7 @@ def brute_force_max_reach(m: Model, targets: Iterable[int]) -> float:
 
 def _chain_reach(m: Model, assignment: Sequence[int], targets: Set[int]) -> float:
     rows = [m.actions[s][assignment[s]] for s in range(m.num_states)]
-    preds: Dict[int, List[int]] = {}
-    for s, row in enumerate(rows):
-        for t, _ in row:
-            preds.setdefault(t, []).append(s)
-    alive = set(targets)
-    stack = list(targets)
-    while stack:
-        t = stack.pop()
-        for s in preds.get(t, ()):
-            if s not in alive:
-                alive.add(s)
-                stack.append(s)
+    alive = _can_reach(rows, targets)
     if m.initial not in alive:
         return 0.0
     free = sorted(alive - targets)

@@ -228,6 +228,20 @@ def layered_dag_doc(rng, layers, width=16):
     }
 
 
+def dense_chain_doc(rng, n, k):
+    """n states, the last one `psi` with a Dirac loop; every other state
+    steps to k distinct states, itself and `psi` allowed, with integer
+    weights 1-8 normalised. With 10-12 states and rows of 3-6, such a
+    chain has 10^6 to 10^13 paths of up to 20 states that hit `psi`."""
+    names = ["s%d" % s for s in range(n)]
+    rows = {names[-1]: [{names[-1]: 1.0}]}
+    for s in range(n - 1):
+        succ = rng.choice(n, k, replace=False)
+        w = rng.integers(1, 9, k)
+        rows[names[s]] = [{names[int(t)]: float(x) for t, x in zip(succ, w / w.sum())}]
+    return {"states": names, "initial": names[0], "labels": {names[-1]: ["psi"]}, "transitions": rows}
+
+
 # random corpus builders
 
 def _mc_doc(rng):

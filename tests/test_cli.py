@@ -2,7 +2,9 @@ import copy
 import gc
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from collections import OrderedDict
 from fractions import Fraction
@@ -10,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import corpus_docs, diamond_chain_doc, layered_dag_doc, load_model, ring_chain_doc
+from conftest import corpus_docs, dense_chain_doc, diamond_chain_doc, layered_dag_doc, load_model, ring_chain_doc
 from railcheck import cli, numerics, scheduling, search
 from railcheck.cli import main, render_report, run_check
 from railcheck.model import is_markov_chain
@@ -630,6 +632,7 @@ def test_verify_on_a_thousand_states_and_a_slow_loop(tmp_path):
     v = report["verification"]
     assert code == 1 and report["model"]["states"] == 1002 and v["pass"] is True
     assert len(v["sampling"]["rails"]) == len(report["witnesses"]) == 1
+    assert "skipped" not in v["enumeration"] and v["enumeration"]["pass"] is True
     loop = tmp_path / "loop.json"
     loop.write_text(json.dumps(_contract_doc(*_near_one_loops(np.random.default_rng(3), 1e-3))))
     code, report = _run(loop, "P<=0.1 [ F psi ]", verify=True)
@@ -639,6 +642,37 @@ def test_verify_on_a_thousand_states_and_a_slow_loop(tmp_path):
     assert code == 1 and sampling["samples"] == 10 ** 5 and sampling["rails"]
     assert classified + sampling["unclassified"] == 10 ** 5
     assert v["pass"] is True
+
+
+DENSE_SCRIPT = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+from railcheck.cli import run_check
+for path in sys.argv[1:]:
+    code, report = run_check(path, "P<=0.5 [ F psi ]", verify=True)
+    print(json.dumps([code, report.get("verification")]))
+"""
+
+
+def test_verify_counts_the_paths_of_dense_chains(tmp_path):
+    # 10-12 states with rows of 3-6 successors have up to 10^13 paths of
+    # the 20 states the enumeration bracket covers; it counts them without
+    # listing one, so the checks run in a subprocess capped at 1 GB
+    paths = []
+    for seed in range(20):
+        paths.append(tmp_path / f"dense{seed}.json")
+        paths[-1].write_text(json.dumps(dense_chain_doc(np.random.default_rng(seed), 10 + seed // 7, 3 + seed % 4)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", DENSE_SCRIPT, *map(str, paths)],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout.splitlines()
+    assert len(out) == len(paths)
+    for line in out:
+        code, verification = json.loads(line)
+        assert code in (0, 1) and verification["pass"] is True
+        assert verification["enumeration"]["paths"] > 0 and verification["enumeration"]["pass"] is True
 
 
 def _leaky_ring(rng, eps):

@@ -9,15 +9,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import reduce_to_psi
+from conftest import dense_chain_doc, reduce_to_psi
 from railcheck import oracle
 from railcheck.model import mc_row, parse_model
 from railcheck.oracle import (
     OracleLimitError,
     brute_force_max_reach,
     enumerate_freach,
+    first_hits,
     monte_carlo_classify,
 )
+from railcheck.props import Atom, sat_states
 from railcheck.scheduling import extract_max_scheduler
 from railcheck.search import ranked_rails
 
@@ -72,6 +74,61 @@ def test_enumerate_mass_conservation(mc_corpus):
         assert undecided >= 0.0
         reach = math.fsum(mass for _, mass in rails)
         assert total - 1e-12 <= reach <= total + undecided + 1e-12
+
+
+def _residual_mass(mc, targets, max_len):
+    # the tail bound as enumerate_freach summed it before first_hits did
+    live = oracle._can_reach([mc_row(mc, s) for s in range(mc.num_states)], targets)
+    if mc.initial not in live or mc.initial in targets:
+        return 0.0
+    if max_len < 1:
+        return 1.0
+    alive = {mc.initial: 1.0}
+    for _ in range(max_len - 1):
+        step = {}
+        for s, mass in alive.items():
+            for t, p in mc_row(mc, s):
+                if t in live and t not in targets:
+                    step[t] = step.get(t, 0.0) + mass * p
+        alive = step
+        if not alive:
+            break
+    return math.fsum(alive.values())
+
+
+def test_first_hits_counts_and_sums_the_listed_paths(m0, big1, fig5, m0_trap, mdp2, mc_corpus, dag_corpus):
+    chains = [(m, sat_states(m, Atom("psi"))) for m in (m0, big1, fig5, m0_trap)]
+    chains.append((extract_max_scheduler(mdp2, {3})[1].origin, {3}))
+    chains += [(m, psi) for m, psi, _, _ in mc_corpus + dag_corpus]
+    for seed in range(20):
+        n = 5 + seed % 3
+        chains.append((parse_model(json.dumps(dense_chain_doc(np.random.default_rng(seed), n, 2))), {n - 1}))
+    for m, psi in chains:
+        for max_len in range(1, 15):
+            listed, tail = enumerate_freach(m, psi, max_len)
+            count, mass, tail_now = first_hits(m, psi, max_len)
+            want = math.fsum(p for _, p in listed)
+            assert count == len(listed)
+            assert abs(mass - want) <= (max_len + 1) * 2.0 ** -53 * want
+            assert tail_now == tail == _residual_mass(m, psi, max_len)
+
+
+def test_first_hits_edges(m0):
+    # the initial state is a target: one path of one state, from L = 1 on
+    for max_len in (0, 1, 5):
+        listed, tail = enumerate_freach(m0, {0, 3}, max_len)
+        assert first_hits(m0, {0, 3}, max_len) == (len(listed), float(len(listed)), tail)
+        assert tail == 0.0 and len(listed) == (max_len >= 1)
+    # the initial state cannot reach the target: no path and no tail
+    stuck = parse_model(json.dumps({
+        "states": ["x", "y", "g"], "initial": "x", "labels": {"g": ["psi"]},
+        "transitions": {"x": [{"y": 1.0}], "y": [{"y": 1.0}], "g": [{"g": 1.0}]},
+    }))
+    assert first_hits(stuck, {2}, 20) == (0, 0.0, 0.0)
+    assert enumerate_freach(stuck, {2}, 20) == ([], 0.0)
+    # L = 0 lists nothing and leaves the whole mass to the tail
+    assert first_hits(m0, {3, 4}, 0) == (0, 0.0, 1.0)
+    assert enumerate_freach(m0, {3, 4}, 0) == ([], 1.0)
 
 
 def test_brute_force_mdp2(mdp2):
