@@ -173,14 +173,14 @@ def _scc_table(m: Model, red) -> List[Dict]:
     table = []
     for info in red.sccs:
         # the reduction copied each solved input's escape row into its chain
-        solved = sorted(info.inputs) if info.escape is not None else []
+        solved = info.inputs if info.outputs else ()
         table.append(
             {
                 "id": info.id,
                 "nontrivial": info.nontrivial,
-                "members": [m.names[s] for s in sorted(info.members)],
-                "inputs": [m.names[s] for s in sorted(info.inputs)],
-                "outputs": [m.names[s] for s in sorted(info.outputs)],
+                "members": [m.names[s] for s in info.members],
+                "inputs": [m.names[s] for s in info.inputs],
+                "outputs": [m.names[s] for s in info.outputs],
                 "reach": {
                     f"{m.names[u]}->{m.names[t]}": p
                     for u in solved

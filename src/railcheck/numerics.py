@@ -115,15 +115,14 @@ def max_reach(red: "AcyclicReduction", target: Iterable[int]) -> np.ndarray:
     at 1.
     """
     target = set(target)
-    rows, kept = red.chain.rows, red.kept
+    rows = red.chain.rows
     x = [1.0 if s in target else 0.0 for s in range(red.chain.num_states)]
     for s in red.order:
         if s not in target:  # a chain: distribution s is state s's row
             x[s] = min(math.fsum([p * x[t] for t, p in rows.row(s)]), 1.0)
-    for info in red.sccs:
-        if info.escape is not None:
-            outs = [x[t] for t in sorted(info.outputs)]
-            for s, v in zip(sorted(info.members), (info.escape @ outs).tolist()):
-                if s not in kept:
-                    x[s] = min(v, 1.0)
-    return np.array(x)
+    x = np.array(x)
+    for _, members, outputs, escapes in red.stacks:
+        dropped = ~red.comps.is_input[members]
+        for drop, member, output, escape in zip(dropped, members, outputs, escapes):
+            x[member[drop]] = np.minimum((escape @ x[output])[drop], 1.0)
+    return x

@@ -236,7 +236,7 @@ def monte_carlo_classify(
     """
     rails = [tuple(r) for r in rails]
     n_states = mc.num_states
-    scc_of = np.array(red.scc_of, dtype=np.int64)
+    scc_of = red.comps.of
     rows = [mc_row(mc, s) for s in range(n_states)]
     lens = np.array([len(row) for row in rows], dtype=np.int64)
     first = np.cumsum(lens) - lens

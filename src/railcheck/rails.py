@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import FinitePath, Rows, WeightedPath, cylinder_prob, product_mass, step_prob
 from .transform import AcyclicReduction
@@ -91,26 +91,26 @@ def representant(red: AcyclicReduction, rail: Sequence[int]) -> Tuple[FinitePath
     searched once per reduction: its path and step probabilities are kept
     in the reduction's `crossings`. The first faulty step raises.
     """
-    rail, origin = tuple(rail), red.origin
+    rail, origin, scc_of = tuple(rail), red.origin, red.scc_of
     full, probs = [rail[0]], []
     for u, t in zip(rail, rail[1:]):
-        info = red.sccs[red.scc_of[u]]
-        if not info.nontrivial:
+        if not red.comps.nontrivial[scc_of[u]]:
             path, steps = (u, t), (step_prob(origin, u, t),)
         elif (u, t) in red.crossings:
             path, steps = red.crossings[u, t]
         else:
-            path, steps = red.crossings[u, t] = _best_escape(origin.rows, info.members, u, t)
+            path, steps = red.crossings[u, t] = _best_escape(origin.rows, scc_of, u, t)
         full += path[1:]
         probs += steps
     return (tuple(full), *product_mass(reversed(probs)))
 
 
-def _best_escape(rows: Rows, members: FrozenSet[int], src: int, dst: int) -> WeightedPath:
+def _best_escape(rows: Rows, scc_of: List[int], src: int, dst: int) -> WeightedPath:
     """Highest-probability path from src to dst whose intermediate states
-    stay inside the component, with its step probabilities; ties resolved
-    by the lexicographically smallest state index sequence. rows are a
-    chain's, so distribution u is state u's row."""
+    stay inside src's component, with its step probabilities; ties
+    resolved by the lexicographically smallest state index sequence. rows
+    are a chain's, so distribution u is state u's row."""
+    c = scc_of[src]
     heap: List[Tuple[float, FinitePath, Tuple[float, ...]]] = [(0.0, (src,), ())]
     settled = set()
     while heap:
@@ -122,6 +122,6 @@ def _best_escape(rows: Rows, members: FrozenSet[int], src: int, dst: int) -> Wei
             continue
         settled.add(u)
         for t, p in rows.row(u):
-            if (t in members or t == dst) and t not in settled:
+            if (scc_of[t] == c or t == dst) and t not in settled:
                 heapq.heappush(heap, (weight - math.log(p), path + (t,), probs + (p,)))
     raise ValueError(f"no path from {src} to {dst} inside the component")

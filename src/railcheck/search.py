@@ -352,7 +352,8 @@ def most_indicative(
     # the reduced chain copies every other kept row from the source chain;
     # a component that has no outputs keeps its inputs absorbing, so they
     # end a rail if they lie on one
-    entries = {s for info in red.sccs if info.nontrivial and info.outputs for s in info.inputs}
+    out_at = red.comps.output_at
+    entries = set((red.comps.is_input & (out_at[1:] > out_at[:-1])[red.comps.of]).nonzero()[0].tolist())
     witnesses = [
         Witness(rail, mass, exp, rail, mass, exp)
         if not entries or entries.isdisjoint(rail[:-1])

@@ -16,33 +16,52 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .model import Model, ModelError, WeightedPath, chain_rows, is_markov_chain, ranges
+from .model import Model, ModelError, WeightedPath, chain_rows, is_markov_chain, offsets, ranges
 from .numerics import SingularMatrixError, prob0_states, solve_linear
 
 
-@dataclass
-class SccInfo:
+class Components(NamedTuple):
+    """A chain's strongly connected components as arrays, numbered by
+    smallest member. Component c's members are members[member_at[c] :
+    member_at[c + 1]], ascending; its outputs, once `scc_io` has filled
+    them, outputs[output_at[c] : output_at[c + 1]], ascending."""
+
+    of: np.ndarray  # each state's component
+    rank: np.ndarray  # Tarjan's completion order: every component this one leads to ranks lower
+    nontrivial: np.ndarray  # carries at least one internal transition
+    members: np.ndarray
+    member_at: np.ndarray
+    is_input: Optional[np.ndarray] = None  # entered into a nontrivial component from another, or initial
+    outputs: Optional[np.ndarray] = None  # targets of edges leaving a nontrivial component
+    output_at: Optional[np.ndarray] = None
+
+
+class SccInfo(NamedTuple):
+    """One component as the `--dump-scc` table lists it, states ascending."""
+
     id: int
-    members: FrozenSet[int]
-    nontrivial: bool  # carries at least one internal transition
-    rank: int  # Tarjan's completion order: every component this one leads to ranks lower
-    inputs: FrozenSet[int] = frozenset()
-    outputs: FrozenSet[int] = frozenset()
-    # escape probabilities of every member (rows, ascending) to every
-    # output (columns, ascending); None until scc_reach, or without outputs
-    escape: Optional[np.ndarray] = None
+    members: Tuple[int, ...]
+    nontrivial: bool
+    inputs: Tuple[int, ...]
+    outputs: Tuple[int, ...]
+
+
+def _split(flat: np.ndarray, at: np.ndarray) -> List[Tuple[int, ...]]:
+    flat, at = flat.tolist(), at.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(at, at[1:])]
 
 
 @dataclass(frozen=True)
 class AcyclicReduction:
     chain: Model
     kept: FrozenSet[int]
-    sccs: Tuple[SccInfo, ...]
-    scc_of: Tuple[int, ...]  # state index to component id
+    comps: Components
+    stacks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]  # the solved stacks of scc_reach
     origin: Model
     # every kept state, after each state it leads to but itself: the
     # states the initial state reaches come at or before it
@@ -50,6 +69,17 @@ class AcyclicReduction:
     # a component's (input, output) to the best path between them inside
     # it, filled by `rails.representant` on demand
     crossings: Dict[Tuple[int, int], WeightedPath] = field(default_factory=dict)
+
+    scc_of = cached_property(lambda self: self.comps.of.tolist())  # comps.of as a list, on first read
+
+    @cached_property
+    def sccs(self) -> Tuple[SccInfo, ...]:
+        """The component table, built on first read."""
+        c = self.comps
+        ins = c.members[c.is_input[c.members]]
+        in_at = offsets(np.bincount(c.of[ins], minlength=len(c.rank)))
+        return tuple(map(SccInfo, itertools.count(), _split(c.members, c.member_at), c.nontrivial.tolist(),
+                         _split(ins, in_at), _split(c.outputs, c.output_at)))
 
 
 def make_absorbing(mc: Model, psi: Iterable[int]) -> Model:
@@ -71,7 +101,7 @@ def make_absorbing(mc: Model, psi: Iterable[int]) -> Model:
     return Model(names=mc.names, initial=mc.initial, labels=mc.labels, rows=new)
 
 
-def scc_decompose(mc: Model) -> List[SccInfo]:
+def scc_decompose(mc: Model) -> Components:
     """Strongly connected components of a Markov chain, iterative Tarjan.
 
     Components are numbered by their smallest member so ids are stable
@@ -86,11 +116,11 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
     # lists of its own, not the rows' list form: kept with the absorbing
     # chain, that would stay alive through the rail search's peak
     succ, at = rows.succ.tolist(), rows.entry_at.tolist()
-    index = [-1] * n
+    index = [-1] * n  # n once the state's component completes, so it lowers no link
     low = [0] * n
-    on_stack = [False] * n
     stack: List[int] = []
-    comps: List[List[int]] = []
+    done: List[int] = []  # the states as their components complete
+    done_at = [0]  # where each completed component starts in done, and the end
     counter = 0
     for root in itertools.chain((mc.initial,), range(n)):
         if index[root] != -1:
@@ -98,7 +128,6 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         call = [(root, iter(succ[at[root] : at[root + 1]]))]
         while call:
             s, it = call[-1]
@@ -108,11 +137,10 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
                     index[t] = low[t] = counter
                     counter += 1
                     stack.append(t)
-                    on_stack[t] = True
                     call.append((t, iter(succ[at[t] : at[t + 1]])))
                     advanced = True
                     break
-                if on_stack[t] and index[t] < low[s]:
+                if index[t] < low[s]:
                     low[s] = index[t]
             if advanced:
                 continue
@@ -125,71 +153,44 @@ def scc_decompose(mc: Model) -> List[SccInfo]:
                 cut = len(stack)
                 while True:
                     cut -= 1
-                    on_stack[stack[cut]] = False
+                    index[stack[cut]] = n
                     if stack[cut] == s:
                         break
-                comps.append(stack[cut:])
+                done += stack[cut:]
+                done_at.append(len(done))
                 del stack[cut:]
-    infos = []
-    by_min = sorted(enumerate(comps), key=lambda rc: min(rc[1]))
-    for i, (rank, members) in enumerate(by_min):
-        # a lone state is nontrivial with a self loop only
-        s = members[0]
-        nontrivial = len(members) > 1 or s in succ[at[s] : at[s + 1]]
-        infos.append(SccInfo(id=i, members=frozenset(members), nontrivial=nontrivial, rank=rank))
-    return infos
+    done, done_at = np.array(done), np.array(done_at)
+    sizes = done_at[1:] - done_at[:-1]
+    # ids by smallest member: id i is the component Tarjan completes rank[i]-th
+    rank = np.minimum.reduceat(done, done_at[:-1]).argsort(kind="stable")
+    of = np.empty(n, dtype=np.int64)
+    of[done] = rank.argsort(kind="stable").repeat(sizes)
+    sizes = sizes[rank]
+    # a lone state is nontrivial with a self loop only
+    nontrivial = sizes > 1
+    nontrivial[of[rows.succ[rows.succ == rows.source]]] = True
+    return Components(of, rank, nontrivial, of.argsort(kind="stable"), offsets(sizes))
 
 
-def _scc_index(sccs: Sequence[SccInfo], n: int) -> np.ndarray:
-    """Each state's component id, -1 for a state in none of sccs."""
-    scc_of = np.empty(n, dtype=np.int64)
-    scc_of.fill(-1)
-    sizes = [len(info.members) for info in sccs]
-    members = itertools.chain.from_iterable(info.members for info in sccs)
-    states = np.fromiter(members, np.int64, sum(sizes))
-    scc_of[states] = np.array([info.id for info in sccs]).repeat(sizes)
-    return scc_of
-
-
-def scc_io(
-    mc: Model, sccs: Sequence[SccInfo], scc_of: Optional[np.ndarray] = None
-) -> Sequence[SccInfo]:
-    """Fill every nontrivial component's input states (reachable from
-    outside, plus the initial state if it lies inside) and output states
-    (targets of edges leaving the component). An array mask picks the
-    edges that leave their component, and only those are walked. scc_of
-    is each state's component id, if at hand."""
-    rows = mc.rows
-    if scc_of is None:
-        scc_of = _scc_index(sccs, mc.num_states)
-    come, go = scc_of[rows.source], scc_of[rows.succ]
-    leaves = (come != go).nonzero()[0]
-    ins: Dict[int, Set[int]] = {info.id: set() for info in sccs if info.nontrivial}
-    outs: Dict[int, Set[int]] = {c: set() for c in ins}
-    for c, d, t in zip(come[leaves].tolist(), go[leaves].tolist(), rows.succ[leaves].tolist()):
-        if c in outs:
-            outs[c].add(t)
-        if d in ins:
-            ins[d].add(t)
-    c0 = int(scc_of[mc.initial])
-    if c0 in ins:
-        ins[c0].add(mc.initial)
-    for info in sccs:
-        if info.nontrivial:
-            info.inputs = frozenset(ins[info.id])
-            info.outputs = frozenset(outs[info.id])
-    return sccs
-
-
-class InputRows(NamedTuple):
-    """The escape rows of solved components' inputs, outputs ascending and
-    zero entries dropped: input states[k]'s row is the next lens[k]
-    entries of succ and prob."""
-
-    states: np.ndarray
-    lens: np.ndarray
-    succ: np.ndarray
-    prob: np.ndarray
+def scc_io(mc: Model, comps: Components) -> Components:
+    """comps with every nontrivial component's inputs (reachable from
+    outside, plus the initial state if it lies inside) and outputs
+    (targets of edges leaving the component), read off the mask of the
+    edges that leave their component."""
+    rows, n, of = mc.rows, mc.num_states, comps.of
+    come, go = of[rows.source], of[rows.succ]
+    leaves = come != go
+    is_input = np.zeros(n, dtype=bool)
+    is_input[rows.succ[leaves & comps.nontrivial[go]]] = True
+    is_input[mc.initial] |= comps.nontrivial[of[mc.initial]]
+    exits = leaves & comps.nontrivial[come]
+    # each leaving edge as (component, output), sorted, each pair once
+    keys = come[exits] * n + rows.succ[exits]
+    keys = keys[keys.argsort(kind="stable")]
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    owner, outputs = np.divmod(keys, n)
+    output_at = offsets(np.bincount(owner, minlength=len(comps.rank)))
+    return comps._replace(is_input=is_input, outputs=outputs, output_at=output_at)
 
 
 # Most floats one stack of blocks holds (256 KB). Stacking pays off for
@@ -200,12 +201,12 @@ class InputRows(NamedTuple):
 _STACK_FLOATS = 1 << 15
 
 
-def scc_reach(mc: Model, sccs: Sequence[SccInfo], is_input: np.ndarray) -> InputRows:
-    """Fill the escape probabilities from each member to each output of
-    every nontrivial component that has outputs, all outputs solved in
-    one state reduction of the component block, and return the inputs'
-    escape rows, read off the solved stacks. is_input marks every
-    component's inputs.
+def scc_reach(mc: Model, comps: Components) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The escape probabilities from each member to each output of every
+    nontrivial component that has outputs, all outputs solved in one
+    state reduction of the component block, as stacks (ids, members,
+    outputs, escapes) of components of one shape: escapes[i] is component
+    ids[i]'s, from its members (rows) to its outputs (columns), ascending.
 
     Each block is built once. Blocks of one shape (members, outputs) are
     stacked, members first, up to `_STACK_FLOATS`, and a stack is solved
@@ -215,40 +216,37 @@ def scc_reach(mc: Model, sccs: Sequence[SccInfo], is_input: np.ndarray) -> Input
     with the lowest id is raised, carrying the pivot that block fails at
     alone.
     """
-    groups: Dict[Tuple[int, int], List[SccInfo]] = {}
-    for info in sccs:
-        if info.nontrivial and info.outputs:
-            groups.setdefault((len(info.members), len(info.outputs)), []).append(info)
-    if not groups:
-        none = np.zeros(0, dtype=np.int64)
-        return InputRows(none, none, none, np.zeros(0))
-    failures = []
-    parts = []
-    for (n, m), group in groups.items():
+    sizes, widths = (at[1:] - at[:-1] for at in (comps.member_at, comps.output_at))
+    ids = widths.nonzero()[0]  # only nontrivial components have outputs
+    ids = ids[np.lexsort((widths[ids], sizes[ids]))]  # grouped by shape, ids ascending in each
+    shape = sizes[ids] * len(comps.of) + widths[ids]  # fewer outputs than states
+    bounds = [0, *((shape[1:] != shape[:-1]).nonzero()[0] + 1).tolist(), len(ids)]
+    failures, stacks = [], []
+    for group in (ids[a:b] for a, b in zip(bounds, bounds[1:]) if a < b):
+        n, m = int(sizes[group[0]]), int(widths[group[0]])
         per_stack = max(1, _STACK_FLOATS // (n * (n + m)))
         for start in range(0, len(group), per_stack):
             stack = group[start : start + per_stack]
+            members = comps.members[comps.member_at[stack, None] + np.arange(n)]
+            outputs = comps.outputs[comps.output_at[stack, None] + np.arange(m)]
             try:
-                parts.append(_solve_stack(mc, stack, n, m, is_input))
+                stacks.append((stack, members, outputs, _solve_stack(mc, members, outputs)))
             except SingularMatrixError as err:
-                failures.append((stack[err.block].id, err))
+                failures.append((stack[err.block], err))
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return parts[0] if len(parts) == 1 else InputRows(*map(np.concatenate, zip(*parts)))
+    return stacks
 
 
-def _solve_stack(
-    mc: Model, stack: List[SccInfo], n: int, m: int, is_input: np.ndarray
-) -> InputRows:
+def _solve_stack(mc: Model, members: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     # Every member's row goes into its block in one scatter: an entry to a
     # member of its block into q at that member's position, an entry to an
     # output into r at that output's column. Each block's members and
     # outputs are keyed block * states + state; sorted, the keys find each
     # entry's column. Rows have distinct targets, so no two entries meet
     # in one cell.
-    rows, size, states = mc.rows, len(stack), mc.num_states
-    members = np.array([sorted(info.members) for info in stack], dtype=np.int64)
-    outputs = np.array([sorted(info.outputs) for info in stack], dtype=np.int64)
+    rows, states = mc.rows, mc.num_states
+    (size, n), m = members.shape, outputs.shape[1]
     keys = (np.concatenate((members, outputs), axis=1) + states * np.arange(size)[:, None]).ravel()
     order = keys.argsort()
     flat = members.ravel()
@@ -264,13 +262,7 @@ def _solve_stack(
     # x.swapaxes(0, 1) is the blocks-first array solve_linear fills, so
     # each escape is contiguous, as a lone solve's is, and max_reach's
     # product with it keeps its bytes
-    escapes = np.ascontiguousarray(x.swapaxes(0, 1))
-    for info, escape in zip(stack, escapes):
-        info.escape = escape
-    entering = is_input[members]
-    rows_in, cols = escapes[entering], outputs[entering.nonzero()[0]]
-    positive = rows_in > 0.0
-    return InputRows(members[entering], positive.sum(axis=1), cols[positive], rows_in[positive])
+    return np.ascontiguousarray(x.swapaxes(0, 1))
 
 
 def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
@@ -287,39 +279,44 @@ def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
     if not is_markov_chain(mc_psi):
         raise ModelError("acyclic_reduce expects a Markov chain")
     n, rows = mc_psi.num_states, mc_psi.rows
-    sccs = scc_decompose(mc_psi)
-    scc_of = _scc_index(sccs, n)
-    scc_io(mc_psi, sccs, scc_of)
-    is_input = np.zeros(n, dtype=bool)
-    is_input[np.fromiter(itertools.chain.from_iterable(info.inputs for info in sccs), np.int64)] = True
-    escaping = scc_reach(mc_psi, sccs, is_input)
+    comps = scc_io(mc_psi, scc_decompose(mc_psi))
+    stacks = scc_reach(mc_psi, comps)
+    of, is_input = comps.of, comps.is_input
+    # the inputs' escape rows, outputs ascending and zero entries dropped:
+    # input states[k]'s row is the next lens[k] entries of succ and prob
+    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
+    for _, members, outputs, escapes in stacks:
+        entering = is_input[members]
+        rows_in, cols = escapes[entering], outputs[entering.nonzero()[0]]
+        positive = rows_in > 0.0
+        parts.append((members[entering], positive.sum(axis=1), cols[positive], rows_in[positive]))
+    states, lens_in, succ_in, prob_in = map(np.concatenate, zip(*parts))
     # a trivial state's own row; an escape row after the source's entries;
     # a Dirac self loop, after the escapes, for every other state
     pool, at = len(rows.succ), rows.entry_at
     starts, lens = at[:-1].copy(), at[1:] - at[:-1]
-    inside = np.array([info.nontrivial for info in sccs])[scc_of]
+    inside = comps.nontrivial[of]
     dropped = inside.nonzero()[0]
-    starts[dropped] = pool + len(escaping.succ) + dropped
+    starts[dropped] = pool + len(succ_in) + dropped
     lens[dropped] = 1
-    starts[escaping.states] = pool + escaping.lens.cumsum() - escaping.lens
-    lens[escaping.states] = escaping.lens
+    starts[states] = pool + lens_in.cumsum() - lens_in
+    lens[states] = lens_in
     kept = (~inside | is_input).nonzero()[0]
     # Tarjan's completion order of their components, the initial state
     # first in its own; members of one component have no edge between them
-    rank = np.array([info.rank for info in sccs])[scc_of[kept]]
-    order = tuple(kept[np.lexsort((kept != mc_psi.initial, rank))].tolist())
+    order = tuple(kept[np.lexsort((kept != mc_psi.initial, comps.rank[of[kept]]))].tolist())
     chain = Model(
         names=mc_psi.names,
         initial=mc_psi.initial,
         labels=mc_psi.labels,
-        rows=chain_rows(starts, lens, np.concatenate((rows.succ, escaping.succ, np.arange(n))),
-                        np.concatenate((rows.prob, escaping.prob, np.ones(n)))),
+        rows=chain_rows(starts, lens, np.concatenate((rows.succ, succ_in, np.arange(n))),
+                        np.concatenate((rows.prob, prob_in, np.ones(n)))),
     )
     return AcyclicReduction(
         chain=chain,
         kept=frozenset(order),  # sharing order's ints
-        sccs=tuple(sccs),
-        scc_of=tuple(scc_of.tolist()),
+        comps=comps,
+        stacks=stacks,
         origin=mc_psi,
         order=order,
     )

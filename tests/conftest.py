@@ -40,6 +40,38 @@ def reduce_to_psi(mc: Model):
     return red, psi
 
 
+def component_sets(comps):
+    """Each component's (members, inputs, outputs) as frozensets, read off
+    the arrays of `scc_decompose`, inputs and outputs None before `scc_io`
+    fills them. Asserts the arrays' layout on the way: ids ordered by
+    smallest member, members and outputs ascending in each component, and
+    `of` naming each state's component."""
+    members, at, of = comps.members.tolist(), comps.member_at.tolist(), comps.of.tolist()
+    assert sorted(members) == list(range(len(of)))
+    table = []
+    for c, (a, b) in enumerate(zip(at, at[1:])):
+        mem = members[a:b]
+        assert mem == sorted(mem) and {of[s] for s in mem} == {c}
+        table.append([frozenset(mem), None, None])
+    assert [min(mem) for mem, _, _ in table] == sorted(min(mem) for mem, _, _ in table)
+    if comps.outputs is not None:
+        outputs, out_at, is_input = comps.outputs.tolist(), comps.output_at.tolist(), comps.is_input.tolist()
+        for entry, a, b in zip(table, out_at, out_at[1:]):
+            assert outputs[a:b] == sorted(set(outputs[a:b]))
+            entry[1:] = frozenset(s for s in entry[0] if is_input[s]), frozenset(outputs[a:b])
+    return [tuple(entry) for entry in table]
+
+
+def assert_completion_order(m: Model, comps) -> None:
+    """rank orders the components as Tarjan completes them: every edge
+    from component c into another component d has rank[d] < rank[c]."""
+    rank, of = comps.rank.tolist(), comps.of.tolist()
+    assert sorted(rank) == list(range(len(rank)))
+    for s in range(m.num_states):
+        for t in successors(m, s):
+            assert of[s] == of[t] or rank[of[t]] < rank[of[s]], (s, t)
+
+
 def assert_rows_equal(rows, actions):
     """The four row arrays equal the actions, flattened here tuple by
     tuple, independently of `Rows`; probabilities to the byte."""

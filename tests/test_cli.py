@@ -12,14 +12,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import corpus_docs, dense_chain_doc, diamond_chain_doc, layered_dag_doc, load_model, ring_chain_doc
+from conftest import (FIXTURES, component_sets, corpus_docs, dense_chain_doc, diamond_chain_doc, layered_dag_doc,
+                      load_model, reduce_to_psi, ring_chain_doc)
 from railcheck import cli, numerics, scheduling, search
 from railcheck.cli import main, render_report, run_check
 from railcheck.model import is_markov_chain
-from railcheck.numerics import SingularMatrixError
+from railcheck.numerics import SingularMatrixError, max_reach
 from railcheck.props import Atom, parse_property, sat_states
 from railcheck.scheduling import extract_max_scheduler
-from railcheck.transform import acyclic_reduce, make_absorbing
+from railcheck.rails import representant
+from railcheck.search import most_indicative
+from railcheck.transform import AcyclicReduction, acyclic_reduce, make_absorbing
 
 
 def _run(path, prop, **kw):
@@ -105,10 +108,51 @@ def test_scc_table_reads_rows(name, atom):
     assert "actions" not in red.chain.__dict__
     table = cli._scc_table(m, red)
     assert "actions" not in red.chain.__dict__
-    for info, entry in zip(red.sccs, table):
-        solved = sorted(info.inputs) if info.escape is not None else []
+    assert [entry["id"] for entry in table] == list(range(len(red.comps.rank)))
+    solved = {c for ids, _, _, _ in red.stacks for c in ids.tolist()}
+    for c, (states, entry) in enumerate(zip(component_sets(red.comps), table)):
+        assert entry["nontrivial"] == red.comps.nontrivial[c]
+        assert [entry[k] for k in ("members", "inputs", "outputs")] == [[m.names[s] for s in sorted(x)] for x in states]
         assert entry["reach"] == {
-            f"{m.names[u]}->{m.names[t]}": p for u in solved for t, p in red.chain.actions[u][0]}
+            f"{m.names[u]}->{m.names[t]}": p for u in sorted(states[1]) if c in solved for t, p in red.chain.actions[u][0]}
+
+
+def test_a_check_reads_no_component_record(mc_corpus, dag_corpus, mdp_corpus, monkeypatch):
+    # The search, policy iteration's evaluation and the representants read
+    # the component arrays: the records of red.sccs are built for the
+    # --dump-scc table only, when it is read.
+    spec = parse_property("P<1 [ F psi ]")
+    cases = [reduce_to_psi(m) for m, _, _, _ in mc_corpus + dag_corpus]
+    for m in mdp_corpus:
+        psi = sat_states(m, Atom("psi"))
+        cases.append((extract_max_scheduler(m, psi)[1], psi))
+    crossed = 0
+    for red, psi in cases:
+        out = most_indicative(red, spec, psi)
+        max_reach(red, psi)
+        for w in out.witnesses:
+            representant(red, w.rail)
+        crossed += bool(red.crossings)
+        assert "sccs" not in red.__dict__
+    assert crossed > 50
+    fixtures = [("m0.json", "psi"), ("m0_trap.json", "psi"), ("big1.json", "psi"), ("fig5.json", "psi"),
+                ("mdp2.json", "goal")]
+    read = []
+    with monkeypatch.context() as patch:
+        patch.setattr(AcyclicReduction, "sccs", property(lambda red: read.append(red) or ()))
+        for name, atom in fixtures:
+            code, report = run_check(str(FIXTURES / name), f"P<=0.3 [ F {atom} ]", verify=True)
+            assert code == 1 and report["verification"]["pass"] is True
+    assert read == []
+    for name, atom in fixtures:
+        m = load_model(name)
+        code, report = run_check(str(FIXTURES / name), f"P<=0.3 [ F {atom} ]", dump_scc=True)
+        # every state in one component, numbered by smallest member
+        table = report["scc_table"]
+        assert [entry["id"] for entry in table] == list(range(len(table)))
+        assert sorted(s for entry in table for s in map(m.names.index, entry["members"])) == list(range(m.num_states))
+        assert [m.names.index(entry["members"][0]) for entry in table] == sorted(
+            min(map(m.names.index, entry["members"])) for entry in table)
 
 
 def test_verification_block(m0_path):

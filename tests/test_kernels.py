@@ -8,7 +8,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, assert_rows_equal, corpus_docs, reference_actions
+from conftest import (FIXTURES, assert_completion_order, assert_rows_equal, component_sets, corpus_docs,
+                      reference_actions)
 from railcheck import scheduling
 from railcheck.model import ROW_SUM_TOL, parse_model
 from railcheck.numerics import max_reach
@@ -130,9 +131,14 @@ def test_scc_io_matches_networkx_condensation(i):
             ins.add(m.initial)
         outs = {t for s, t in g.edges if comp[s] == c and comp[t] != c}
         expected[members] = (frozenset(ins), frozenset(outs))
-    infos = scc_io(m, scc_decompose(m))
-    got = {info.members: (info.inputs, info.outputs) for info in infos if info.nontrivial}
+    comps = scc_io(m, scc_decompose(m))
+    table = component_sets(comps)
+    assert {members for members, _, _ in table} == {frozenset(cond.nodes[c]["members"]) for c in cond.nodes}
+    got = {members: (ins, outs) for (members, ins, outs), big in zip(table, comps.nontrivial) if big}
     assert got == expected
+    # a trivial component has neither inputs nor outputs
+    assert all(ins == outs == frozenset() for (_, ins, outs), big in zip(table, comps.nontrivial) if not big)
+    assert_completion_order(m, comps)
 
 
 def _assert_rows_match(m, actions):

@@ -328,7 +328,7 @@ def test_representant_searches_each_crossing_once(monkeypatch):
             (u, t)
             for w in out.witnesses
             for u, t in zip(w.rail, w.rail[1:])
-            if red.sccs[red.scc_of[u]].nontrivial
+            if red.comps.nontrivial[red.scc_of[u]]
         ]
         assert sorted(calls) == sorted(set(crossings))
         assert set(red.crossings) == set(crossings)

@@ -1,25 +1,19 @@
 import json
 import math
-from bisect import bisect_left
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import assert_rows_equal, diamond_chain_doc, reduce_to_psi, ring_chain_doc, successors
+from conftest import (assert_completion_order, assert_rows_equal, component_sets, diamond_chain_doc, reduce_to_psi,
+                      ring_chain_doc, successors)
 from railcheck import transform
 from railcheck.model import ModelError, mc_row, parse_model
 from railcheck.numerics import SingularMatrixError, max_reach, solve_linear
 from railcheck.oracle import brute_force_max_reach
 from railcheck.props import Atom, sat_states
 from railcheck.scheduling import extract_max_scheduler
-from railcheck.transform import (
-    acyclic_reduce,
-    make_absorbing,
-    scc_decompose,
-    scc_io,
-    scc_reach,
-)
+from railcheck.transform import acyclic_reduce, make_absorbing, scc_decompose, scc_io, scc_reach
 
 
 def test_make_absorbing(m0, m0_trap):
@@ -48,39 +42,35 @@ def _nx_partition(m):
     return {frozenset(c) for c in nx.strongly_connected_components(g)}
 
 
-def test_scc_decompose_matches_networkx(m0, big1, fig5, mc_corpus, mdp2):
-    models = [m0, big1, fig5] + [entry[0] for entry in mc_corpus[:30]]
+def test_scc_decompose_matches_networkx(m0, big1, fig5, mc_corpus, dag_corpus, mdp_corpus, mdp2):
+    models = [m0, big1, fig5] + [entry[0] for entry in mc_corpus + dag_corpus]
+    # the absorbing chains of the schedulers policy iteration settles on
+    models += [extract_max_scheduler(m, sat_states(m, Atom("psi")))[1].origin for m in mdp_corpus]
     for m in models:
-        infos = scc_decompose(m)
-        assert {info.members for info in infos} == _nx_partition(m)
+        comps = scc_decompose(m)
         # ids are positional and ordered by smallest member
-        firsts = [min(info.members) for info in infos]
-        assert firsts == sorted(firsts)
-        assert [info.id for info in infos] == list(range(len(infos)))
-        for info in infos:
-            internal = any(
-                t in info.members for s in info.members for t in successors(m, s)
-            )
-            assert info.nontrivial == internal
+        members = [mem for mem, _, _ in component_sets(comps)]
+        assert set(members) == _nx_partition(m)
+        for mem, big in zip(members, comps.nontrivial.tolist()):
+            assert big == any(t in mem for s in mem for t in successors(m, s))
+        assert_completion_order(m, comps)
     with pytest.raises(ModelError):
         scc_decompose(mdp2)
 
 
+def _by_members(comps):
+    return {mem: (ins, outs) for mem, ins, outs in component_sets(comps)}
+
+
 def test_fig5_components(fig5):
-    infos = scc_decompose(fig5)
-    big = {frozenset(i.members) for i in infos if len(i.members) > 1}
+    big = {mem for mem, _, _ in component_sets(scc_decompose(fig5)) if len(mem) > 1}
     assert big == {frozenset({1, 3, 4, 7}), frozenset({5, 6, 8})}
 
 
 def test_fig5_io(fig5):
-    infos = scc_io(fig5, scc_decompose(fig5))
-    by_members = {frozenset(i.members): i for i in infos}
-    k1 = by_members[frozenset({1, 3, 4, 7})]
-    assert k1.inputs == frozenset({1})
-    assert k1.outputs == frozenset({9, 10})
-    k2 = by_members[frozenset({5, 6, 8})]
-    assert k2.inputs == frozenset({5, 6})
-    assert k2.outputs == frozenset({11, 14})
+    by_members = _by_members(scc_io(fig5, scc_decompose(fig5)))
+    assert by_members[frozenset({1, 3, 4, 7})] == (frozenset({1}), frozenset({9, 10}))
+    assert by_members[frozenset({5, 6, 8})] == (frozenset({5, 6}), frozenset({11, 14}))
 
 
 def test_initial_state_counts_as_input():
@@ -95,44 +85,47 @@ def test_initial_state_counts_as_input():
         },
     }
     m = parse_model(json.dumps(doc))
-    info = next(i for i in scc_io(m, scc_decompose(m)) if len(i.members) == 2)
-    assert 0 in info.inputs
+    ins, _ = _by_members(scc_io(m, scc_decompose(m)))[frozenset({0, 1})]
+    assert 0 in ins
 
 
-def input_rows(info):
-    """Each input's escape distribution: outputs ascending, zero entries
-    dropped; empty without an escape solve. The reference the reduced
-    chain's input rows are checked against."""
-    if info.escape is None:
-        return {}
-    outs, members = sorted(info.outputs), sorted(info.members)
-    rows = {u: info.escape[bisect_left(members, u)].tolist() for u in sorted(info.inputs)}
-    return {u: tuple([(t, p) for t, p in zip(outs, row) if p > 0.0]) for u, row in rows.items()}
+def escapes_of(stacks):
+    """Each solved component's (members, outputs, escape), read off the
+    stacks scc_reach returns, by id."""
+    return {
+        c: (mem.tolist(), outs.tolist(), escape)
+        for ids, members, outputs, escapes in stacks
+        for c, mem, outs, escape in zip(ids.tolist(), members, outputs, escapes)
+    }
 
 
-def _input_mask(mc, infos):
-    """scc_reach's mask of every component's inputs."""
-    is_input = np.zeros(mc.num_states, dtype=bool)
-    is_input[[s for info in infos for s in info.inputs]] = True
-    return is_input
+def input_rows(comps, stacks):
+    """Each solved input's escape distribution: outputs ascending, zero
+    entries dropped. The reference the reduced chain's input rows are
+    checked against."""
+    rows = {}
+    for mem, outs, escape in escapes_of(stacks).values():
+        assert mem == sorted(mem) and outs == sorted(outs)
+        for u, row in zip(mem, escape.tolist()):
+            if comps.is_input[u]:
+                rows[u] = tuple([(t, p) for t, p in zip(outs, row) if p > 0.0])
+    return rows
 
 
 def test_scc_reach_values(m0, big1):
     m = make_absorbing(m0, {3, 4})
-    infos = scc_io(m, scc_decompose(m))
-    escaping = scc_reach(m, infos, _input_mask(m, infos))
-    by_members = {frozenset(i.members): i for i in infos}
-    assert input_rows(by_members[frozenset({2})])[2] == ((4, 1.0),)
-    assert input_rows(by_members[frozenset({1})])[1] == ((3, 1.0),)
-    assert sorted(escaping.states.tolist()) == [1, 2]
+    comps = scc_io(m, scc_decompose(m))
+    stacks = scc_reach(m, comps)
+    # the self loops {1} and {2} share a shape; the targets have no outputs
+    assert [ids.tolist() for ids, _, _, _ in stacks] == [[1, 2]]
+    assert input_rows(comps, stacks) == {1: ((3, 1.0),), 2: ((4, 1.0),)}
     b = make_absorbing(big1, {3})
-    infos = scc_io(b, scc_decompose(b))
-    escaping = scc_reach(b, infos, _input_mask(b, infos))
-    info = next(i for i in infos if len(i.members) == 2)
-    assert info.members == frozenset({1, 2})
-    assert input_rows(info)[1] == ((3, 1.0),)
-    assert escaping.states.tolist() == [1] and escaping.lens.tolist() == [1]
-    assert escaping.succ.tolist() == [3] and escaping.prob.tolist() == [1.0]
+    comps = scc_io(b, scc_decompose(b))
+    stacks = scc_reach(b, comps)
+    ((ids, members, outputs, escapes),) = stacks
+    assert ids.tolist() == [comps.of[1]] and members.tolist() == [[1, 2]] and outputs.tolist() == [[3]]
+    assert input_rows(comps, stacks) == {1: ((3, 1.0),)}
+    assert escapes.tolist() == [[[1.0], [1.0]]]
 
 
 def test_reduced_rows_equal_the_tuple_construction(mc_corpus, dag_corpus):
@@ -150,17 +143,14 @@ def test_reduced_rows_equal_the_tuple_construction(mc_corpus, dag_corpus):
     solved = 0
     for mc in chains:
         red = acyclic_reduce(mc)
-        rows = {}
+        rows = input_rows(red.comps, red.stacks)
         kept = set()
-        for info in red.sccs:
-            if info.nontrivial:
-                rows.update(input_rows(info))
-                kept |= info.inputs
-            else:
-                kept |= info.members
+        nontrivial = red.comps.nontrivial.tolist()
+        for (members, inputs, _), big in zip(component_sets(red.comps), nontrivial):
+            kept |= inputs if big else members
         actions = tuple(
             (rows[s],) if s in rows
-            else mc.actions[s] if s in kept and not red.sccs[red.scc_of[s]].nontrivial
+            else mc.actions[s] if s in kept and not nontrivial[red.scc_of[s]]
             else (((s, 1.0),),)
             for s in range(mc.num_states)
         )
@@ -199,6 +189,14 @@ def _sticky_rings_doc(rng, k, sticky):
     return {"states": names, "initial": "s0", "labels": {"goal": ["psi"]}, "transitions": trans}
 
 
+def _alone(comps, c):
+    """comps with the outputs of component c only: scc_reach solves c alone."""
+    a, b = comps.output_at[c : c + 2]
+    output_at = np.zeros(len(comps.output_at), dtype=np.int64)
+    output_at[c + 1 :] = b - a
+    return comps._replace(outputs=comps.outputs[a:b], output_at=output_at)
+
+
 @pytest.mark.parametrize("stack_floats", [None, 100, 1])
 def test_scc_reach_batch_matches_each_component_alone(stack_floats, monkeypatch):
     # the rings share one shape, so scc_reach solves them stacked (one
@@ -215,14 +213,16 @@ def test_scc_reach_batch_matches_each_component_alone(stack_floats, monkeypatch)
         m = parse_model(json.dumps(_sticky_rings_doc(rng, k, sticky)))
         mc = make_absorbing(m, {m.names.index("goal")})
         alone = {}
-        for info in scc_io(mc, scc_decompose(mc)):
-            if info.nontrivial and info.outputs:
-                assert len(info.members) == k and len(info.outputs) == 2
+        comps = scc_io(mc, scc_decompose(mc))
+        for c, (members, _, outputs) in enumerate(component_sets(comps)):
+            if comps.nontrivial[c] and outputs:
+                assert len(members) == k and len(outputs) == 2
                 try:
-                    scc_reach(mc, [info], _input_mask(mc, [info]))
-                    alone[info.id] = info.escape
+                    ((ids, _, _, (escape,)),) = scc_reach(mc, _alone(comps, c))
+                    assert ids.tolist() == [c]
+                    alone[c] = escape
                 except SingularMatrixError as err:
-                    alone[info.id] = err.pivot
+                    alone[c] = err.pivot
         failed = [j for j in sticky if j]
         assert [p for p in alone.values() if isinstance(p, int)] == failed
         if failed:
@@ -231,8 +231,9 @@ def test_scc_reach_batch_matches_each_component_alone(stack_floats, monkeypatch)
             assert err.value.pivot == failed[0]
             decided_by_id += min(failed) != failed[0]
         else:
-            red = acyclic_reduce(mc)
-            assert all(red.sccs[c].escape.tobytes() == x.tobytes() for c, x in alone.items())
+            solved = escapes_of(acyclic_reduce(mc).stacks)
+            assert solved.keys() == alone.keys()
+            assert all(solved[c][2].tobytes() == x.tobytes() for c, x in alone.items())
     assert decided_by_id >= 5
 
 
@@ -338,9 +339,10 @@ def test_order_is_a_post_order_of_the_kept_states(mc_corpus, dag_corpus, mdp_cor
 
 def test_reduction_is_acyclic(mc_corpus):
     for m, psi, red, rails in mc_corpus[:30]:
-        for info in scc_decompose(red.chain):
-            if info.nontrivial:
-                (s,) = info.members
+        comps = scc_decompose(red.chain)
+        for (members, _, _), big in zip(component_sets(comps), comps.nontrivial.tolist()):
+            if big:
+                (s,) = members
                 assert mc_row(red.chain, s) == ((s, 1.0),)
 
 
