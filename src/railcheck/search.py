@@ -22,6 +22,16 @@ liveness pass is needed. The first pass also sums each state's value, its
 probability of reaching the target. Work is one pass over the kept states
 of the components the initial state reaches, then proportional to the
 rails consumed.
+
+A bound that holds reads the stream to its end, and an exhausted stream
+holds every rail of every state the initial state reaches. So when the
+value shows the bound holding and the rails fit under the witness cap,
+the rails are counted per state, and where the streams hold many items
+per state they are built whole in numpy arrays, one sort per state, in
+place of a few heap operations per item (`_sweep`). The lazy phase 2
+stays for a stream read in part, as a violated bound reads it, and for
+shapes of few items per state, where the sweep's fixed cost per state
+loses.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .model import FinitePath, split_mass
+from .model import FinitePath, offsets, ranges, split_mass
 from .props import PropertySpec
 from .rails import Witness, representant
 from .transform import AcyclicReduction
@@ -90,6 +100,7 @@ class _SuffixStreams:
         self.items: List[Sequence[tuple]] = [()] * n
         self.heaps: List[Optional[list]] = [None] * n
         self.waiting: List[Optional[Tuple[int, int, float, int]]] = [None] * n
+        self.targets = targets
         for u in targets:
             self.items[u] = ((0.5, -1, None, 0),)
             self.heaps[u] = []
@@ -129,6 +140,37 @@ class _SuffixStreams:
                     value[v] = x if x <= 1.0 else 1.0
             if v == s0:
                 return
+
+    def rail_counts(self, order: Sequence[int], s0: int) -> List[int]:
+        """Per state, its rail count, the items its exhausted stream
+        holds: one pass in order up to s0 sums each state's successors'
+        counts, a target's being 1. A state past s0 counts 0."""
+        succ, at, targets = self.succ, self.at, self.targets
+        count = [0] * (len(at) - 1)
+        count_at = count.__getitem__
+        for u in targets:
+            count[u] = 1
+        for v in order:
+            if v not in targets:  # v's own self loop reads its count as 0
+                count[v] = sum(map(count_at, succ[at[v] : at[v + 1]]))
+            if v == s0:
+                break
+        return count
+
+    def reached(self, order: Sequence[int], s0: int, count: List[int]) -> List[int]:
+        """The states s0 reaches that have a rail, successors first: one
+        pass back from s0, predecessors first, marks the successors of
+        each such state but a target."""
+        succ, at, targets = self.succ, self.at, self.targets
+        marked, states = [False] * len(count), []
+        marked[s0] = True
+        for v in reversed(order[: order.index(s0) + 1]):
+            if marked[v] and count[v]:
+                states.append(v)
+                if v not in targets:
+                    for t in succ[at[v] : at[v + 1]]:
+                        marked[t] = True
+        return states[::-1]
 
     def _start_heap(self, v: int) -> list:
         """Phase 2's start: v's heap of the first candidates of its
@@ -203,8 +245,93 @@ class _SuffixStreams:
         return items[u][i] if i < len(items[u]) else None
 
 
+# A sweep pays about 15 numpy calls per state it builds a stream for, the
+# lazy stream a few heap operations per item it materializes. On a 2-vCPU
+# VM they broke even at 16-17 items per state (a line of 3000 states into
+# 16 rails, a layered DAG of 8 layers). At 32 per state the sweep took
+# 0.55 of the lazy stream's time, at 293 (dag-many-rails' biggest DAG)
+# 0.25, and at 2 and 8 (a star of 10**4 leaves, a line of 10**4 states
+# into 8 rails) 1.2 to 1.8 times it. So a sweep runs only where the
+# states it builds hold twice the break-even number of items on average.
+_SWEEP_ITEMS = 32
+
+
+def _sweep(red: AcyclicReduction, targets: Set[int], states: List[int],
+           count: List[int]) -> List[Tuple[FinitePath, float, int]]:
+    """Every rail from the initial state, heaviest first, as `ranked_rails`
+    yields them, read off every stream built whole in numpy arrays.
+
+    `count` is `_SuffixStreams.rail_counts`', and `states` the states the
+    initial state reaches that have a rail, successors first. State v's
+    stream is the count[v] items from start[v] on of three flat arrays:
+    each item's mantissa, its negated exponent, and the flat index of the
+    successor item it extends, -1 at a target. A state concatenates its
+    successors' streams in row order, multiplies each item by the step as
+    `_SuffixStreams.item` does, and sorts them stably by (negated
+    exponent, -mantissa): the order the heap pops, equal masses by
+    successor and then by index. A stream of one successor is only
+    scaled, as rounding is monotone. Then the pointers are walked one step
+    at a time for all rails not yet at their target."""
+    n, rows = red.chain.num_states, red.chain.rows
+    pm, pe = np.frexp(rows.prob)
+    succ, at = rows.succ_list, rows.entry_list
+    sizes = np.array([count[v] for v in states], dtype=np.int64)
+    bounds = offsets(sizes)
+    start, size = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)  # size 0 if dead
+    start[states], size[states] = bounds[:-1], sizes
+    start_at = start.tolist()
+    mant = np.empty(bounds[-1])
+    nexp, link = np.empty(bounds[-1], dtype=np.int64), np.empty(bounds[-1], dtype=np.int64)
+    for v, a, b in zip(states, bounds.tolist(), bounds[1:].tolist()):
+        if v in targets:
+            mant[a], nexp[a], link[a] = 0.5, -1, -1
+        else:
+            lo, hi = at[v], at[v + 1]
+            live = [k for k in range(lo, hi) if count[succ[k]]]
+            if len(live) == 1:
+                k = live[0]
+                src = start_at[succ[k]]
+                m, e = np.frexp(mant[src : src + b - a] * pm[k])  # exact doubling below 1/2
+                nexp[a:b] = nexp[src : src + b - a] - (pe[k] + e)
+                link[a:b] = np.arange(src, src + b - a)
+                mant[a:b] = m
+            else:
+                c = size[rows.succ[lo:hi]]
+                idx = ranges(start[rows.succ[lo:hi]], c)
+                m, e = np.frexp(mant[idx] * pm[lo:hi].repeat(c))
+                ne = nexp[idx] - (pe[lo:hi].repeat(c) + e)
+                order = np.lexsort((-m, ne))
+                mant[a:b], nexp[a:b], link[a:b] = m[order], ne[order], idx[order]
+    s0 = red.chain.initial
+    a, b = start_at[s0], start_at[s0] + count[s0]
+    # model.split_mass on every rail's mass
+    exp = -nexp[a:b]
+    normal = exp > -1022
+    mass = np.where(normal, np.ldexp(mant[a:b], np.where(normal, exp, 0)), mant[a:b])
+    owner = np.repeat(states, sizes)
+    lens = np.ones(b - a, dtype=np.int64)
+    steps, ids, cur = [], np.arange(b - a), link[a:b]
+    while True:
+        going = cur >= 0
+        ids, cur = ids[going], cur[going]
+        if not len(ids):
+            break
+        steps.append((ids, owner[cur]))
+        lens[ids] += 1
+        cur = link[cur]
+    rail_at = offsets(lens)
+    flat = np.empty(rail_at[-1], dtype=np.int64)
+    flat[rail_at[:-1]] = s0
+    for depth, (ids, visited) in enumerate(steps, 1):
+        flat[rail_at[ids] + depth] = visited
+    flat, rail_at = flat.tolist(), rail_at.tolist()
+    rails = [tuple(flat[x:y]) for x, y in zip(rail_at, rail_at[1:])]
+    return list(zip(rails, mass.tolist(), np.where(normal, 0, exp).tolist()))
+
+
 def ranked_rails(
-    red: AcyclicReduction, targets: Iterable[int], *, _streams: Optional[_SuffixStreams] = None
+    red: AcyclicReduction, targets: Iterable[int], *, _streams: Optional[_SuffixStreams] = None,
+    _sweep_limit: Optional[int] = None,
 ) -> Iterator[Tuple[FinitePath, float, int]]:
     """Rails from the initial state to the first target hit, heaviest
     first, as (rail, mass, exp): the rail's mass is mass·2**exp, with exp
@@ -221,9 +348,29 @@ def ranked_rails(
     same with or without the probability-zero states made absorbing.
 
     `_streams`, streams of red's chain and targets that no rail has been
-    read from, saves building them again."""
+    read from, saves building them again.
+
+    `_sweep_limit` is for a caller that reads every rail if there are at
+    most that many: `most_indicative`, when the value shows the bound
+    holds. Then the rails are counted per state, and if the initial state
+    has at most `_sweep_limit` and the states it reaches hold at least
+    `_SWEEP_ITEMS` items each on average, `_sweep` builds every stream
+    whole, as exhausting the lazy stream would, at a fixed number of numpy
+    calls per state in place of heap operations and a pointer walk per
+    item. Either way the rails, masses and order are the same; phase 2
+    stays for a stream read in part, as a violated bound reads it."""
     s0 = red.chain.initial
     streams = _SuffixStreams(red, set(targets)) if _streams is None else _streams
+    if _sweep_limit is not None:
+        count = streams.rail_counts(red.order, s0)
+        # no state s0 reaches has more rails than s0, so with fewer than
+        # _SWEEP_ITEMS there the sweep cannot pay
+        if _SWEEP_ITEMS <= count[s0] <= _sweep_limit:
+            states = streams.reached(red.order, s0, count)
+            inner = [count[v] for v in states if v not in streams.targets]
+            if sum(inner) >= _SWEEP_ITEMS * len(inner):
+                yield from _sweep(red, streams.targets, states, count)
+                return
     items = streams.items
     for i in itertools.count():
         item = streams.item(s0, i)
@@ -319,7 +466,9 @@ def most_indicative(
     ldexp = math.ldexp
     violated = _violated(spec, total, spec.threshold)
     if not violated:
-        for rail, mass, exp in ranked_rails(red, targets, _streams=streams):
+        # a bound the value shows holding reads every rail, or its cap's worth
+        sweep_limit = None if _violated(spec, max_prob, spec.threshold) else max_witnesses
+        for rail, mass, exp in ranked_rails(red, targets, _streams=streams, _sweep_limit=sweep_limit):
             count = len(found)
             if max_witnesses is not None and count >= max_witnesses:
                 raise SearchLimitError(

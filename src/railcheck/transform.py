@@ -59,7 +59,6 @@ def _split(flat: np.ndarray, at: np.ndarray) -> List[Tuple[int, ...]]:
 @dataclass(frozen=True)
 class AcyclicReduction:
     chain: Model
-    kept: FrozenSet[int]
     comps: Components
     stacks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]  # the solved stacks of scc_reach
     origin: Model
@@ -71,6 +70,11 @@ class AcyclicReduction:
     crossings: Dict[Tuple[int, int], WeightedPath] = field(default_factory=dict)
 
     scc_of = cached_property(lambda self: self.comps.of.tolist())  # comps.of as a list, on first read
+
+    @cached_property
+    def kept(self) -> FrozenSet[int]:
+        """The kept states as a set, built on first read."""
+        return frozenset(self.order)
 
     @cached_property
     def sccs(self) -> Tuple[SccInfo, ...]:
@@ -314,7 +318,6 @@ def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
     )
     return AcyclicReduction(
         chain=chain,
-        kept=frozenset(order),  # sharing order's ints
         comps=comps,
         stacks=stacks,
         origin=mc_psi,

@@ -260,6 +260,31 @@ def layered_dag_doc(rng, layers, width=16):
     }
 
 
+def star_chain_doc(rng, leaves):
+    """The initial state steps to `leaves` leaves with random weights, and
+    each leaf to the goal or a trap: one rail per leaf, and about two
+    stream items per state."""
+    names = ["c"] + ["l%d" % i for i in range(leaves)] + ["goal", "trap"]
+    w = rng.uniform(0.2, 1.0, leaves)
+    rows = {"c": [dict(zip(names[1 : leaves + 1], (w / w.sum()).tolist()))],
+            "goal": [{"goal": 1.0}], "trap": [{"trap": 1.0}]}
+    for leaf in names[1 : leaves + 1]:
+        p = float(rng.uniform(0.3, 0.9))
+        rows[leaf] = [{"goal": p, "trap": 1.0 - p}]
+    return {"states": names, "initial": "c", "labels": {"goal": ["goal"]}, "transitions": rows}
+
+
+def line_dag_doc(rng, length, layers):
+    """A line of `length` states, each stepping to the next with
+    probability 1, into the initial state of `layered_dag_doc(rng,
+    layers)`: every line state has that DAG's 2**layers rails."""
+    dag = layered_dag_doc(rng, layers)
+    names = ["line%d" % i for i in range(length)]
+    rows = {a: [{b: 1.0}] for a, b in zip(names, names[1:] + [dag["initial"]])}
+    return {"states": names + dag["states"], "initial": names[0], "labels": dag["labels"],
+            "transitions": {**rows, **dag["transitions"]}}
+
+
 def dense_chain_doc(rng, n, k):
     """n states, the last one `psi` with a Dirac loop; every other state
     steps to k distinct states, itself and `psi` allowed, with integer

@@ -6,8 +6,12 @@ from graphlib import TopologicalSorter
 import numpy as np
 import pytest
 
-from conftest import diamond_chain_doc, layered_dag_doc, reduce_to_psi, ring_chain_doc, successors
+import make_golden
+from conftest import (FIXTURES, diamond_chain_doc, layered_dag_doc, line_dag_doc, load_model, reduce_to_psi,
+                      ring_chain_doc, star_chain_doc, successors)
+import railcheck
 from railcheck import rails, search
+from railcheck.cli import run_check
 from railcheck.model import cylinder_mass, cylinder_prob, mc_row, parse_model, split_mass
 from railcheck.numerics import max_reach
 from railcheck.oracle import enumerate_freach
@@ -733,3 +737,167 @@ def test_stream_items_do_not_depend_on_request_order(mc_corpus, dag_corpus):
         check(red, psi)
     for rings in (2, 3, 5):
         check(*reduce_to_psi(parse_model(json.dumps(ring_chain_doc(rng, rings)))))
+
+
+def _reduce_goal(doc):
+    m = parse_model(json.dumps(doc))
+    goal = sat_states(m, Atom("goal"))
+    return acyclic_reduce(make_absorbing(m, goal)), goal
+
+
+def _swept(red, psi):
+    """Every rail as the sweep reads it, whatever its guard would say."""
+    streams = search._SuffixStreams(red, set(psi))
+    s0 = red.chain.initial
+    count = streams.rail_counts(red.order, s0)
+    return search._sweep(red, streams.targets, streams.reached(red.order, s0, count), count)
+
+
+def _deep_doc(rng, depth, levels, spread=None):
+    """A line of `depth` states, each stepping on with 2**-29 and to a
+    trap otherwise, into `diamond_chain_doc(rng, levels, spread)`: few
+    rails, of masses 2**(-29 * depth) and below."""
+    dia = diamond_chain_doc(rng, levels, spread)
+    names = ["d%d" % i for i in range(depth)]
+    rows = {"trap": [{"trap": 1.0}]}
+    for a, b in zip(names, names[1:] + [dia["initial"]]):
+        rows[a] = [{b: 2.0 ** -29, "trap": 1.0 - 2.0 ** -29}]
+    return {"states": names + ["trap"] + dia["states"], "initial": names[0], "labels": dia["labels"],
+            "transitions": {**rows, **dia["transitions"]}}
+
+
+def test_sweep_agrees_with_the_lazy_stream(mc_corpus, dag_corpus, mdp_corpus):
+    # The sweep builds each reached state's whole stream in arrays; rail
+    # for rail it gives the lazy stream's rails, masses to the bit and
+    # exponents, in its order, equal masses by successor and then by index.
+    def check(red, psi):
+        lazy = list(ranked_rails(red, psi))
+        swept = _swept(red, psi)
+        assert [rail for rail, _, _ in swept] == [rail for rail, _, _ in lazy]
+        assert [(mass.hex(), exp) for _, mass, exp in swept] == [(mass.hex(), exp) for _, mass, exp in lazy]
+        assert all(type(mass) is float and type(exp) is int for _, mass, exp in swept)
+        return lazy
+
+    for name in sorted(p.name for p in FIXTURES.glob("*.json")):
+        m = load_model(name)
+        for label in ("psi", "goal"):
+            psi = sat_states(m, Atom(label))
+            check(extract_max_scheduler(m, psi)[1] if m.num_states != m.rows.num_dists
+                  else acyclic_reduce(make_absorbing(m, psi)), psi)
+    for _, psi, red, _ in mc_corpus + dag_corpus:
+        check(red, psi)
+    for m in mdp_corpus:  # the reduction policy iteration ends on
+        psi = sat_states(m, Atom("psi"))
+        check(extract_max_scheduler(m, psi)[1], psi)
+    m = load_model("m0.json")  # the initial state in the target, and no target
+    for target in ({m.initial}, set()):
+        assert check(acyclic_reduce(make_absorbing(m, target)), target) == ([((0,), 1.0, 0)] if target else [])
+    rng = np.random.default_rng(2020)
+    for levels in (1, 4, 9):  # every rail ties at spread 0
+        lazy = check(*reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, 0)))))
+        assert len({mass for _, mass, _ in lazy}) == 1 and len(lazy) == 2 ** levels
+    exps = []  # 3 times 64 rails each from 2**-1015, 2**-1044 and 2**-1798 down
+    for depth in (35, 36, 62):
+        for spread in (None, 0, 10):
+            lazy = check(*reduce_to_psi(parse_model(json.dumps(_deep_doc(rng, depth, 6, spread)))))
+            exps += [exp for _, _, exp in lazy]
+    assert 0 < exps.count(0) < 192 and sum(-1075 < exp < 0 for exp in exps) > 192 and min(exps) < -1075
+    check(*_reduce_goal(layered_dag_doc(rng, 9)))
+    check(*reduce_to_psi(parse_model(json.dumps(ring_chain_doc(rng, 4)))))
+
+
+class _Sweeps:
+    """Records the sweeps `ranked_rails` runs, by their rail counts."""
+
+    def __init__(self, monkeypatch):
+        self.rails = []
+        original = search._sweep
+
+        def sweep(*args):
+            rails = original(*args)
+            self.rails.append(len(rails))
+            return rails
+
+        monkeypatch.setattr(search, "_sweep", sweep)
+
+
+def _dag_file(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_sweep_guard_at_the_witness_cap(tmp_path, monkeypatch):
+    # A bound the value shows holding sweeps when every rail fits under
+    # the cap; one rail more and the lazy stream hits the cap, exiting 2
+    # as before.
+    sweeps = _Sweeps(monkeypatch)
+    doc = layered_dag_doc(np.random.default_rng(2121), 10)
+    path = _dag_file(tmp_path, doc)
+    red, goal = _reduce_goal(doc)
+    rails = 2 ** 10
+    out = most_indicative(red, parse_property("P<=1 [ F goal ]"), goal, max_witnesses=rails)
+    assert out.verdict == "holds" and len(out.witnesses) == rails and sweeps.rails == [rails]
+    with pytest.raises(SearchLimitError, match=f"bound still undecided after {rails - 1} witnesses"):
+        most_indicative(red, parse_property("P<=1 [ F goal ]"), goal, max_witnesses=rails - 1)
+    assert sweeps.rails == [rails]
+    code, report = run_check(path, "P<=1 [ F goal ]", max_witnesses=rails)
+    assert code == 0 and len(report["witnesses"]) == rails and sweeps.rails == [rails] * 2
+    code, report = run_check(path, "P<=1 [ F goal ]", max_witnesses=rails - 1)
+    assert (code, report) == (2, {"error": {"stage": "searching", "message":
+                                            f"bound still undecided after {rails - 1} witnesses"}})
+    assert sweeps.rails == [rails] * 2
+
+
+def test_sweep_guard_leaves_the_lazy_stream(tmp_path, mc_corpus, monkeypatch):
+    # Violated bounds read the stream in part, and shapes of few items per
+    # state, a star of 10**4 leaves and a line of 10**4 states into 8
+    # rails, cost more swept; none of them sweeps.
+    sweeps = _Sweeps(monkeypatch)
+    rng = np.random.default_rng(2222)
+    red, goal = _reduce_goal(layered_dag_doc(rng, 10))
+    for prop in ("P<=0.3 [ F goal ]", "P<0 [ F goal ]", "P<=0 [ F goal ]"):
+        assert most_indicative(red, parse_property(prop), goal).verdict == "violated"
+    for _, psi, red, rails in mc_corpus:
+        mass = math.fsum(mass for _, mass in rails)
+        assert most_indicative(red, PropertySpec("<", mass / 2, Atom("psi")), psi).verdict == "violated"
+    for doc, rails in ((star_chain_doc(rng, 10 ** 4), 10 ** 4), (line_dag_doc(rng, 10 ** 4, 3), 8)):
+        code, report = run_check(_dag_file(tmp_path, doc), "P<=1 [ F goal ]")
+        assert code == 0 and len(report["witnesses"]) == rails
+    assert sweeps.rails == []
+
+
+def test_ring_chain_998_stays_lazy(monkeypatch, tmp_path):
+    # 2.4e67 rails, far above the cap: the golden case exits 2 with its bytes.
+    sweeps = _Sweeps(monkeypatch)
+    gen = make_golden.load_gen()
+    path = tmp_path / "ring998.json"
+    path.write_text(json.dumps(gen.ring_chain(np.random.default_rng(1), 998)))
+    golden = json.loads(make_golden.GOLDEN.read_text())
+    want = golden["cases"]["ring998/P<=0.99 [ F goal ]"]
+    got = make_golden.digest(str(path), "P<=0.99 [ F goal ]", {"max_witnesses": 1000})
+    exact = make_golden.versions() == {k: golden[k] for k in ("python", "numpy")}
+    keys = ("exit", "verdict", "witnesses") + (("json", "text") if exact else ())
+    assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
+    assert got["exit"] == 2 and sweeps.rails == []
+
+
+def test_the_sweep_streams_through_the_module_global(monkeypatch):
+    # bench/spans.py counts rails by rebinding every module attribute that
+    # is search.ranked_rails to a wrapping generator; a sweep reached any
+    # other way would stream rails the tracer never counts.
+    sweeps = _Sweeps(monkeypatch)
+    original, seen = search.ranked_rails, []
+
+    def wrapper(*args, **kwargs):
+        for rail in original(*args, **kwargs):
+            seen.append(rail)
+            yield rail
+
+    for mod in (search, railcheck):
+        if getattr(mod, "ranked_rails", None) is original:
+            monkeypatch.setattr(mod, "ranked_rails", wrapper)
+    red, goal = _reduce_goal(layered_dag_doc(np.random.default_rng(2323), 10))
+    out = most_indicative(red, parse_property("P<=1 [ F goal ]"), goal, max_witnesses=10 ** 6)
+    assert out.verdict == "holds" and sweeps.rails == [len(out.witnesses)] == [2 ** 10]
+    assert seen == [(w.rail, w.mass, w.mass_exp) for w in out.witnesses]
