@@ -141,10 +141,13 @@ class _SuffixStreams:
             if v == s0:
                 return
 
-    def rail_counts(self, order: Sequence[int], s0: int) -> List[int]:
+    def rail_counts(self, order: Sequence[int], s0: int, cap: int) -> List[int]:
         """Per state, its rail count, the items its exhausted stream
-        holds: one pass in order up to s0 sums each state's successors'
-        counts, a target's being 1. A state past s0 counts 0."""
+        holds, or cap if that is more: one pass in order up to s0 sums
+        each state's successors' counts, a target's being 1. A state past
+        s0 counts 0. A count under cap is exact, as a successor at cap
+        puts its predecessor there too; saturating keeps each count a
+        small int where the rails grow exponentially along the order."""
         succ, at, targets = self.succ, self.at, self.targets
         count = [0] * (len(at) - 1)
         count_at = count.__getitem__
@@ -152,7 +155,8 @@ class _SuffixStreams:
             count[u] = 1
         for v in order:
             if v not in targets:  # v's own self loop reads its count as 0
-                count[v] = sum(map(count_at, succ[at[v] : at[v + 1]]))
+                x = sum(map(count_at, succ[at[v] : at[v + 1]]))
+                count[v] = x if x < cap else cap
             if v == s0:
                 break
         return count
@@ -256,30 +260,29 @@ class _SuffixStreams:
 _SWEEP_ITEMS = 32
 
 
-def _sweep(red: AcyclicReduction, targets: Set[int], states: List[int],
+def _sweep(red: AcyclicReduction, streams: _SuffixStreams, states: List[int],
            count: List[int]) -> List[Tuple[FinitePath, float, int]]:
     """Every rail from the initial state, heaviest first, as `ranked_rails`
     yields them, read off every stream built whole in numpy arrays.
 
-    `count` is `_SuffixStreams.rail_counts`', and `states` the states the
-    initial state reaches that have a rail, successors first. State v's
-    stream is the count[v] items from start[v] on of three flat arrays:
-    each item's mantissa, its negated exponent, and the flat index of the
-    successor item it extends, -1 at a target. A state concatenates its
-    successors' streams in row order, multiplies each item by the step as
-    `_SuffixStreams.item` does, and sorts them stably by (negated
-    exponent, -mantissa): the order the heap pops, equal masses by
-    successor and then by index. A stream of one successor is only
-    scaled, as rounding is monotone. Then the pointers are walked one step
-    at a time for all rails not yet at their target."""
-    n, rows = red.chain.num_states, red.chain.rows
-    pm, pe = np.frexp(rows.prob)
-    succ, at = rows.succ_list, rows.entry_list
+    `streams` holds the rows and each step's mantissa and negated
+    exponent, and `count` is its `rail_counts`, exact at every state in
+    `states`: the states the initial state reaches that have a rail,
+    successors first. State v's stream is the count[v] items from
+    start[v] on of three flat arrays: each item's mantissa, its negated
+    exponent, and the flat index of the successor item it extends, -1 at
+    a target. A state concatenates its successors' streams in row order,
+    multiplies each item by the step as `_SuffixStreams.item` does, and
+    sorts them stably by (negated exponent, -mantissa): the order the
+    heap pops, equal masses by successor and then by index. Then the
+    pointers are walked one step at a time for all rails not yet at
+    their target."""
+    n, succ, at, targets = red.chain.num_states, red.chain.rows.succ, streams.at, streams.targets
+    pm, npe = np.asarray(streams.pm), np.asarray(streams.npe)
     sizes = np.array([count[v] for v in states], dtype=np.int64)
     bounds = offsets(sizes)
     start, size = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)  # size 0 if dead
     start[states], size[states] = bounds[:-1], sizes
-    start_at = start.tolist()
     mant = np.empty(bounds[-1])
     nexp, link = np.empty(bounds[-1], dtype=np.int64), np.empty(bounds[-1], dtype=np.int64)
     for v, a, b in zip(states, bounds.tolist(), bounds[1:].tolist()):
@@ -287,23 +290,15 @@ def _sweep(red: AcyclicReduction, targets: Set[int], states: List[int],
             mant[a], nexp[a], link[a] = 0.5, -1, -1
         else:
             lo, hi = at[v], at[v + 1]
-            live = [k for k in range(lo, hi) if count[succ[k]]]
-            if len(live) == 1:
-                k = live[0]
-                src = start_at[succ[k]]
-                m, e = np.frexp(mant[src : src + b - a] * pm[k])  # exact doubling below 1/2
-                nexp[a:b] = nexp[src : src + b - a] - (pe[k] + e)
-                link[a:b] = np.arange(src, src + b - a)
-                mant[a:b] = m
-            else:
-                c = size[rows.succ[lo:hi]]
-                idx = ranges(start[rows.succ[lo:hi]], c)
-                m, e = np.frexp(mant[idx] * pm[lo:hi].repeat(c))
-                ne = nexp[idx] - (pe[lo:hi].repeat(c) + e)
-                order = np.lexsort((-m, ne))
-                mant[a:b], nexp[a:b], link[a:b] = m[order], ne[order], idx[order]
+            c = size[succ[lo:hi]]
+            idx = ranges(start[succ[lo:hi]], c)
+            m, e = np.frexp(mant[idx] * pm[lo:hi].repeat(c))  # exact doubling below 1/2
+            ne = nexp[idx] + (npe[lo:hi].repeat(c) - e)
+            order = np.lexsort((-m, ne))
+            mant[a:b], nexp[a:b], link[a:b] = m[order], ne[order], idx[order]
     s0 = red.chain.initial
-    a, b = start_at[s0], start_at[s0] + count[s0]
+    a = int(start[s0])
+    b = a + count[s0]
     # model.split_mass on every rail's mass
     exp = -nexp[a:b]
     normal = exp > -1022
@@ -362,14 +357,14 @@ def ranked_rails(
     s0 = red.chain.initial
     streams = _SuffixStreams(red, set(targets)) if _streams is None else _streams
     if _sweep_limit is not None:
-        count = streams.rail_counts(red.order, s0)
+        count = streams.rail_counts(red.order, s0, _sweep_limit + 1)
         # no state s0 reaches has more rails than s0, so with fewer than
         # _SWEEP_ITEMS there the sweep cannot pay
         if _SWEEP_ITEMS <= count[s0] <= _sweep_limit:
             states = streams.reached(red.order, s0, count)
             inner = [count[v] for v in states if v not in streams.targets]
             if sum(inner) >= _SWEEP_ITEMS * len(inner):
-                yield from _sweep(red, streams.targets, states, count)
+                yield from _sweep(red, streams, states, count)
                 return
     items = streams.items
     for i in itertools.count():

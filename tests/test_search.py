@@ -749,8 +749,9 @@ def _swept(red, psi):
     """Every rail as the sweep reads it, whatever its guard would say."""
     streams = search._SuffixStreams(red, set(psi))
     s0 = red.chain.initial
-    count = streams.rail_counts(red.order, s0)
-    return search._sweep(red, streams.targets, streams.reached(red.order, s0, count), count)
+    count = streams.rail_counts(red.order, s0, 2 ** 62)
+    assert count[s0] < 2 ** 62
+    return search._sweep(red, streams, streams.reached(red.order, s0, count), count)
 
 
 def _deep_doc(rng, depth, levels, spread=None):
@@ -880,6 +881,32 @@ def test_ring_chain_998_stays_lazy(monkeypatch, tmp_path):
     keys = ("exit", "verdict", "witnesses") + (("json", "text") if exact else ())
     assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
     assert got["exit"] == 2 and sweeps.rails == []
+
+
+def test_rail_counts_saturate_at_the_cap(mc_corpus, dag_corpus, monkeypatch, tmp_path):
+    # A count is exact below the cap and the cap above it, so a chain
+    # whose rails grow exponentially along the order keeps small counts:
+    # ring chain 998's 2.4e67 rails count 1001 under a cap of 1000
+    # witnesses, and the check stays lazy.
+    for _, psi, red, _ in mc_corpus + dag_corpus:
+        streams = search._SuffixStreams(red, set(psi))
+        exact = streams.rail_counts(red.order, red.chain.initial, 2 ** 62)
+        for cap in (1, 2, 5, 32):
+            assert streams.rail_counts(red.order, red.chain.initial, cap) == [min(c, cap) for c in exact]
+    sweeps, counts = _Sweeps(monkeypatch), []
+    original = search._SuffixStreams.rail_counts
+
+    def rail_counts(self, order, s0, cap):
+        counts.append((cap, original(self, order, s0, cap)))
+        return counts[-1][1]
+
+    monkeypatch.setattr(search._SuffixStreams, "rail_counts", rail_counts)
+    path = tmp_path / "ring998.json"
+    path.write_text(json.dumps(make_golden.load_gen().ring_chain(np.random.default_rng(1), 998)))
+    code, report = run_check(str(path), "P<=1 [ F goal ]", max_witnesses=1000)
+    assert (code, report["error"]["message"]) == (2, "bound still undecided after 1000 witnesses")
+    [(cap, count)] = counts
+    assert cap == 1001 and max(count) == 1001 and sweeps.rails == []
 
 
 def test_the_sweep_streams_through_the_module_global(monkeypatch):
