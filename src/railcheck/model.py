@@ -148,6 +148,12 @@ def split_mass(frac: float, exp: int) -> Tuple[float, int]:
     return (math.ldexp(frac, exp), 0) if exp > -1022 else (frac, exp)
 
 
+def split_masses(frac: np.ndarray, exp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """`split_mass` elementwise, on arrays of fractions and int exponents."""
+    normal = exp > -1022
+    return np.where(normal, np.ldexp(frac, np.where(normal, exp, 0)), frac), np.where(normal, 0, exp)
+
+
 def step_prob(m: Model, s: int, t: int) -> float:
     """The probability of the step from s to t, read off s's row; a state
     with several distributions is rejected, as `mc_row` rejects it."""

@@ -19,16 +19,16 @@ underflows. Exponents are stored negated: masses are at most 1, so nearly
 all are small ints that CPython shares. A state that cannot reach the
 target has an empty stream and never enters a heap, so no separate
 liveness pass is needed. The first pass also sums each state's value, its
-probability of reaching the target. Work is one pass over the kept states
-of the components the initial state reaches, then proportional to the
-rails consumed.
+probability of reaching the target, and counts its rails, up to a cap.
+Work is one pass over the kept states of the components the initial state
+reaches, then proportional to the rails consumed.
 
 A bound that holds reads the stream to its end, and an exhausted stream
 holds every rail of every state the initial state reaches. So when the
 value shows the bound holding and the rails fit under the witness cap,
-the rails are counted per state, and where the streams hold many items
-per state they are built whole in numpy arrays, one sort per state, in
-place of a few heap operations per item (`_sweep`). The lazy phase 2
+which the counts tell, and the streams hold many items per state, they
+are built whole in numpy arrays, one sort per state, in place of a few
+heap operations per item (`_sweep`). The lazy phase 2
 stays for a stream read in part, as a violated bound reads it, and for
 shapes of few items per state, where the sweep's fixed cost per state
 loses.
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .model import FinitePath, offsets, ranges, split_mass
+from .model import FinitePath, offsets, ranges, split_mass, split_masses
 from .props import PropertySpec
 from .rails import Witness, representant
 from .transform import AcyclicReduction
@@ -59,33 +59,36 @@ class _SuffixStreams:
     """Per state, the paths to the first target hit, heaviest first, in
     the two phases of the recursive enumeration algorithm.
 
-    `items`, `heaps`, `waiting` and `value` are lists indexed by state.
-    Phase 1 runs when the streams are built and gives a state its first
-    item and its value: one pass over the reduction's `order`, successors
-    first, up to the initial state, in which each state takes the least
-    key (-e, -m, successor) over its successors' first items, each
-    multiplied by the step to that successor, and sums its row times its
-    successors' values, the probabilities of reaching the target. A state
-    the pass leaves without an item cannot reach the target, or lies past
-    the initial state, and its value stays 0. Until its second request a
-    state's stream is a tuple of that one item: a tuple of numbers leaves
-    the cyclic collector's lists, so the pass adds nothing for a full
-    collection to walk. Phase 2 starts at the second request: the stream
-    becomes a list, the heap (None until then) holds the first candidates
-    of the state's other successors, and `waiting` the follow-up of the
-    one it took. `waiting` is one slot per state: None, or the follow-up
-    of the item last popped as (successor, index of its next item, the
-    step's mantissa and negated exponent). A pop fills the slot; the
-    state's next request pushes that item onto the heap, or empties the
-    slot if the successor's stream is exhausted, before it pops. A heap
-    holds one candidate per successor, so the successor settles equal
-    masses. A request names just a state, as a stream is only asked for
-    its next item, and is done once that item is appended: the follow-up
-    it leaves in `waiting` waits for the state's next request instead of
-    resolving down the DAG.
+    `items`, `heaps`, `waiting`, `value` and `count` are lists indexed by
+    state. Phase 1 runs when the streams are built and gives a state its
+    first item, its value and its rail count: one pass over the
+    reduction's `order`, successors first, up to the initial state, in
+    which each state takes the least key (-e, -m, successor) over its
+    successors' first items, each multiplied by the step to that
+    successor, sums their counts, a target's being 1, and sums its row
+    times its successors' values, the probabilities of reaching the
+    target. Counts saturate at `cap`, so stay small where rails grow
+    exponentially along the order; one under the cap is exact. A state the
+    pass leaves without an item cannot reach the target, or lies past the
+    initial state, and its value and count stay 0. Until its second
+    request a state's stream is a tuple of that one item: a tuple of
+    numbers leaves the cyclic collector's lists, so the pass adds nothing
+    for a full collection to walk. Phase 2 starts at the second request:
+    the stream becomes a list, the heap (None until then) holds the first
+    candidates of the state's other successors, and `waiting` the
+    follow-up of the one it took. `waiting` is one slot per state: None,
+    or the follow-up of the item last popped as (successor, index of its
+    next item, the step's mantissa and negated exponent). A pop fills the
+    slot; the state's next request pushes that item onto the heap, or
+    empties the slot if the successor's stream is exhausted, before it
+    pops. A heap holds one candidate per successor, so the successor
+    settles equal masses. A request names just a state, as a stream is
+    only asked for its next item, and is done once that item is appended:
+    the follow-up it leaves in `waiting` waits for the state's next
+    request instead of resolving down the DAG.
     """
 
-    def __init__(self, red: AcyclicReduction, targets: Set[int]):
+    def __init__(self, red: AcyclicReduction, targets: Set[int], cap: int = 1):
         n, rows = red.chain.num_states, red.chain.rows
         # the rows' list form, shared with max_reach, and every entry's
         # mantissa and negated exponent; distribution u is state u's row
@@ -97,6 +100,7 @@ class _SuffixStreams:
         self.at: List[int] = rows.entry_list
         self.prob: List[float] = rows.prob_list
         self.value: List[float] = [0.0] * n  # set by phase 1, 0 where it leaves no item
+        self.count: List[int] = [0] * n  # likewise
         self.items: List[Sequence[tuple]] = [()] * n
         self.heaps: List[Optional[list]] = [None] * n
         self.waiting: List[Optional[Tuple[int, int, float, int]]] = [None] * n
@@ -104,25 +108,26 @@ class _SuffixStreams:
         for u in targets:
             self.items[u] = ((0.5, -1, None, 0),)
             self.heaps[u] = []
-            self.value[u] = 1.0
-        self._first_items(red.order, red.chain.initial)
+            self.value[u], self.count[u] = 1.0, 1
+        self._first_items(red.order, red.chain.initial, cap)
 
-    def _first_items(self, order: Sequence[int], s0: int) -> None:
-        """Phase 1: the first item and the value of every state in order
-        up to s0. Each state folds its successors' first items into the
-        least key in edge order; a state that takes an item then sums its
-        row times its successors' values, as `max_reach` does."""
+    def _first_items(self, order: Sequence[int], s0: int, cap: int) -> None:
+        """Phase 1, in order up to s0: each state folds its successors'
+        first items into the least key in edge order and sums their
+        counts; a state that takes an item then sums its row times its
+        successors' values, as `max_reach` does."""
         items, succ, pms, npes, at = self.items, self.succ, self.pm, self.npe, self.at
-        prob, value, fsum = self.prob, self.value, math.fsum
+        prob, value, count, fsum = self.prob, self.value, self.count, math.fsum
         value_at = value.__getitem__
         for v in order:
             if not items[v]:  # else v is a target
                 a, end = at[v], at[v + 1]
-                bm, bne, bt = 0.0, 0, None
+                bm, bne, bt, c = 0.0, 0, None, 0
                 for k in range(a, end):
                     t = succ[k]
                     t_items = items[t]
                     if t_items:  # else t is dead, or t is v
+                        c += count[t]
                         m, ne, _, _ = t_items[0]
                         m *= pms[k]
                         ne += npes[k]
@@ -135,46 +140,12 @@ class _SuffixStreams:
                             bm, bne, bt = m, ne, t
                 if bt is not None:
                     items[v] = ((bm, bne, bt, 0),)
+                    count[v] = c if c < cap else cap
                     # max_reach's sum and cap; v's own self loop reads its value as 0
                     x = fsum(map(mul, prob[a:end], map(value_at, succ[a:end])))
                     value[v] = x if x <= 1.0 else 1.0
             if v == s0:
                 return
-
-    def rail_counts(self, order: Sequence[int], s0: int, cap: int) -> List[int]:
-        """Per state, its rail count, the items its exhausted stream
-        holds, or cap if that is more: one pass in order up to s0 sums
-        each state's successors' counts, a target's being 1. A state past
-        s0 counts 0. A count under cap is exact, as a successor at cap
-        puts its predecessor there too; saturating keeps each count a
-        small int where the rails grow exponentially along the order."""
-        succ, at, targets = self.succ, self.at, self.targets
-        count = [0] * (len(at) - 1)
-        count_at = count.__getitem__
-        for u in targets:
-            count[u] = 1
-        for v in order:
-            if v not in targets:  # v's own self loop reads its count as 0
-                x = sum(map(count_at, succ[at[v] : at[v + 1]]))
-                count[v] = x if x < cap else cap
-            if v == s0:
-                break
-        return count
-
-    def reached(self, order: Sequence[int], s0: int, count: List[int]) -> List[int]:
-        """The states s0 reaches that have a rail, successors first: one
-        pass back from s0, predecessors first, marks the successors of
-        each such state but a target."""
-        succ, at, targets = self.succ, self.at, self.targets
-        marked, states = [False] * len(count), []
-        marked[s0] = True
-        for v in reversed(order[: order.index(s0) + 1]):
-            if marked[v] and count[v]:
-                states.append(v)
-                if v not in targets:
-                    for t in succ[at[v] : at[v + 1]]:
-                        marked[t] = True
-        return states[::-1]
 
     def _start_heap(self, v: int) -> list:
         """Phase 2's start: v's heap of the first candidates of its
@@ -260,24 +231,24 @@ class _SuffixStreams:
 _SWEEP_ITEMS = 32
 
 
-def _sweep(red: AcyclicReduction, streams: _SuffixStreams, states: List[int],
-           count: List[int]) -> List[Tuple[FinitePath, float, int]]:
+def _sweep(red: AcyclicReduction, streams: _SuffixStreams,
+           states: List[int]) -> List[Tuple[FinitePath, float, int]]:
     """Every rail from the initial state, heaviest first, as `ranked_rails`
     yields them, read off every stream built whole in numpy arrays.
 
-    `streams` holds the rows and each step's mantissa and negated
-    exponent, and `count` is its `rail_counts`, exact at every state in
-    `states`: the states the initial state reaches that have a rail,
-    successors first. State v's stream is the count[v] items from
-    start[v] on of three flat arrays: each item's mantissa, its negated
-    exponent, and the flat index of the successor item it extends, -1 at
-    a target. A state concatenates its successors' streams in row order,
-    multiplies each item by the step as `_SuffixStreams.item` does, and
-    sorts them stably by (negated exponent, -mantissa): the order the
-    heap pops, equal masses by successor and then by index. Then the
-    pointers are walked one step at a time for all rails not yet at
-    their target."""
-    n, succ, at, targets = red.chain.num_states, red.chain.rows.succ, streams.at, streams.targets
+    `streams` holds the rows, each step's mantissa and negated exponent
+    and each state's rail count. `states` lists, successors first, every
+    state the initial state reaches that has a rail, and possibly other
+    states whose successors it lists too; its counts are exact, under the
+    streams' cap. State v's stream is the count[v] items from start[v] on
+    of three flat arrays: each item's mantissa, its negated exponent, and
+    the flat index of the successor item it extends, -1 at a target. A
+    state concatenates its successors' streams in row order, multiplies
+    each item by the step as `_SuffixStreams.item` does, and sorts them
+    stably by (negated exponent, -mantissa): the order the heap pops,
+    equal masses by successor and then by index. Then the pointers are
+    walked one step at a time for all rails not yet at their target."""
+    n, succ, at, count = red.chain.num_states, red.chain.rows.succ, streams.at, streams.count
     pm, npe = np.asarray(streams.pm), np.asarray(streams.npe)
     sizes = np.array([count[v] for v in states], dtype=np.int64)
     bounds = offsets(sizes)
@@ -286,7 +257,7 @@ def _sweep(red: AcyclicReduction, streams: _SuffixStreams, states: List[int],
     mant = np.empty(bounds[-1])
     nexp, link = np.empty(bounds[-1], dtype=np.int64), np.empty(bounds[-1], dtype=np.int64)
     for v, a, b in zip(states, bounds.tolist(), bounds[1:].tolist()):
-        if v in targets:
+        if v in streams.targets:
             mant[a], nexp[a], link[a] = 0.5, -1, -1
         else:
             lo, hi = at[v], at[v + 1]
@@ -299,10 +270,7 @@ def _sweep(red: AcyclicReduction, streams: _SuffixStreams, states: List[int],
     s0 = red.chain.initial
     a = int(start[s0])
     b = a + count[s0]
-    # model.split_mass on every rail's mass
-    exp = -nexp[a:b]
-    normal = exp > -1022
-    mass = np.where(normal, np.ldexp(mant[a:b], np.where(normal, exp, 0)), mant[a:b])
+    mass, exp = split_masses(mant[a:b], -nexp[a:b])
     owner = np.repeat(states, sizes)
     lens = np.ones(b - a, dtype=np.int64)
     steps, ids, cur = [], np.arange(b - a), link[a:b]
@@ -321,7 +289,7 @@ def _sweep(red: AcyclicReduction, streams: _SuffixStreams, states: List[int],
         flat[rail_at[ids] + depth] = visited
     flat, rail_at = flat.tolist(), rail_at.tolist()
     rails = [tuple(flat[x:y]) for x, y in zip(rail_at, rail_at[1:])]
-    return list(zip(rails, mass.tolist(), np.where(normal, 0, exp).tolist()))
+    return list(zip(rails, mass.tolist(), exp.tolist()))
 
 
 def ranked_rails(
@@ -342,30 +310,31 @@ def ranked_rails(
     it is absorbing or leads into a dead region, so the rails are the
     same with or without the probability-zero states made absorbing.
 
-    `_streams`, streams of red's chain and targets that no rail has been
-    read from, saves building them again.
+    `_streams`, unread streams of red's chain and targets with a cap above
+    `_sweep_limit`, saves building them again.
 
     `_sweep_limit` is for a caller that reads every rail if there are at
     most that many: `most_indicative`, when the value shows the bound
-    holds. Then the rails are counted per state, and if the initial state
-    has at most `_sweep_limit` and the states it reaches hold at least
-    `_SWEEP_ITEMS` items each on average, `_sweep` builds every stream
-    whole, as exhausting the lazy stream would, at a fixed number of numpy
-    calls per state in place of heap operations and a pointer walk per
-    item. Either way the rails, masses and order are the same; phase 2
-    stays for a stream read in part, as a violated bound reads it."""
+    holds. Phase 1 also counts each state's rails, up to the cap, and if
+    the initial state has at most `_sweep_limit` and the states up to it
+    in the reduction's order hold at least `_SWEEP_ITEMS` items each on
+    average, `_sweep` builds every stream whole, as exhausting the lazy
+    stream would, at a fixed number of numpy calls per state in place of
+    heap operations and a pointer walk per item. Either way the rails,
+    masses and order are the same; phase 2 stays for a stream read in
+    part, as a violated bound reads it."""
     s0 = red.chain.initial
-    streams = _SuffixStreams(red, set(targets)) if _streams is None else _streams
-    if _sweep_limit is not None:
-        count = streams.rail_counts(red.order, s0, _sweep_limit + 1)
-        # no state s0 reaches has more rails than s0, so with fewer than
-        # _SWEEP_ITEMS there the sweep cannot pay
-        if _SWEEP_ITEMS <= count[s0] <= _sweep_limit:
-            states = streams.reached(red.order, s0, count)
-            inner = [count[v] for v in states if v not in streams.targets]
-            if sum(inner) >= _SWEEP_ITEMS * len(inner):
-                yield from _sweep(red, streams, states, count)
-                return
+    streams = _streams or _SuffixStreams(red, set(targets), 1 if _sweep_limit is None else _sweep_limit + 1)
+    count = streams.count
+    # no state s0 reaches has more rails than s0, so with fewer than
+    # _SWEEP_ITEMS there the sweep cannot pay. States up to s0 in order add only
+    # inputs entered from elsewhere, swept unread; counts up to s0's are exact
+    if _sweep_limit is not None and _SWEEP_ITEMS <= count[s0] <= _sweep_limit:
+        states = [v for v in red.order[: red.order.index(s0) + 1] if 0 < count[v] <= count[s0]]
+        inner = [count[v] for v in states if v not in streams.targets]
+        if sum(inner) >= _SWEEP_ITEMS * len(inner):
+            yield from _sweep(red, streams, states)
+            return
     items = streams.items
     for i in itertools.count():
         item = streams.item(s0, i)
@@ -453,7 +422,7 @@ def most_indicative(
     and its mass is the same right-to-left product of the same rows.
     """
     targets = set(targets)
-    streams = _SuffixStreams(red, targets)
+    streams = _SuffixStreams(red, targets, 1 if max_witnesses is None else max_witnesses + 1)
     max_prob = streams.value[red.chain.initial]
     found: List[Tuple[FinitePath, float, int]] = []
     partials: Optional[List[float]] = None  # None while the float sum is certified

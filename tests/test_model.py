@@ -18,6 +18,7 @@ from railcheck.model import (
     names_of_path,
     parse_model,
     split_mass,
+    split_masses,
 )
 
 
@@ -104,6 +105,20 @@ def test_cylinder_mass_matches_a_step_by_step_reference(mc_corpus, mdp_corpus):
         cylinder_mass(m, (1, 2, 0))
     with pytest.raises(ModelError, match="'b' has 2 distributions"):
         cylinder_mass(m, (2, 1, 2))
+
+
+def test_split_masses_is_split_mass_elementwise():
+    # around the least normal exponent, the least subnormal's and below,
+    # and in the normal range: the same floats to the bit, the same ints
+    rng = np.random.default_rng(2424)
+    exps = [-1021, -1022, -1023, -1074, -1075, -1800, -1020, -500, -1, 0, 1]
+    fracs = np.concatenate([[0.5, np.nextafter(1.0, 0.0)], rng.uniform(0.5, 1.0, 30)])
+    frac = np.tile(fracs, len(exps))
+    exp = np.repeat(np.array(exps, dtype=np.int64), len(fracs))
+    mass, mass_exp = split_masses(frac, exp)
+    want = [split_mass(f, e) for f, e in zip(frac.tolist(), exp.tolist())]
+    assert [(m.hex(), e) for m, e in zip(mass.tolist(), mass_exp.tolist())] == [(m.hex(), e) for m, e in want]
+    assert all(type(e) is int for e in mass_exp.tolist())
 
 
 def test_path_name_round_trip(m0):

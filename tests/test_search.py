@@ -745,13 +745,19 @@ def _reduce_goal(doc):
     return acyclic_reduce(make_absorbing(m, goal)), goal
 
 
+def _sweep_states(red, streams):
+    """The states the sweep builds streams for, as `ranked_rails` picks them."""
+    s0, count = red.chain.initial, streams.count
+    return [v for v in red.order[: red.order.index(s0) + 1] if 0 < count[v] <= count[s0]]
+
+
 def _swept(red, psi):
-    """Every rail as the sweep reads it, whatever its guard would say."""
-    streams = search._SuffixStreams(red, set(psi))
-    s0 = red.chain.initial
-    count = streams.rail_counts(red.order, s0, 2 ** 62)
-    assert count[s0] < 2 ** 62
-    return search._sweep(red, streams, streams.reached(red.order, s0, count), count)
+    """Every rail as the sweep reads it, whatever its guard would say, and
+    the states it builds streams for."""
+    streams = search._SuffixStreams(red, set(psi), 2 ** 62)
+    assert streams.count[red.chain.initial] < 2 ** 62
+    states = _sweep_states(red, streams)
+    return search._sweep(red, streams, states), states
 
 
 def _deep_doc(rng, depth, levels, spread=None):
@@ -771,9 +777,15 @@ def test_sweep_agrees_with_the_lazy_stream(mc_corpus, dag_corpus, mdp_corpus):
     # The sweep builds each reached state's whole stream in arrays; rail
     # for rail it gives the lazy stream's rails, masses to the bit and
     # exponents, in its order, equal masses by successor and then by index.
+    # The states up to the initial one in the reduction's order may include
+    # some it does not reach, whose streams are built too, unread.
+    unreached = 0
+
     def check(red, psi):
+        nonlocal unreached
         lazy = list(ranked_rails(red, psi))
-        swept = _swept(red, psi)
+        swept, states = _swept(red, psi)
+        unreached += len(set(states) - _reached_live(red.chain, psi)[0])
         assert [rail for rail, _, _ in swept] == [rail for rail, _, _ in lazy]
         assert [(mass.hex(), exp) for _, mass, exp in swept] == [(mass.hex(), exp) for _, mass, exp in lazy]
         assert all(type(mass) is float and type(exp) is int for _, mass, exp in swept)
@@ -805,6 +817,7 @@ def test_sweep_agrees_with_the_lazy_stream(mc_corpus, dag_corpus, mdp_corpus):
     assert 0 < exps.count(0) < 192 and sum(-1075 < exp < 0 for exp in exps) > 192 and min(exps) < -1075
     check(*_reduce_goal(layered_dag_doc(rng, 9)))
     check(*reduce_to_psi(parse_model(json.dumps(ring_chain_doc(rng, 4)))))
+    assert unreached > 0
 
 
 class _Sweeps:
@@ -884,28 +897,31 @@ def test_ring_chain_998_stays_lazy(monkeypatch, tmp_path):
 
 
 def test_rail_counts_saturate_at_the_cap(mc_corpus, dag_corpus, monkeypatch, tmp_path):
-    # A count is exact below the cap and the cap above it, so a chain
-    # whose rails grow exponentially along the order keeps small counts:
-    # ring chain 998's 2.4e67 rails count 1001 under a cap of 1000
-    # witnesses, and the check stays lazy.
+    # Phase 1 counts each state's rails, the cap where they are more: a
+    # count is exact below the cap, so a chain whose rails grow
+    # exponentially along the order keeps small counts. A state past the
+    # initial one in the reduction's order counts 0, a target 1. Ring
+    # chain 998's 2.4e67 rails count 1001 under a cap of 1000 witnesses,
+    # and the check stays lazy.
     for _, psi, red, _ in mc_corpus + dag_corpus:
-        streams = search._SuffixStreams(red, set(psi))
-        exact = streams.rail_counts(red.order, red.chain.initial, 2 ** 62)
-        for cap in (1, 2, 5, 32):
-            assert streams.rail_counts(red.order, red.chain.initial, cap) == [min(c, cap) for c in exact]
-    sweeps, counts = _Sweeps(monkeypatch), []
-    original = search._SuffixStreams.rail_counts
+        want = _rail_counts(red.chain, psi)
+        passed = set(red.order[: red.order.index(red.chain.initial) + 1])
+        for cap in (1, 2, 5, 32, 2 ** 62):
+            assert search._SuffixStreams(red, set(psi), cap).count == [
+                min(n, cap) if u in passed or u in psi else 0 for u, n in enumerate(want)]
+    sweeps, made = _Sweeps(monkeypatch), []
 
-    def rail_counts(self, order, s0, cap):
-        counts.append((cap, original(self, order, s0, cap)))
-        return counts[-1][1]
+    class Recorded(search._SuffixStreams):
+        def __init__(self, red, targets, cap=1):
+            super().__init__(red, targets, cap)
+            made.append((cap, self.count))
 
-    monkeypatch.setattr(search._SuffixStreams, "rail_counts", rail_counts)
+    monkeypatch.setattr(search, "_SuffixStreams", Recorded)
     path = tmp_path / "ring998.json"
     path.write_text(json.dumps(make_golden.load_gen().ring_chain(np.random.default_rng(1), 998)))
     code, report = run_check(str(path), "P<=1 [ F goal ]", max_witnesses=1000)
     assert (code, report["error"]["message"]) == (2, "bound still undecided after 1000 witnesses")
-    [(cap, count)] = counts
+    [(cap, count)] = made
     assert cap == 1001 and max(count) == 1001 and sweeps.rails == []
 
 
