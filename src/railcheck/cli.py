@@ -45,7 +45,6 @@ _FAILURES = (
     PropertyError,
     SingularMatrixError,
     SearchLimitError,
-    OracleLimitError,
     OSError,
 )
 

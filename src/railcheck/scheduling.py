@@ -69,12 +69,10 @@ class _Improvement:
     other than a self loop, p times the successor's value, summed left to
     right and divided by their mass, summed left to right too, or 0
     without mass. A self loop only delays, and left in, a loop of
-    1 - 1e-11 would scale every gain down below IMPROVE_TOL. The work
-    grows with the number of entries: the distributions' entries lie flat,
-    self loops set to 0, and each sum adds the k-th entries of all
-    distributions that have one, for k = 0, 1, ...; adding 0 changes no
-    sum, so each is the left-to-right sum of its entries. A state's best
-    distribution is its first maximal one.
+    1 - 1e-11 would scale every gain down below IMPROVE_TOL. np.bincount
+    adds each distribution's flat entries, self loops set to 0, in entry
+    order from 0.0: the left-to-right sums. A state's best distribution is
+    its first maximal one.
     """
 
     def __init__(self, m: Model, target: Set[int]):
@@ -90,28 +88,16 @@ class _Improvement:
         self.size = len(dist)
         lo = rows.entry_at[dist]
         lens = rows.entry_at[dist + 1] - lo
-        at = offsets(lens)
-        entry = ranges(lo, lens, at)
+        entry = ranges(lo, lens, offsets(lens))
+        self.owner = np.arange(self.size).repeat(lens)  # each entry's distribution
         self.succ = rows.succ[entry]
         self.prob = np.where(self.succ == rows.source[entry], 0.0, rows.prob[entry])
-        # rank k: the distributions with a k-th entry, and those entries
-        live, self.ranks = np.arange(self.size), []
-        while live.size:
-            self.ranks.append((live, at[live] + len(self.ranks)))
-            live = live[lens[live] > len(self.ranks)]
-        mass = self._sum(self.prob)
+        mass = np.bincount(self.owner, self.prob, self.size)
         self.mass = np.where(mass > 0.0, mass, 1.0)  # no mass: a gain of 0, over 1
-
-    def _sum(self, a: np.ndarray) -> np.ndarray:
-        """Each distribution's entries of a, summed left to right."""
-        total = np.zeros(self.size)
-        for live, entry in self.ranks:
-            total[live] += a[entry]
-        return total
 
     def leaving(self, values: np.ndarray) -> np.ndarray:
         """Each distribution's value on leaving its state, state by state."""
-        return self._sum(self.prob * values[self.succ]) / self.mass
+        return np.bincount(self.owner, self.prob * values[self.succ], self.size) / self.mass
 
     def __call__(self, values: np.ndarray, choice: np.ndarray) -> bool:
         """Switch every state whose first best distribution beats its

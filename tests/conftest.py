@@ -299,6 +299,21 @@ def dense_chain_doc(rng, n, k):
     return {"states": names, "initial": names[0], "labels": {names[-1]: ["psi"]}, "transitions": rows}
 
 
+def line_mdp_doc(k, delta, end=False):
+    """States s0 ... s(k-1) in a line, then `end` if asked, `goal` (psi)
+    and `trap`. In each si, action 0 steps on with probability 1 and
+    action 1 goes to `goal` with `delta`, else steps on. `end` splits 1/2
+    and 1/2 between `goal` and `trap`; without it, s(k-1) steps on to
+    `trap`. The best scheduler takes action 1 everywhere."""
+    names = ["s%d" % i for i in range(k)] + (["end"] if end else [])
+    after = names[1:] + ["trap"]
+    rows = {s: [{t: 1.0}, {"goal": delta, t: 1.0 - delta}] for s, t in zip(names[:k], after)}
+    if end:
+        rows["end"] = [{"goal": 0.5, "trap": 0.5}]
+    rows.update(goal=[{"goal": 1.0}], trap=[{"trap": 1.0}])
+    return {"states": names + ["goal", "trap"], "initial": "s0", "labels": {"goal": ["psi"]}, "transitions": rows}
+
+
 # random corpus builders
 
 def _mc_doc(rng):

@@ -16,7 +16,7 @@ from conftest import (FIXTURES, component_sets, corpus_docs, dense_chain_doc, di
                       load_model, reduce_to_psi, ring_chain_doc)
 from railcheck import cli, numerics, scheduling, search
 from railcheck.cli import main, render_report, run_check
-from railcheck.model import is_markov_chain
+from railcheck.model import is_markov_chain, parse_model
 from railcheck.numerics import SingularMatrixError, max_reach
 from railcheck.props import Atom, parse_property, sat_states
 from railcheck.scheduling import extract_max_scheduler
@@ -115,6 +115,35 @@ def test_scc_table_reads_rows(name, atom):
         assert [entry[k] for k in ("members", "inputs", "outputs")] == [[m.names[s] for s in sorted(x)] for x in states]
         assert entry["reach"] == {
             f"{m.names[u]}->{m.names[t]}": p for u in sorted(states[1]) if c in solved for t, p in red.chain.actions[u][0]}
+
+
+def _arrow_ring_doc(rng):
+    """A ring x <-> x->y entered at both members from the initial state,
+    whose exits x -> y->z and x->y -> z both print as x->y->z; x, y and z
+    are random strings that may hold arrows themselves."""
+    while True:
+        x, y, z = ("".join(rng.choice(list("ab->"), int(rng.integers(1, 5)))) for _ in range(3))
+        names = ["s", x, f"{x}->{y}", f"{y}->{z}", z]
+        if len(set(names)) == 5:
+            break
+    s, a, b, out_a, out_b = names
+    p, q, r = (float(v) for v in rng.uniform(0.2, 0.8, 3))
+    rows = {s: [{a: p, b: 1.0 - p}], a: [{b: q, out_a: 1.0 - q}], b: [{a: r, out_b: 1.0 - r}],
+            out_a: [{out_a: 1.0}], out_b: [{out_b: 1.0}]}
+    order = rng.permutation(5).tolist()
+    return {"states": [names[i] for i in order], "initial": s,
+            "labels": {out_a: ["psi"], out_b: ["psi"]}, "transitions": rows}
+
+
+@pytest.mark.xfail(strict=True, reason="--dump-scc keys each escape as 'input->output', and names may hold '->'")
+def test_scc_table_lists_every_escape():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        m = parse_model(json.dumps(_arrow_ring_doc(rng)))
+        red = reduce_to_psi(m)[0]
+        for info, entry in zip(red.sccs, cli._scc_table(m, red)):
+            escapes = [(u, t) for u in (info.inputs if info.outputs else ()) for t, p in red.chain.rows.row(u) if p > 0]
+            assert len(entry["reach"]) == len(escapes), (m.names, entry["reach"])
 
 
 def test_a_check_reads_no_component_record(mc_corpus, dag_corpus, mdp_corpus, monkeypatch):

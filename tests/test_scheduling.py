@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from conftest import line_mdp_doc
 from railcheck import scheduling
+from railcheck.cli import run_check
 from railcheck.model import is_markov_chain, mc_row, parse_model
 from railcheck.oracle import brute_force_max_reach
 from railcheck.scheduling import extract_max_scheduler, induced_mc
@@ -123,3 +127,52 @@ def test_policy_iteration_on_near_one_loops(monkeypatch):
         _, _, values = extract_max_scheduler(m, {goal})
         exact = brute_force_max_reach(parse_model(json.dumps(_without_self_loops(doc))), {goal})
         assert abs(values[m.initial] - exact) <= 1e-12
+
+
+def _line_optimum(doc):
+    # Backward along the line, each state the better of its two actions,
+    # exactly over the stored floats. Each value is kept as an integer n
+    # over 2**e, as every float is one: Fraction's gcd and cross products
+    # on the 10**5-bit terms of k = 2000 take a second per line.
+    value = {"goal": (1, 0), "trap": (0, 0)}
+    for s in reversed(doc["states"][:-2]):
+        sums = []
+        for dist in doc["transitions"][s]:
+            terms = [(n * value[t][0], d.bit_length() - 1 + value[t][1])
+                     for t, (n, d) in ((t, p.as_integer_ratio()) for t, p in dist.items())]
+            e = max(f for _, f in terms)
+            sums.append((sum(n << (e - f) for n, f in terms), e))
+        e = max(f for _, f in sums)
+        value[s] = max((n << (e - f), e) for n, f in sums)
+    n, e = value[doc["initial"]]
+    return Fraction(n, 1 << e)
+
+
+_BELOW_IMPROVE_TOL = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a switch must gain more than IMPROVE_TOL = 1e-10, absolute, so policy "
+    "iteration keeps action 0 everywhere and misses the maximum",
+)
+
+
+@pytest.mark.parametrize("k", [1, 3, 100, 2000])
+@pytest.mark.parametrize(
+    "delta, end",
+    [pytest.param(d, False, marks=_BELOW_IMPROVE_TOL) for d in (1e-13, 5e-11, 9e-11)]
+    + [(2e-10, False), (1e-9, False)]
+    + [pytest.param(d, True, marks=_BELOW_IMPROVE_TOL) for d in (1e-13, 5e-11, 9e-11, 2e-10)]
+    + [(1e-9, True)],
+)
+def test_line_mdp_exit_and_value(tmp_path, k, delta, end):
+    # Every action 1 adds delta to the chance of the goal, so the maximum
+    # lies above the bound, which action 0 everywhere attains, and every
+    # check is violated.
+    doc = line_mdp_doc(k, delta, end)
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(doc))
+    bound = Fraction(1, 2) if end else Fraction(0)
+    exact = _line_optimum(doc)
+    assert exact > bound
+    code, report = run_check(str(path), "P<=%s [ F psi ]" % ("0.5" if end else "0"))
+    assert code == 1, report["max_prob"]
+    assert abs(Fraction(report["max_prob"]) - exact) <= exact * Fraction(1e-12)
