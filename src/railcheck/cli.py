@@ -1,8 +1,8 @@
 """Command line pipeline: parse, reduce, search, report.
 
 Exit codes: 0 the property holds, 1 it is violated, 2 the run failed
-(parse, validation, numeric or search-limit trouble); failures name the
-pipeline stage they happened in.
+(parse, validation or numeric trouble); failures name the pipeline stage
+they happened in.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .oracle import (
 )
 from .props import PropertyError, format_property, parse_property, sat_states
 from .scheduling import extract_max_scheduler
-from .search import SearchLimitError, most_indicative
+from .search import most_indicative
 from .transform import acyclic_reduce, make_absorbing
 
 DEFAULT_SEED = 42
@@ -44,7 +44,6 @@ _FAILURES = (
     ModelError,
     PropertyError,
     SingularMatrixError,
-    SearchLimitError,
     OSError,
 )
 
@@ -156,6 +155,8 @@ def run_check(
         for rail, mass, mass_exp, rep, prob, prob_exp in outcome.witnesses
         for names in [list(map(name, rail))]
     ]
+    if not outcome.complete:  # the witness cap cut the list
+        report["complete"] = False
     report["total_mass"] = outcome.total_mass
     if outcome.total_mass_exp:
         report["total_mass_exp"] = outcome.total_mass_exp
@@ -180,11 +181,11 @@ def _scc_table(m: Model, red) -> List[Dict]:
                 "members": [m.names[s] for s in info.members],
                 "inputs": [m.names[s] for s in info.inputs],
                 "outputs": [m.names[s] for s in info.outputs],
-                "reach": {
-                    f"{m.names[u]}->{m.names[t]}": p
+                "reach": [
+                    {"input": m.names[u], "output": m.names[t], "probability": p}
                     for u in solved
                     for t, p in red.chain.rows.row(u)  # a chain: distribution u is state u's row
-                },
+                ],
             }
         )
     return table
@@ -407,6 +408,8 @@ def render_report(report: Dict, fmt: str = "text") -> str:
         path = " ".join(w["representant"])
         mass, prob = _scaled(w, "mass", ".4f"), _scaled(w, "representant_prob", ".4f")
         lines.append(f"witness {i}: {path} (mass {mass}, representant p {prob})")
+    if "complete" in report:
+        lines.append("witnesses: incomplete, cut at --max-witnesses")
     lines.append(f"total mass: {_scaled(report, 'total_mass', '.10g')}")
     if "scc_table" in report:
         for entry in report["scc_table"]:
@@ -414,7 +417,7 @@ def render_report(report: Dict, fmt: str = "text") -> str:
             members = " ".join(entry["members"])
             lines.append(f"scc {entry['id']} ({kind}): {{{members}}}")
             if entry["reach"]:
-                pairs = " ".join(f"{k}={v:.6g}" for k, v in entry["reach"].items())
+                pairs = " ".join(f"{r['input']}->{r['output']}={r['probability']:.6g}" for r in entry["reach"])
                 lines.append(f"  reach: {pairs}")
     if "verification" in report:
         verdict = "pass" if report["verification"]["pass"] else "FAIL"
@@ -461,7 +464,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--max-witnesses", type=int, default=DEFAULT_MAX_WITNESSES,
-        help=f"abort if the bound is still undecided after this many witnesses (default: {DEFAULT_MAX_WITNESSES})",
+        help=f"list at most this many witnesses (default: {DEFAULT_MAX_WITNESSES})",
     )
     parser.add_argument(
         "--tolerance", type=float, default=ROW_SUM_TOL,

@@ -23,15 +23,14 @@ probability of reaching the target, and counts its rails, up to a cap.
 Work is one pass over the kept states of the components the initial state
 reaches, then proportional to the rails consumed.
 
-A bound that holds reads the stream to its end, and an exhausted stream
-holds every rail of every state the initial state reaches. So when the
-value shows the bound holding and the rails fit under the witness cap,
-which the counts tell, and the streams hold many items per state, they
-are built whole in numpy arrays, one sort per state, in place of a few
-heap operations per item (`_sweep`). The lazy phase 2
-stays for a stream read in part, as a violated bound reads it, and for
-shapes of few items per state, where the sweep's fixed cost per state
-loses.
+The value decides the verdict; the stream only lists the witnesses. A
+bound that holds lists every rail, and an exhausted stream holds every
+rail of every state the initial state reaches. So when every rail fits
+under the witness cap, which the counts tell, the streams are built
+whole in numpy arrays, one sort per state, in place of a few heap
+operations per item (`_sweep`); when they do not fit, none is listed.
+The lazy phase 2 stays for a stream read in part, as a violated bound
+reads it up to its first crossing prefix.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ from .model import FinitePath, offsets, ranges, split_mass, split_masses
 from .props import PropertySpec
 from .rails import Witness, representant
 from .transform import AcyclicReduction
-
-
-class SearchLimitError(RuntimeError):
-    """Witness count exceeded the configured safety limit."""
 
 
 class _SuffixStreams:
@@ -220,17 +215,6 @@ class _SuffixStreams:
         return items[u][i] if i < len(items[u]) else None
 
 
-# A sweep pays about 15 numpy calls per state it builds a stream for, the
-# lazy stream a few heap operations per item it materializes. On a 2-vCPU
-# VM they broke even at 16-17 items per state (a line of 3000 states into
-# 16 rails, a layered DAG of 8 layers). At 32 per state the sweep took
-# 0.55 of the lazy stream's time, at 293 (dag-many-rails' biggest DAG)
-# 0.25, and at 2 and 8 (a star of 10**4 leaves, a line of 10**4 states
-# into 8 rails) 1.2 to 1.8 times it. So a sweep runs only where the
-# states it builds hold twice the break-even number of items on average.
-_SWEEP_ITEMS = 32
-
-
 def _sweep(red: AcyclicReduction, streams: _SuffixStreams,
            states: List[int]) -> List[Tuple[FinitePath, float, int]]:
     """Every rail from the initial state, heaviest first, as `ranked_rails`
@@ -315,26 +299,22 @@ def ranked_rails(
 
     `_sweep_limit` is for a caller that reads every rail if there are at
     most that many: `most_indicative`, when the value shows the bound
-    holds. Phase 1 also counts each state's rails, up to the cap, and if
-    the initial state has at most `_sweep_limit` and the states up to it
-    in the reduction's order hold at least `_SWEEP_ITEMS` items each on
-    average, `_sweep` builds every stream whole, as exhausting the lazy
-    stream would, at a fixed number of numpy calls per state in place of
-    heap operations and a pointer walk per item. Either way the rails,
-    masses and order are the same; phase 2 stays for a stream read in
-    part, as a violated bound reads it."""
+    holding. Phase 1 also counts each state's rails, up to the cap, and
+    if the initial state has from 1 to `_sweep_limit`, `_sweep` builds
+    every stream whole, as exhausting the lazy stream would, at a fixed
+    number of numpy calls per state in place of heap operations and a
+    pointer walk per item. Either way the rails, masses and order are the
+    same; phase 2 stays for a stream read in part, as a violated bound
+    reads it."""
     s0 = red.chain.initial
     streams = _streams or _SuffixStreams(red, set(targets), 1 if _sweep_limit is None else _sweep_limit + 1)
     count = streams.count
-    # no state s0 reaches has more rails than s0, so with fewer than
-    # _SWEEP_ITEMS there the sweep cannot pay. States up to s0 in order add only
-    # inputs entered from elsewhere, swept unread; counts up to s0's are exact
-    if _sweep_limit is not None and _SWEEP_ITEMS <= count[s0] <= _sweep_limit:
+    if _sweep_limit is not None and 0 < count[s0] <= _sweep_limit:
+        # states up to s0 in order add only inputs entered from elsewhere,
+        # swept unread; counts up to s0's are exact
         states = [v for v in red.order[: red.order.index(s0) + 1] if 0 < count[v] <= count[s0]]
-        inner = [count[v] for v in states if v not in streams.targets]
-        if sum(inner) >= _SWEEP_ITEMS * len(inner):
-            yield from _sweep(red, streams, states)
-            return
+        yield from _sweep(red, streams, states)
+        return
     items = streams.items
     for i in itertools.count():
         item = streams.item(s0, i)
@@ -354,6 +334,7 @@ class TorrentCounterexample:
     verdict: str  # "violated" or "holds"
     max_prob: float  # the probability of reaching the target, capped at 1
     total_mass_exp: int = 0  # the total is total_mass·2**total_mass_exp
+    complete: bool = True  # False where the witness cap cut the list
 
 
 def _violated(spec: PropertySpec, mass: float, limit: float) -> bool:
@@ -381,12 +362,21 @@ def most_indicative(
     targets: Iterable[int],
     max_witnesses: Optional[int] = None,
 ) -> TorrentCounterexample:
-    """Smallest witness set refuting the bound, greedily assembled.
+    """The verdict the value gives, and the witnesses that explain it.
 
-    Rails arrive heaviest first, so the first stream prefix crossing the
-    bound has minimum cardinality and, among sets of that size, maximal
-    mass. If the stream runs out first the property holds and the
-    accumulated rails are reported with their total mass.
+    max_prob is the initial state's value, summed by the first pass of
+    the rail stream before any rail is read, and the verdict is the
+    bound applied to it. A bound that holds lists every rail: swept
+    whole where the first pass counts at most `max_witnesses` of them,
+    none where it counts more, and with no cap the stream read to its
+    end. A violated bound lists the smallest witness set refuting it,
+    greedily assembled: rails arrive heaviest first, so the first stream
+    prefix whose mass crosses the bound has minimum cardinality and,
+    among sets of that size, maximal mass. The list stops at
+    `max_witnesses` rails; if the stream ends first, where rounding puts
+    the value and the rail sum on opposite sides of the threshold, it
+    holds every rail, and the bound stays violated. `complete` is False
+    exactly where the cap cut the list.
 
     The running sum is a plain float sum of the masses, in units of the
     heaviest rail's 2**exp so that masses below the float range add up
@@ -394,10 +384,9 @@ def most_indicative(
     Shewchuk's non-overlapping partials, as in the math.fsum recipe, built
     once from the rails so far. Either way total_mass is the correctly
     rounded sum of the witness masses, capped at 1: rows may sum to 1
-    plus the parse tolerance, and a probability cannot, so a bound of 1
-    is never violated. The threshold and the cap in those units compare
-    exactly; clamped below 2**1024 units, far beyond any sum of rails,
-    they cannot overflow.
+    plus the parse tolerance, and a probability cannot. The threshold and
+    the cap in those units compare exactly; clamped below 2**1024 units,
+    far beyond any sum of rails, they cannot overflow.
 
     The float sum `fast` stands in while it lies below guard =
     fl(limit·(1 - 4·room·u)), u = 2**-53, where room is at least the rail
@@ -414,34 +403,29 @@ def most_indicative(
     no such prefix reaches the threshold, and its rail costs one addition
     and one comparison.
 
-    max_prob is the initial state's value, summed by the first pass of
-    the rail stream, which runs even if the bound breaks at no rail.
-
     Only rails through a nontrivial component's input before their last
     state need `representant`; any other rail is its own representant,
     and its mass is the same right-to-left product of the same rows.
     """
     targets = set(targets)
     streams = _SuffixStreams(red, targets, 1 if max_witnesses is None else max_witnesses + 1)
+    rails = streams.count[red.chain.initial]  # exact up to the cap
     max_prob = streams.value[red.chain.initial]
+    violated = _violated(spec, max_prob, spec.threshold)
+    crossed = _violated(spec, 0.0, spec.threshold)  # P<0 is crossed by no rail at all
     found: List[Tuple[FinitePath, float, int]] = []
     partials: Optional[List[float]] = None  # None while the float sum is certified
-    total, scale, fast, guard, room = 0.0, 0, 0.0, 0.0, 0
+    total, fast, guard, room = 0.0, 0.0, 0.0, 0
     ldexp = math.ldexp
-    violated = _violated(spec, total, spec.threshold)
     if not violated:
-        # a bound the value shows holding reads every rail, or its cap's worth
-        sweep_limit = None if _violated(spec, max_prob, spec.threshold) else max_witnesses
-        for rail, mass, exp in ranked_rails(red, targets, _streams=streams, _sweep_limit=sweep_limit):
+        if max_witnesses is None or rails <= max_witnesses:
+            found = list(ranked_rails(red, targets, _streams=streams, _sweep_limit=max_witnesses))
+    elif not crossed:
+        for rail, mass, exp in itertools.islice(ranked_rails(red, targets, _streams=streams), max_witnesses):
             count = len(found)
-            if max_witnesses is not None and count >= max_witnesses:
-                raise SearchLimitError(
-                    f"bound still undecided after {max_witnesses} witnesses"
-                )
             if not count:  # the heaviest rail sets the units
                 scale = exp
-                limit, one = (math.ldexp(m, min(e - exp, 1024))
-                              for m, e in (math.frexp(spec.threshold), (0.5, 1)))
+                limit, one = (ldexp(m, min(e - exp, 1024)) for m, e in (math.frexp(spec.threshold), (0.5, 1)))
             found.append((rail, mass, exp))
             x = ldexp(mass, exp - scale)
             if partials is None:
@@ -457,10 +441,12 @@ def most_indicative(
             _add_exact(partials, x)
             total = min(math.fsum(partials), one)
             if _violated(spec, total, limit):
-                violated = True
+                crossed = True
                 break
-        if found and partials is None:  # the float sum was certified to the end
-            total = min(math.fsum(ldexp(m, e - scale) for _, m, e in found), one)
+    scale = found[0][2] if found else 0
+    if partials is None:  # the float sum was certified to the end, or not taken
+        total = min(math.fsum(ldexp(m, e - scale) for _, m, e in found), ldexp(0.5, min(1 - scale, 1024)))
+    complete = crossed or len(found) >= rails
     del streams  # the stream is done with: free it before the witnesses
     # the reduced chain copies every other kept row from the source chain;
     # a component that has no outputs keeps its inputs absorbing, so they
@@ -476,4 +462,4 @@ def most_indicative(
     m, e = math.frexp(total)
     total, total_exp = split_mass(m, e + scale)
     verdict = "violated" if violated else "holds"
-    return TorrentCounterexample(witnesses, total, verdict, max_prob, total_exp)
+    return TorrentCounterexample(witnesses, total, verdict, max_prob, total_exp, complete)

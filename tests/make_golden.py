@@ -9,7 +9,7 @@ The cases are the four benchmark workloads at seed 1 with the component
 table, the five fixtures under seven properties with `verify`, the
 component table and seed 7, ring chain 122 at `P<=0.5` (41 574
 witnesses) and ring chain 998 at `P<=0.99` with at most 1000 witnesses,
-which exits 2. Per case the file keeps the sha256 of the JSON and of the
+which holds by its value and lists none of its 2.4e67 rails. Per case the file keeps the sha256 of the JSON and of the
 text report, the exit code, the verdict, the witness count and
 `max_prob`. It also keeps the Python and numpy versions it was written
 with: the `sampling` counts of a `verify` report are a function of

@@ -126,7 +126,7 @@ def test_criterion_08_single_heavy_component(big1):
     (w,) = report["witnesses"]
     assert abs(w["mass"] - 1.0) <= 1e-12
     entry = next(e for e in report["scc_table"] if e["nontrivial"])
-    assert entry["reach"]["t->u"] == 1.0
+    assert entry["reach"] == [{"input": "t", "output": "u", "probability": 1.0}]
 
 
 def test_criterion_09_minimal_and_heaviest_witness_sets(dag_corpus):

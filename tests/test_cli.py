@@ -93,7 +93,7 @@ def test_dump_scc(big1_path):
     assert entry["nontrivial"] is True
     assert entry["inputs"] == ["t"]
     assert entry["outputs"] == ["u"]
-    assert entry["reach"] == {"t->u": 1.0}
+    assert entry["reach"] == [{"input": "t", "output": "u", "probability": 1.0}]
 
 
 @pytest.mark.parametrize("name, atom", [("m0.json", "psi"), ("m0_trap.json", "psi"), ("big1.json", "psi"),
@@ -113,8 +113,9 @@ def test_scc_table_reads_rows(name, atom):
     for c, (states, entry) in enumerate(zip(component_sets(red.comps), table)):
         assert entry["nontrivial"] == red.comps.nontrivial[c]
         assert [entry[k] for k in ("members", "inputs", "outputs")] == [[m.names[s] for s in sorted(x)] for x in states]
-        assert entry["reach"] == {
-            f"{m.names[u]}->{m.names[t]}": p for u in sorted(states[1]) if c in solved for t, p in red.chain.actions[u][0]}
+        assert entry["reach"] == [
+            {"input": m.names[u], "output": m.names[t], "probability": p}
+            for u in sorted(states[1]) if c in solved for t, p in red.chain.actions[u][0]]
 
 
 def _arrow_ring_doc(rng):
@@ -135,15 +136,24 @@ def _arrow_ring_doc(rng):
             "labels": {out_a: ["psi"], out_b: ["psi"]}, "transitions": rows}
 
 
-@pytest.mark.xfail(strict=True, reason="--dump-scc keys each escape as 'input->output', and names may hold '->'")
-def test_scc_table_lists_every_escape():
+def test_scc_table_lists_every_escape(tmp_path):
+    # Escapes whose "input->output" texts coincide are still two records,
+    # in row order; the text report prints each pair so.
     rng = np.random.default_rng(31)
+    path = tmp_path / "arrows.json"
     for _ in range(20):
-        m = parse_model(json.dumps(_arrow_ring_doc(rng)))
+        path.write_text(json.dumps(_arrow_ring_doc(rng)))
+        m = parse_model(path.read_text())
         red = reduce_to_psi(m)[0]
         for info, entry in zip(red.sccs, cli._scc_table(m, red)):
             escapes = [(u, t) for u in (info.inputs if info.outputs else ()) for t, p in red.chain.rows.row(u) if p > 0]
-            assert len(entry["reach"]) == len(escapes), (m.names, entry["reach"])
+            assert [(r["input"], r["output"]) for r in entry["reach"]] == [
+                (m.names[u], m.names[t]) for u, t in escapes], (m.names, entry["reach"])
+        _, report = _run(path, "P<=1 [ F psi ]", dump_scc=True)
+        text = render_report(report, "text")
+        for entry in report["scc_table"]:
+            for r in entry["reach"]:
+                assert f"{r['input']}->{r['output']}={r['probability']:.6g}" in text
 
 
 def test_a_check_reads_no_component_record(mc_corpus, dag_corpus, mdp_corpus, monkeypatch):
@@ -390,10 +400,12 @@ def test_masses_below_the_float_range_decide(tmp_path, m0_path):
     assert len(masses) == 3
     for m, e in masses:  # each of the 2**1100 rails carries as much of max_prob
         assert Fraction(m) * Fraction(2) ** (e + 1100) == report["max_prob"]
-    # the bound, in units of the first rail's exponent, would overflow
+    # the bound, in units of the first rail's exponent, would overflow:
+    # the value violates it, and the cap cuts the list at 10 rails
     code, report = _run(diamonds, "P<=0.5 [ F psi ]", max_witnesses=10)
-    assert code == 2
-    assert report["error"] == {"stage": "searching", "message": "bound still undecided after 10 witnesses"}
+    assert (code, report["verdict"], len(report["witnesses"]), report["complete"]) == (1, "violated", 10, False)
+    total = Fraction(report["total_mass"]) * Fraction(2) ** report["total_mass_exp"]
+    assert total == 10 * Fraction(2) ** -1100
 
     # at 1070 levels, thresholds of k rails' mass, below the normal float
     # range, compare exactly: the strict bound is broken by k rails, the
@@ -660,14 +672,25 @@ def _mdp_end_components(rng):
     return rows, [n - 2]
 
 
+def _short_row(rng):
+    # a generated chain with one row scaled to sum to 0.9, which the
+    # parse rejects
+    rows, goals = _near_one_loops(rng)
+    s = int(rng.integers(len(rows) - 2))
+    rows[s] = [{t: 0.9 * p for t, p in rows[s][0].items()}]
+    return rows, goals
+
+
 def test_exit_code_contract_on_generated_models(tmp_path):
     # Exit 0, 1 or 2 for every model, a stage named on every exit 2, and
-    # every report renders. The first two models keep their state with
-    # probability 1 - 1e-6 and 1 - 5e-11: each has one rail, and its mass
-    # is max_prob.
+    # every report renders. A check that does not fail exits with the
+    # verdict its value gives, whatever the witness cap. The first two
+    # models keep their state with probability 1 - 1e-6 and 1 - 5e-11:
+    # each has one rail, and its mass is max_prob.
     rng = np.random.default_rng(5150)
     models = [_near_one_loops(rng, 1e-6), _near_one_loops(rng, 5e-11)]
-    for make, count in ((_deep_dag, 2), (_big_scc, 4), (_near_one_loops, 4), (_mdp_end_components, 6)):
+    for make, count in ((_deep_dag, 2), (_big_scc, 4), (_near_one_loops, 4), (_mdp_end_components, 6),
+                        (_short_row, 2)):
         models += [make(rng) for _ in range(count)]
     codes = []
     for k, (rows, goals) in enumerate(models):
@@ -678,7 +701,7 @@ def test_exit_code_contract_on_generated_models(tmp_path):
         assert code in (0, 1, 2)
         if code == 2:
             assert report["error"]["stage"] in _STAGES
-        if k < 2:
+        else:
             spec = parse_property(prop)
             if spec.bound == "<=":
                 violated = report["max_prob"] > spec.threshold
@@ -686,12 +709,14 @@ def test_exit_code_contract_on_generated_models(tmp_path):
                 violated = report["max_prob"] >= spec.threshold
             assert code == (1 if violated else 0)
             assert report["verdict"] == ("violated" if violated else "holds")
+        if k < 2:
             assert len(report["witnesses"]) == 1
             assert abs(report["max_prob"] - report["total_mass"]) <= 1e-9
         render_report(report, "text")
         json.loads(render_report(report, "json"))
         codes.append(code)
     assert {0, 1, 2} <= set(codes)
+    assert codes[-2:] == [2, 2]
 
 
 def test_verify_on_a_thousand_states_and_a_slow_loop(tmp_path):
@@ -859,10 +884,20 @@ def test_error_bad_property(m0_path):
     assert "lower-bounded" in report["error"]["message"]
 
 
-def test_error_witness_cap(m0_path):
+def test_witness_cap_cuts_the_list(m0_path):
+    # The cap decides nothing: the value does. A cut list says so, and a
+    # whole one carries no `complete` key.
     code, report = _run(m0_path, "P<=0.7 [ F psi ]", max_witnesses=1)
-    assert code == 2
-    assert report["error"]["stage"] == "searching"
+    assert (code, report["verdict"], len(report["witnesses"]), report["complete"]) == (1, "violated", 1, False)
+    assert list(report)[list(report).index("witnesses") + 1] == "complete"
+    assert "witnesses: incomplete" in render_report(report, "text")
+    code, report = _run(m0_path, "P<=1 [ F psi ]", max_witnesses=1)
+    assert (code, report["verdict"], report["witnesses"], report["complete"]) == (0, "holds", [], False)
+    for prop, cap, want in (("P<=0.7 [ F psi ]", 2, (1, 2)), ("P<=1 [ F psi ]", 2, (0, 2)),
+                            ("P<=0.5 [ F psi ]", 1, (1, 1))):
+        code, report = _run(m0_path, prop, max_witnesses=cap)
+        assert (code, len(report["witnesses"])) == want and "complete" not in report
+        assert "incomplete" not in render_report(report, "text")
 
 
 def test_main_exit_codes(m0_path, capsys):

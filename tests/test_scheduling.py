@@ -150,7 +150,7 @@ def _line_optimum(doc):
 
 _BELOW_IMPROVE_TOL = pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 1: a switch must gain more than IMPROVE_TOL = 1e-10, absolute, so policy "
+    reason="ROADMAP item 2: a switch must gain more than IMPROVE_TOL = 1e-10, absolute, so policy "
     "iteration keeps action 0 everywhere and misses the maximum",
 )
 

@@ -18,7 +18,7 @@ from railcheck.oracle import enumerate_freach
 from railcheck.props import Atom, PropertySpec, parse_property, sat_states
 from railcheck.rails import rail_mass, representant
 from railcheck.scheduling import extract_max_scheduler
-from railcheck.search import SearchLimitError, most_indicative, ranked_rails
+from railcheck.search import most_indicative, ranked_rails
 from railcheck.transform import acyclic_reduce, make_absorbing
 
 
@@ -209,29 +209,36 @@ def test_running_sum_is_exact_at_the_boundary(dag_corpus, mc_corpus):
     assert checked >= 10
 
 
-def _fsum_reference(sums, scale, exhausted, spec):
-    """What most_indicative reports for a stream whose prefix k sums to
-    sums[k - 1] correctly rounded, in units of 2**scale: (witness count,
-    verdict, total_mass, total_mass_exp), or None if the bound is still
-    undecided after len(sums) rails and the stream goes on."""
+def _fsum_reference(sums, scale, exhausted, spec, value):
+    """What most_indicative reports, at a cap of len(sums) witnesses, for
+    a stream whose prefix k sums to sums[k - 1] correctly rounded, in
+    units of 2**scale, and whose initial state's value is `value`:
+    (witness count, verdict, total_mass, total_mass_exp, complete). The
+    value decides; a bound that holds lists every rail, or none if the
+    stream goes on past the cap, and a violated one its first crossing
+    prefix, or the rails up to the cap, or every rail."""
     def violated(total, limit):
         return total > limit if spec.bound == "<=" else total >= limit
 
-    if violated(0.0, spec.threshold):
-        return 0, "violated", 0.0, 0
     m, e = math.frexp(spec.threshold)
     limit, one = math.ldexp(m, min(e - scale, 1024)), math.ldexp(0.5, min(1 - scale, 1024))
-    verdict = "holds"
-    for k, total in enumerate(sums, 1):
-        total = min(total, one)
-        if violated(total, limit):
-            verdict = "violated"
-            break
-    else:
+    verdict = "violated" if violated(value, spec.threshold) else "holds"
+    if verdict == "holds":
         if not exhausted:
-            return None
+            return 0, verdict, 0.0, 0, False
+        k, total, complete = len(sums), min(sums[-1], one), True
+    elif violated(0.0, spec.threshold):
+        return 0, verdict, 0.0, 0, True
+    else:
+        for k, total in enumerate(sums, 1):
+            total = min(total, one)
+            if violated(total, limit):
+                complete = True
+                break
+        else:
+            complete = exhausted
     m, e = math.frexp(total)
-    return (k, verdict, *split_mass(m, e + scale))
+    return (k, verdict, *split_mass(m, e + scale), complete)
 
 
 def _sum_chains(family, dag_corpus, mc_corpus):
@@ -254,8 +261,12 @@ def test_float_running_sum_crosses_where_fsum_prefixes_do(family, dag_corpus, mc
     # sums must still stop the stream where the correctly rounded prefix
     # sums cross them, under < and <=: at the first rails, in the middle,
     # at the last, and at the first prefixes a plain float sum gets wrong.
+    # The value decides the verdict, so past the last prefix a bound the
+    # value violates lists every rail, and past the cap a bound that holds
+    # lists none.
     chains, cap = _sum_chains(family, dag_corpus, mc_corpus)
     for red, psi in chains:
+        value = search._SuffixStreams(red, psi).value[red.chain.initial]
         stream = ranked_rails(red, psi)
         masses = [(mass, exp) for _, mass, exp in itertools.islice(stream, cap)]
         exhausted = next(stream, None) is None
@@ -273,13 +284,10 @@ def test_float_running_sum_crosses_where_fsum_prefixes_do(family, dag_corpus, mc
             thresholds |= {math.nextafter(at, -math.inf), at, math.nextafter(at, math.inf)}
         specs = [PropertySpec(bound, t, Atom("psi")) for t in thresholds if t >= 0.0 for bound in ("<", "<=")]
         for spec in specs:
-            want = _fsum_reference(sums, scale, exhausted, spec)
-            if want is None:
-                with pytest.raises(SearchLimitError):
-                    most_indicative(red, spec, psi, max_witnesses=len(xs))
-                continue
+            want = _fsum_reference(sums, scale, exhausted, spec, value)
             out = most_indicative(red, spec, psi, max_witnesses=len(xs))
-            assert (len(out.witnesses), out.verdict, out.total_mass, out.total_mass_exp) == want, spec
+            got = (len(out.witnesses), out.verdict, out.total_mass, out.total_mass_exp, out.complete)
+            assert got == want, spec
 
 
 def test_representant_shortcut_is_exact(dag_corpus, mc_corpus, monkeypatch):
@@ -367,12 +375,20 @@ def test_witness_representants_equal_a_fresh_search(mc_corpus, mdp_corpus):
 
 
 def test_witness_cap(m0):
+    # The cap only cuts what is listed: a violation needing two rails
+    # lists one, a bound that holds over two rails lists none, and the
+    # verdict is the value's either way.
     red, psi = reduce_to_psi(m0)
-    with pytest.raises(SearchLimitError, match="after 1 witnesses"):
-        most_indicative(red, parse_property("P<=0.7 [ F psi ]"), psi, max_witnesses=1)
-    # a violation inside the cap is unaffected
+    out = most_indicative(red, parse_property("P<=0.7 [ F psi ]"), psi, max_witnesses=1)
+    assert (out.verdict, [w.rail for w in out.witnesses], out.total_mass, out.complete) == (
+        "violated", [(0, 2, 4)], 0.6, False)
+    out = most_indicative(red, parse_property("P<=1 [ F psi ]"), psi, max_witnesses=1)
+    assert (out.verdict, out.witnesses, out.total_mass, out.complete) == ("holds", [], 0.0, False)
+    # inside the cap nothing is cut
     out = most_indicative(red, parse_property("P<=0.5 [ F psi ]"), psi, max_witnesses=1)
-    assert out.verdict == "violated"
+    assert (out.verdict, len(out.witnesses), out.complete) == ("violated", 1, True)
+    out = most_indicative(red, parse_property("P<=1 [ F psi ]"), psi, max_witnesses=2)
+    assert (out.verdict, len(out.witnesses), out.complete) == ("holds", 2, True)
 
 
 def test_unreachable_target():
@@ -843,46 +859,57 @@ def _dag_file(tmp_path, doc):
 
 def test_sweep_guard_at_the_witness_cap(tmp_path, monkeypatch):
     # A bound the value shows holding sweeps when every rail fits under
-    # the cap; one rail more and the lazy stream hits the cap, exiting 2
-    # as before.
+    # the cap; one rail more and it lists none, reads no stream and exits
+    # 0 with the list marked incomplete.
     sweeps = _Sweeps(monkeypatch)
     doc = layered_dag_doc(np.random.default_rng(2121), 10)
     path = _dag_file(tmp_path, doc)
     red, goal = _reduce_goal(doc)
     rails = 2 ** 10
     out = most_indicative(red, parse_property("P<=1 [ F goal ]"), goal, max_witnesses=rails)
-    assert out.verdict == "holds" and len(out.witnesses) == rails and sweeps.rails == [rails]
-    with pytest.raises(SearchLimitError, match=f"bound still undecided after {rails - 1} witnesses"):
-        most_indicative(red, parse_property("P<=1 [ F goal ]"), goal, max_witnesses=rails - 1)
+    assert out.verdict == "holds" and len(out.witnesses) == rails and out.complete and sweeps.rails == [rails]
+    out = most_indicative(red, parse_property("P<=1 [ F goal ]"), goal, max_witnesses=rails - 1)
+    assert (out.verdict, out.witnesses, out.total_mass, out.complete) == ("holds", [], 0.0, False)
     assert sweeps.rails == [rails]
     code, report = run_check(path, "P<=1 [ F goal ]", max_witnesses=rails)
-    assert code == 0 and len(report["witnesses"]) == rails and sweeps.rails == [rails] * 2
+    assert code == 0 and len(report["witnesses"]) == rails and "complete" not in report
+    assert sweeps.rails == [rails] * 2
     code, report = run_check(path, "P<=1 [ F goal ]", max_witnesses=rails - 1)
-    assert (code, report) == (2, {"error": {"stage": "searching", "message":
-                                            f"bound still undecided after {rails - 1} witnesses"}})
+    assert (code, report["verdict"], report["witnesses"], report["complete"]) == (0, "holds", [], False)
     assert sweeps.rails == [rails] * 2
 
 
 def test_sweep_guard_leaves_the_lazy_stream(tmp_path, mc_corpus, monkeypatch):
-    # Violated bounds read the stream in part, and shapes of few items per
-    # state, a star of 10**4 leaves and a line of 10**4 states into 8
-    # rails, cost more swept; none of them sweeps.
+    # A violation reads the lazy stream, up to its first crossing prefix
+    # or the cap, and never sweeps. A bound that holds sweeps whenever its
+    # rails fit under the cap, whatever their number per state: a star of
+    # 10**4 leaves (2 per state) and a line of 10**4 states into 8 rails.
     sweeps = _Sweeps(monkeypatch)
     rng = np.random.default_rng(2222)
     red, goal = _reduce_goal(layered_dag_doc(rng, 10))
     for prop in ("P<=0.3 [ F goal ]", "P<0 [ F goal ]", "P<=0 [ F goal ]"):
-        assert most_indicative(red, parse_property(prop), goal).verdict == "violated"
+        for cap in (None, 10, 10 ** 6):
+            assert most_indicative(red, parse_property(prop), goal, max_witnesses=cap).verdict == "violated"
     for _, psi, red, rails in mc_corpus:
         mass = math.fsum(mass for _, mass in rails)
-        assert most_indicative(red, PropertySpec("<", mass / 2, Atom("psi")), psi).verdict == "violated"
+        assert most_indicative(red, PropertySpec("<", mass / 2, Atom("psi")), psi,
+                               max_witnesses=len(rails)).verdict == "violated"
+    assert sweeps.rails == []
+    listed = []
+    for _, psi, red, rails in mc_corpus:
+        out = most_indicative(red, PropertySpec("<=", 1.0, Atom("psi")), psi, max_witnesses=len(rails))
+        assert out.verdict == "holds" and len(out.witnesses) == len(rails)
+        listed.append(len(rails))
     for doc, rails in ((star_chain_doc(rng, 10 ** 4), 10 ** 4), (line_dag_doc(rng, 10 ** 4, 3), 8)):
         code, report = run_check(_dag_file(tmp_path, doc), "P<=1 [ F goal ]")
         assert code == 0 and len(report["witnesses"]) == rails
-    assert sweeps.rails == []
+        listed.append(rails)
+    assert sweeps.rails == listed
 
 
 def test_ring_chain_998_stays_lazy(monkeypatch, tmp_path):
-    # 2.4e67 rails, far above the cap: the golden case exits 2 with its bytes.
+    # 2.4e67 rails, far above the cap: the golden case holds by its value,
+    # exits 0 with its bytes and lists none, sweeping nothing.
     sweeps = _Sweeps(monkeypatch)
     gen = make_golden.load_gen()
     path = tmp_path / "ring998.json"
@@ -893,7 +920,9 @@ def test_ring_chain_998_stays_lazy(monkeypatch, tmp_path):
     exact = make_golden.versions() == {k: golden[k] for k in ("python", "numpy")}
     keys = ("exit", "verdict", "witnesses") + (("json", "text") if exact else ())
     assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
-    assert got["exit"] == 2 and sweeps.rails == []
+    assert (got["exit"], got["verdict"], got["witnesses"]) == (0, "holds", 0) and sweeps.rails == []
+    code, report = run_check(str(path), "P<=0.99 [ F goal ]", max_witnesses=1000)
+    assert (code, report["witnesses"], report["complete"]) == (0, [], False)
 
 
 def test_rail_counts_saturate_at_the_cap(mc_corpus, dag_corpus, monkeypatch, tmp_path):
@@ -902,7 +931,7 @@ def test_rail_counts_saturate_at_the_cap(mc_corpus, dag_corpus, monkeypatch, tmp
     # exponentially along the order keeps small counts. A state past the
     # initial one in the reduction's order counts 0, a target 1. Ring
     # chain 998's 2.4e67 rails count 1001 under a cap of 1000 witnesses,
-    # and the check stays lazy.
+    # so P<=1 holds with no rail listed.
     for _, psi, red, _ in mc_corpus + dag_corpus:
         want = _rail_counts(red.chain, psi)
         passed = set(red.order[: red.order.index(red.chain.initial) + 1])
@@ -920,7 +949,7 @@ def test_rail_counts_saturate_at_the_cap(mc_corpus, dag_corpus, monkeypatch, tmp
     path = tmp_path / "ring998.json"
     path.write_text(json.dumps(make_golden.load_gen().ring_chain(np.random.default_rng(1), 998)))
     code, report = run_check(str(path), "P<=1 [ F goal ]", max_witnesses=1000)
-    assert (code, report["error"]["message"]) == (2, "bound still undecided after 1000 witnesses")
+    assert (code, report["witnesses"], report["complete"]) == (0, [], False)
     [(cap, count)] = made
     assert cap == 1001 and max(count) == 1001 and sweeps.rails == []
 
@@ -944,3 +973,55 @@ def test_the_sweep_streams_through_the_module_global(monkeypatch):
     out = most_indicative(red, parse_property("P<=1 [ F goal ]"), goal, max_witnesses=10 ** 6)
     assert out.verdict == "holds" and sweeps.rails == [len(out.witnesses)] == [2 ** 10]
     assert seen == [(w.rail, w.mass, w.mass_exp) for w in out.witnesses]
+
+
+@pytest.mark.parametrize("cap", [None, 2, 10 ** 6])
+def test_the_value_decides_and_the_stream_lists(cap, mc_corpus, dag_corpus, mdp_corpus, monkeypatch):
+    # At thresholds at the value, one ulp either side, 0 and 1, under <
+    # and <=, the verdict is the value's. A violated report lists the
+    # shortest prefix whose correctly rounded mass crosses the bound, or
+    # every rail; a holds report every rail. The cap cuts either list,
+    # `complete` is False exactly where it did, and the stream yields
+    # exactly the rails listed.
+    original, streamed = search.ranked_rails, []
+
+    def counted(*args, **kwargs):
+        for rail in original(*args, **kwargs):
+            streamed.append(rail)
+            yield rail
+
+    monkeypatch.setattr(search, "ranked_rails", counted)
+    cases = [(red, psi) for _, psi, red, _ in mc_corpus + dag_corpus]
+    for m in mdp_corpus:  # the reduction policy iteration ends on
+        psi = sat_states(m, Atom("psi"))
+        cases.append((extract_max_scheduler(m, psi)[1], psi))
+    seen = set()
+    for red, psi in cases:
+        rails = list(original(red, psi))
+        assert all(exp == 0 for _, _, exp in rails)
+        sums = [0.0] + [min(math.fsum(mass for _, mass, _ in rails[:k]), 1.0) for k in range(1, len(rails) + 1)]
+        value = search._SuffixStreams(red, psi).value[red.chain.initial]
+        thresholds = {value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf), 0.0, 1.0}
+        for spec in (PropertySpec(bound, t, Atom("psi")) for t in thresholds if 0.0 <= t <= 1.0
+                     for bound in ("<", "<=")):
+            streamed.clear()
+            out = most_indicative(red, spec, psi, max_witnesses=cap)
+            violated = search._violated(spec, value, spec.threshold)
+            assert (out.max_prob, out.verdict) == (value, "violated" if violated else "holds")
+            whole = rails
+            if violated:
+                k = next((k for k, s in enumerate(sums) if search._violated(spec, s, spec.threshold)), len(rails))
+                whole = rails[:k]
+            listed = [(w.rail, w.mass, w.mass_exp) for w in out.witnesses]
+            if out.complete:
+                assert listed == whole
+            else:
+                assert cap is not None and len(whole) > cap
+                assert listed == (whole[:cap] if violated else [])
+            assert out.total_mass == min(math.fsum(mass for _, mass, _ in listed), 1.0)
+            assert streamed == listed
+            seen.add((out.verdict, out.complete, len(listed) == len(rails)))
+    want = {("holds", True, True), ("violated", True, True), ("violated", True, False)}
+    if cap == 2:
+        want |= {("holds", False, False), ("violated", False, False)}
+    assert seen == want
