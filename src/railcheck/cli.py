@@ -104,7 +104,7 @@ def run_check(
         stage = "scc-analysis"
         tick = time.perf_counter()
         if is_mc:
-            red = acyclic_reduce(mc_psi)
+            red = acyclic_reduce(mc_psi, psi)
         timings["scc-analysis"] = time.perf_counter() - tick
 
         stage = "searching"

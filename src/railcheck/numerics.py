@@ -1,5 +1,5 @@
-"""Component escape solving, probability-zero analysis, and reachability
-values read off an acyclic reduction."""
+"""Component escape solving, reachability values read off an acyclic
+reduction, and the probability-zero states by backward closure."""
 
 from __future__ import annotations
 
@@ -80,6 +80,7 @@ def prob0_states(m: Model, target: Iterable[int]) -> Set[int]:
     Pure graph computation: backward closure of the target under the
     successor relation (any distribution counts), then the complement.
     The predecessors come from one stable sort of the entries by target.
+    The pipeline reads these states off `transform.scc_decompose` instead.
     """
     rows = m.rows
     n = m.num_states
@@ -109,8 +110,9 @@ def max_reach(red: "AcyclicReduction", target: Iterable[int]) -> np.ndarray:
     One backward pass over the kept states in `red.order`, successors
     first: a target is 1, and every other kept state sums its
     reduced-chain row times its successors' values, so a Dirac self loop
-    that is no target stays 0. Every output is kept, so a member the
-    reduction drops then gets its escape row times the outputs' values.
+    that is no target stays 0, and so does every state of a dead
+    component. Every output is kept, so a member the reduction drops then
+    gets its escape row times the outputs' values.
     Rows may sum to 1 plus the parse tolerance, so each value is capped
     at 1.
     """

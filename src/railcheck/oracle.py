@@ -217,7 +217,10 @@ def monte_carlo_classify(
     spells the one rail the run can generate. Each run walks a prefix tree
     of the given rails along its footprint as it moves and counts for the
     rail it spells when it is absorbed. Runs absorbed anywhere else, or
-    still alive after SAMPLE_STEP_LIMIT steps, count as unclassified.
+    still alive after SAMPLE_STEP_LIMIT steps, count as unclassified, and
+    so are all runs if the initial state can reach the last state of no
+    given rail, say in a ring that cannot reach the target; a run that
+    steps to such a state later leaves the tree.
 
     What happens to a run next depends only on its current state and its
     trie node, so the runs are simulated as counts per (state, node)
@@ -251,6 +254,8 @@ def monte_carlo_classify(
     hops = scc_of[succ] != np.repeat(scc_of, lens)  # per edge
     ends_at = absorbing[succ]  # per edge
     trie = _RailTrie(mc.initial, n_states, rails)
+    # the states from which a run can still end a given rail
+    hopeful = _can_reach(rows, {rail[-1] for rail in trie.rail_of.values()})
     rng = np.random.default_rng(seed)
     counts = np.zeros(trie.size, dtype=np.int64)  # absorbed runs per trie node
     state = np.array([mc.initial], dtype=np.int64)
@@ -258,6 +263,8 @@ def monte_carlo_classify(
     count = np.array([n], dtype=np.int64)
     if absorbing[mc.initial]:
         counts[0], count = n, count[:0]
+    elif mc.initial not in hopeful:
+        count = count[:0]
     steps = 0
     while count.size and steps < SAMPLE_STEP_LIMIT:
         steps += 1
@@ -290,18 +297,18 @@ def monte_carlo_classify(
     for where, rail in trie.rail_of.items():
         classified[rail] = int(counts[where])
     unclassified = n - sum(classified.values())
-    _cross_check(mc, red, rails, seed, rows, absorbing.tolist(), trie)
+    _cross_check(mc, red, rails, seed, rows, absorbing.tolist(), hopeful, trie)
     return SampleRun(seed=seed, count=n, classified=classified, unclassified=unclassified)
 
 
-def _cross_check(mc, red, rails, seed, rows, absorbing, trie) -> None:
+def _cross_check(mc, red, rails, seed, rows, absorbing, hopeful, trie) -> None:
     # Replays 64 runs from a derived seed step by step and confronts the
     # trie lookup with the membership predicate itself, for the rails a
-    # run from the initial state can count for. A step takes the first
-    # entry whose running row sum exceeds a uniform draw, the last if none
-    # does, by bisection in the row's running sums; the draws come in
-    # blocks, in the order single draws would. It raises rather than
-    # asserts, so that python -O keeps it.
+    # run from the initial state can count for, until it can end none of
+    # them. A step takes the first entry whose running row sum exceeds a
+    # uniform draw, the last if none does, by bisection in the row's
+    # running sums; the draws come in blocks, in the order single draws
+    # would. It raises rather than asserts, so that python -O keeps it.
     rng = np.random.default_rng([seed, 1])
     sums = [list(itertools.accumulate(p for _, p in row)) for row in rows]
     # a draw no running sum exceeds, rounding short of 1, takes the last entry
@@ -313,7 +320,7 @@ def _cross_check(mc, red, rails, seed, rows, absorbing, trie) -> None:
         s = mc.initial
         path, hop, c = [s], [], scc_of[s]
         for _ in range(SAMPLE_STEP_LIMIT - 1):
-            if absorbing[s]:
+            if absorbing[s] or s not in hopeful:
                 break
             if not draws:
                 draws = rng.random(_DRAW_BLOCK).tolist()[::-1]

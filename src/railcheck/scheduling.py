@@ -53,7 +53,7 @@ def extract_max_scheduler(
         if sched.choice in seen:
             return best
         seen.add(sched.choice)
-        red = acyclic_reduce(make_absorbing(induced_mc(m, sched), target))
+        red = acyclic_reduce(make_absorbing(induced_mc(m, sched), target), target)
         values = max_reach(red, target)
         if best is None or values.sum() > best[2].sum():
             best = sched, red, values

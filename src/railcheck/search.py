@@ -19,18 +19,18 @@ underflows. Exponents are stored negated: masses are at most 1, so nearly
 all are small ints that CPython shares. A state that cannot reach the
 target has an empty stream and never enters a heap, so no separate
 liveness pass is needed. The first pass also sums each state's value, its
-probability of reaching the target, and counts its rails, up to a cap.
-Work is one pass over the kept states of the components the initial state
-reaches, then proportional to the rails consumed.
+probability of reaching the target. Work is one pass over the kept states
+of the components the initial state reaches, then proportional to the
+rails consumed.
 
 The value decides the verdict; the stream only lists the witnesses. A
 bound that holds lists every rail, and an exhausted stream holds every
-rail of every state the initial state reaches. So when every rail fits
-under the witness cap, which the counts tell, the streams are built
+rail of every state the initial state reaches. So `_sweep` counts the
+rails, and when they fit under the witness cap it builds the streams
 whole in numpy arrays, one sort per state, in place of a few heap
-operations per item (`_sweep`); when they do not fit, none is listed.
-The lazy phase 2 stays for a stream read in part, as a violated bound
-reads it up to its first crossing prefix.
+operations per item; when they do not fit, none is listed. The lazy
+phase 2 stays for a stream read in part, as a violated bound reads it up
+to its first crossing prefix.
 """
 
 from __future__ import annotations
@@ -54,18 +54,15 @@ class _SuffixStreams:
     """Per state, the paths to the first target hit, heaviest first, in
     the two phases of the recursive enumeration algorithm.
 
-    `items`, `heaps`, `waiting`, `value` and `count` are lists indexed by
-    state. Phase 1 runs when the streams are built and gives a state its
-    first item, its value and its rail count: one pass over the
-    reduction's `order`, successors first, up to the initial state, in
-    which each state takes the least key (-e, -m, successor) over its
-    successors' first items, each multiplied by the step to that
-    successor, sums their counts, a target's being 1, and sums its row
-    times its successors' values, the probabilities of reaching the
-    target. Counts saturate at `cap`, so stay small where rails grow
-    exponentially along the order; one under the cap is exact. A state the
-    pass leaves without an item cannot reach the target, or lies past the
-    initial state, and its value and count stay 0. Until its second
+    `items`, `heaps`, `waiting` and `value` are lists indexed by state.
+    Phase 1 runs when the streams are built and gives a state its first
+    item and its value: one pass over the reduction's `order`, successors
+    first, up to the initial state, in which each state takes the least
+    key (-e, -m, successor) over its successors' first items, each
+    multiplied by the step to that successor, and sums its row times its
+    successors' values, the probabilities of reaching the target. A state
+    the pass leaves without an item cannot reach the target, or lies past
+    the initial state, and its value stays 0. Until its second
     request a state's stream is a tuple of that one item: a tuple of
     numbers leaves the cyclic collector's lists, so the pass adds nothing
     for a full collection to walk. Phase 2 starts at the second request:
@@ -80,10 +77,11 @@ class _SuffixStreams:
     settles equal masses. A request names just a state, as a stream is
     only asked for its next item, and is done once that item is appended:
     the follow-up it leaves in `waiting` waits for the state's next
-    request instead of resolving down the DAG.
+    request instead of resolving down the DAG. `swept` holds every rail of
+    the initial state once `_sweep` has built them.
     """
 
-    def __init__(self, red: AcyclicReduction, targets: Set[int], cap: int = 1):
+    def __init__(self, red: AcyclicReduction, targets: Set[int]):
         n, rows = red.chain.num_states, red.chain.rows
         # the rows' list form, shared with max_reach, and every entry's
         # mantissa and negated exponent; distribution u is state u's row
@@ -95,34 +93,33 @@ class _SuffixStreams:
         self.at: List[int] = rows.entry_list
         self.prob: List[float] = rows.prob_list
         self.value: List[float] = [0.0] * n  # set by phase 1, 0 where it leaves no item
-        self.count: List[int] = [0] * n  # likewise
         self.items: List[Sequence[tuple]] = [()] * n
         self.heaps: List[Optional[list]] = [None] * n
         self.waiting: List[Optional[Tuple[int, int, float, int]]] = [None] * n
         self.targets = targets
+        self.swept: Optional[List[Tuple[FinitePath, float, int]]] = None
         for u in targets:
             self.items[u] = ((0.5, -1, None, 0),)
             self.heaps[u] = []
-            self.value[u], self.count[u] = 1.0, 1
-        self._first_items(red.order, red.chain.initial, cap)
+            self.value[u] = 1.0
+        self._first_items(red.order, red.chain.initial)
 
-    def _first_items(self, order: Sequence[int], s0: int, cap: int) -> None:
+    def _first_items(self, order: Sequence[int], s0: int) -> None:
         """Phase 1, in order up to s0: each state folds its successors'
-        first items into the least key in edge order and sums their
-        counts; a state that takes an item then sums its row times its
-        successors' values, as `max_reach` does."""
+        first items into the least key in edge order; a state that takes
+        an item then sums its row times its successors' values, as
+        `max_reach` does."""
         items, succ, pms, npes, at = self.items, self.succ, self.pm, self.npe, self.at
-        prob, value, count, fsum = self.prob, self.value, self.count, math.fsum
+        prob, value, fsum = self.prob, self.value, math.fsum
         value_at = value.__getitem__
         for v in order:
             if not items[v]:  # else v is a target
                 a, end = at[v], at[v + 1]
-                bm, bne, bt, c = 0.0, 0, None, 0
+                bm, bne, bt = 0.0, 0, None
                 for k in range(a, end):
                     t = succ[k]
                     t_items = items[t]
                     if t_items:  # else t is dead, or t is v
-                        c += count[t]
                         m, ne, _, _ = t_items[0]
                         m *= pms[k]
                         ne += npes[k]
@@ -135,7 +132,6 @@ class _SuffixStreams:
                             bm, bne, bt = m, ne, t
                 if bt is not None:
                     items[v] = ((bm, bne, bt, 0),)
-                    count[v] = c if c < cap else cap
                     # max_reach's sum and cap; v's own self loop reads its value as 0
                     x = fsum(map(mul, prob[a:end], map(value_at, succ[a:end])))
                     value[v] = x if x <= 1.0 else 1.0
@@ -215,24 +211,38 @@ class _SuffixStreams:
         return items[u][i] if i < len(items[u]) else None
 
 
-def _sweep(red: AcyclicReduction, streams: _SuffixStreams,
-           states: List[int]) -> List[Tuple[FinitePath, float, int]]:
-    """Every rail from the initial state, heaviest first, as `ranked_rails`
-    yields them, read off every stream built whole in numpy arrays.
+def _sweep(red: AcyclicReduction, streams: _SuffixStreams, cap: int) -> bool:
+    """If the initial state has at most `cap` rails, build them all into
+    `streams.swept`, heaviest first, as `ranked_rails` yields them, read
+    off every stream built whole in numpy arrays; True iff it has.
 
-    `streams` holds the rows, each step's mantissa and negated exponent
-    and each state's rail count. `states` lists, successors first, every
-    state the initial state reaches that has a rail, and possibly other
-    states whose successors it lists too; its counts are exact, under the
-    streams' cap. State v's stream is the count[v] items from start[v] on
-    of three flat arrays: each item's mantissa, its negated exponent, and
-    the flat index of the successor item it extends, -1 at a target. A
-    state concatenates its successors' streams in row order, multiplies
-    each item by the step as `_SuffixStreams.item` does, and sorts them
-    stably by (negated exponent, -mantissa): the order the heap pops,
-    equal masses by successor and then by index. Then the pointers are
-    walked one step at a time for all rails not yet at their target."""
-    n, succ, at, count = red.chain.num_states, red.chain.rows.succ, streams.at, streams.count
+    One pass over the states with a first item, up to the initial state
+    in the reduction's order, counts each state's rails, a target's being
+    1, saturating at cap + 1, so counts stay small where rails grow
+    exponentially along the order. The states that count at most the
+    initial state's are every state it reaches that has a rail, and
+    possibly other states whose successors they list too. State v's
+    stream is the count[v] items from start[v] on of three flat arrays:
+    each item's mantissa, its negated exponent, and the flat index of the
+    successor item it extends, -1 at a target. A state concatenates its
+    successors' streams in row order, multiplies each item by the step as
+    `_SuffixStreams.item` does, and sorts them stably by (negated
+    exponent, -mantissa): the order the heap pops, equal masses by
+    successor and then by index. Then the pointers are walked one step at
+    a time for all rails not yet at their target."""
+    n, s0, at, items = red.chain.num_states, red.chain.initial, streams.at, streams.items
+    reached = [v for v in red.order[: red.order.index(s0) + 1] if items[v]]
+    count, over, row_succ = [0] * n, cap + 1, streams.succ
+    for v in reached:
+        if v in streams.targets:
+            count[v] = 1
+        else:
+            c = sum(map(count.__getitem__, row_succ[at[v] : at[v + 1]]))
+            count[v] = c if c < over else over
+    if count[s0] > cap:
+        return False
+    states = [v for v in reached if count[v] <= count[s0]]
+    succ = red.chain.rows.succ
     pm, npe = np.asarray(streams.pm), np.asarray(streams.npe)
     sizes = np.array([count[v] for v in states], dtype=np.int64)
     bounds = offsets(sizes)
@@ -251,7 +261,6 @@ def _sweep(red: AcyclicReduction, streams: _SuffixStreams,
             ne = nexp[idx] + (npe[lo:hi].repeat(c) - e)
             order = np.lexsort((-m, ne))
             mant[a:b], nexp[a:b], link[a:b] = m[order], ne[order], idx[order]
-    s0 = red.chain.initial
     a = int(start[s0])
     b = a + count[s0]
     mass, exp = split_masses(mant[a:b], -nexp[a:b])
@@ -273,12 +282,12 @@ def _sweep(red: AcyclicReduction, streams: _SuffixStreams,
         flat[rail_at[ids] + depth] = visited
     flat, rail_at = flat.tolist(), rail_at.tolist()
     rails = [tuple(flat[x:y]) for x, y in zip(rail_at, rail_at[1:])]
-    return list(zip(rails, mass.tolist(), exp.tolist()))
+    streams.swept = list(zip(rails, mass.tolist(), exp.tolist()))
+    return True
 
 
 def ranked_rails(
-    red: AcyclicReduction, targets: Iterable[int], *, _streams: Optional[_SuffixStreams] = None,
-    _sweep_limit: Optional[int] = None,
+    red: AcyclicReduction, targets: Iterable[int], *, streams: Optional[_SuffixStreams] = None,
 ) -> Iterator[Tuple[FinitePath, float, int]]:
     """Rails from the initial state to the first target hit, heaviest
     first, as (rail, mass, exp): the rail's mass is mass·2**exp, with exp
@@ -291,29 +300,17 @@ def ranked_rails(
     makes.
 
     The stream of a state that cannot reach the target is empty, whether
-    it is absorbing or leads into a dead region, so the rails are the
-    same with or without the probability-zero states made absorbing.
+    it is absorbing or leads into a dead region: the rails need no state
+    made absorbing but the targets.
 
-    `_streams`, unread streams of red's chain and targets with a cap above
-    `_sweep_limit`, saves building them again.
-
-    `_sweep_limit` is for a caller that reads every rail if there are at
-    most that many: `most_indicative`, when the value shows the bound
-    holding. Phase 1 also counts each state's rails, up to the cap, and
-    if the initial state has from 1 to `_sweep_limit`, `_sweep` builds
-    every stream whole, as exhausting the lazy stream would, at a fixed
-    number of numpy calls per state in place of heap operations and a
-    pointer walk per item. Either way the rails, masses and order are the
-    same; phase 2 stays for a stream read in part, as a violated bound
-    reads it."""
+    `streams`, the unread streams of red's chain and targets, saves
+    building them again. Where `_sweep` has built every rail into them,
+    at a few numpy calls per state in place of heap operations and a
+    pointer walk per item, those are the rails, masses and order."""
     s0 = red.chain.initial
-    streams = _streams or _SuffixStreams(red, set(targets), 1 if _sweep_limit is None else _sweep_limit + 1)
-    count = streams.count
-    if _sweep_limit is not None and 0 < count[s0] <= _sweep_limit:
-        # states up to s0 in order add only inputs entered from elsewhere,
-        # swept unread; counts up to s0's are exact
-        states = [v for v in red.order[: red.order.index(s0) + 1] if 0 < count[v] <= count[s0]]
-        yield from _sweep(red, streams, states)
+    streams = streams or _SuffixStreams(red, set(targets))
+    if streams.swept is not None:
+        yield from streams.swept
         return
     items = streams.items
     for i in itertools.count():
@@ -367,16 +364,17 @@ def most_indicative(
     max_prob is the initial state's value, summed by the first pass of
     the rail stream before any rail is read, and the verdict is the
     bound applied to it. A bound that holds lists every rail: swept
-    whole where the first pass counts at most `max_witnesses` of them,
-    none where it counts more, and with no cap the stream read to its
-    end. A violated bound lists the smallest witness set refuting it,
+    whole where `_sweep` counts at most `max_witnesses` of them, none
+    where it counts more, and with no cap the stream read to its end. A
+    violated bound lists the smallest witness set refuting it,
     greedily assembled: rails arrive heaviest first, so the first stream
     prefix whose mass crosses the bound has minimum cardinality and,
     among sets of that size, maximal mass. The list stops at
     `max_witnesses` rails; if the stream ends first, where rounding puts
     the value and the rail sum on opposite sides of the threshold, it
     holds every rail, and the bound stays violated. `complete` is False
-    exactly where the cap cut the list.
+    exactly where the cap cut the list: for a violated bound, where the
+    stream has an item past the last one listed.
 
     The running sum is a plain float sum of the masses, in units of the
     heaviest rail's 2**exp so that masses below the float range add up
@@ -408,9 +406,9 @@ def most_indicative(
     and its mass is the same right-to-left product of the same rows.
     """
     targets = set(targets)
-    streams = _SuffixStreams(red, targets, 1 if max_witnesses is None else max_witnesses + 1)
-    rails = streams.count[red.chain.initial]  # exact up to the cap
-    max_prob = streams.value[red.chain.initial]
+    s0 = red.chain.initial
+    streams = _SuffixStreams(red, targets)
+    max_prob = streams.value[s0]
     violated = _violated(spec, max_prob, spec.threshold)
     crossed = _violated(spec, 0.0, spec.threshold)  # P<0 is crossed by no rail at all
     found: List[Tuple[FinitePath, float, int]] = []
@@ -418,10 +416,11 @@ def most_indicative(
     total, fast, guard, room = 0.0, 0.0, 0.0, 0
     ldexp = math.ldexp
     if not violated:
-        if max_witnesses is None or rails <= max_witnesses:
-            found = list(ranked_rails(red, targets, _streams=streams, _sweep_limit=max_witnesses))
+        complete = max_witnesses is None or _sweep(red, streams, max_witnesses)
+        if complete:
+            found = list(ranked_rails(red, targets, streams=streams))
     elif not crossed:
-        for rail, mass, exp in itertools.islice(ranked_rails(red, targets, _streams=streams), max_witnesses):
+        for rail, mass, exp in itertools.islice(ranked_rails(red, targets, streams=streams), max_witnesses):
             count = len(found)
             if not count:  # the heaviest rail sets the units
                 scale = exp
@@ -446,7 +445,8 @@ def most_indicative(
     scale = found[0][2] if found else 0
     if partials is None:  # the float sum was certified to the end, or not taken
         total = min(math.fsum(ldexp(m, e - scale) for _, m, e in found), ldexp(0.5, min(1 - scale, 1024)))
-    complete = crossed or len(found) >= rails
+    if violated:  # one more request tells whether the cap cut the stream
+        complete = crossed or streams.item(s0, len(found)) is None
     del streams  # the stream is done with: free it before the witnesses
     # the reduced chain copies every other kept row from the source chain;
     # a component that has no outputs keeps its inputs absorbing, so they

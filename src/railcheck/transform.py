@@ -1,12 +1,13 @@
 """Reduction of an absorbing chain to its acyclic skeleton.
 
-Pipeline: make target and probability-zero states absorbing, decompose
-into strongly connected components, solve each nontrivial component for
-its members' escape probabilities to its outputs (components of one
-shape in one stacked state reduction), then rebuild the chain
-keeping only states outside nontrivial components plus component inputs.
-The result has no cycles apart from Dirac self loops on absorbing states,
-and reachability probabilities from the initial state are preserved: the
+Pipeline: make the target states absorbing, decompose into strongly
+connected components, live if they hold a target or lead to a live one,
+solve each live nontrivial component for its members' escape
+probabilities to its outputs (components of one shape in one stacked
+state reduction), then rebuild the chain keeping only states outside
+nontrivial components plus component inputs. The result has no cycles
+apart from Dirac self loops on absorbing states and unsolved inputs, and
+reachability probabilities from the initial state are preserved: the
 rail search's first pass sums them over the kept states in `order` up to
 the initial state, and policy iteration's `numerics.max_reach` over every
 state.
@@ -22,7 +23,7 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .model import Model, ModelError, WeightedPath, chain_rows, is_markov_chain, offsets, ranges
-from .numerics import SingularMatrixError, prob0_states, solve_linear
+from .numerics import SingularMatrixError, solve_linear
 
 
 class Components(NamedTuple):
@@ -34,10 +35,11 @@ class Components(NamedTuple):
     of: np.ndarray  # each state's component
     rank: np.ndarray  # Tarjan's completion order: every component this one leads to ranks lower
     nontrivial: np.ndarray  # carries at least one internal transition
+    live: np.ndarray  # holds a target, or leads to a live component
     members: np.ndarray
     member_at: np.ndarray
     is_input: Optional[np.ndarray] = None  # entered into a nontrivial component from another, or initial
-    outputs: Optional[np.ndarray] = None  # targets of edges leaving a nontrivial component
+    outputs: Optional[np.ndarray] = None  # targets of edges leaving a live nontrivial component
     output_at: Optional[np.ndarray] = None
 
 
@@ -87,16 +89,15 @@ class AcyclicReduction:
 
 
 def make_absorbing(mc: Model, psi: Iterable[int]) -> Model:
-    """Redirect target states and states that cannot reach the target to
-    Dirac self loops; every other row is unchanged."""
+    """Redirect the target states to Dirac self loops; every other row,
+    also that of a state that cannot reach the target, is unchanged."""
     if not is_markov_chain(mc):
         raise ModelError("make_absorbing expects a Markov chain")
     psi = set(psi)
-    pinned = psi | prob0_states(mc, psi)
     rows = mc.rows
     at = rows.entry_at
     lens = at[1:] - at[:-1]
-    pin = np.fromiter(pinned, np.int64, len(pinned))
+    pin = np.fromiter(psi, np.int64, len(psi))
     lens[pin] = 1
     # a pinned state takes its first entry, then made its self loop
     new = chain_rows(at[:-1], lens, rows.succ, rows.prob)
@@ -105,7 +106,7 @@ def make_absorbing(mc: Model, psi: Iterable[int]) -> Model:
     return Model(names=mc.names, initial=mc.initial, labels=mc.labels, rows=new)
 
 
-def scc_decompose(mc: Model) -> Components:
+def scc_decompose(mc: Model, targets: Iterable[int]) -> Components:
     """Strongly connected components of a Markov chain, iterative Tarjan.
 
     Components are numbered by their smallest member so ids are stable
@@ -113,6 +114,12 @@ def scc_decompose(mc: Model) -> Components:
     them in, successors first. The first search starts at the initial
     state, so every component it reaches ranks at most its own. Each
     state's successors are visited ascending, as its row lists them.
+
+    A component is live if it holds a target or has an edge into a live
+    component, which completes before it; the dead ones hold the states
+    that reach no target (Prob0). A state's `hit` is set if it is a
+    target, has an edge into a completed live component, or a search
+    child that has it returns, so a component's root holds the flag.
     """
     if not is_markov_chain(mc):
         raise ModelError("scc_decompose expects a Markov chain")
@@ -120,8 +127,11 @@ def scc_decompose(mc: Model) -> Components:
     # lists of its own, not the rows' list form: kept with the absorbing
     # chain, that would stay alive through the rail search's peak
     succ, at = rows.succ.tolist(), rows.entry_at.tolist()
-    index = [-1] * n  # n once the state's component completes, so it lowers no link
+    index = [-1] * n  # n once its component completes live, n + 1 dead: neither lowers a link
     low = [0] * n
+    hit = [False] * n
+    for t in targets:
+        hit[t] = True
     stack: List[int] = []
     done: List[int] = []  # the states as their components complete
     done_at = [0]  # where each completed component starts in done, and the end
@@ -137,15 +147,18 @@ def scc_decompose(mc: Model) -> Components:
             s, it = call[-1]
             advanced = False
             for t in it:
-                if index[t] == -1:
+                i = index[t]
+                if i == -1:
                     index[t] = low[t] = counter
                     counter += 1
                     stack.append(t)
                     call.append((t, iter(succ[at[t] : at[t + 1]])))
                     advanced = True
                     break
-                if index[t] < low[s]:
-                    low[s] = index[t]
+                if i < low[s]:
+                    low[s] = i
+                elif i == n:
+                    hit[s] = True
             if advanced:
                 continue
             call.pop()
@@ -153,11 +166,14 @@ def scc_decompose(mc: Model) -> Components:
                 parent = call[-1][0]
                 if low[s] < low[parent]:
                     low[parent] = low[s]
+                if hit[s]:  # parent shares s's open component, or leads into its live one
+                    hit[parent] = True
             if low[s] == index[s]:
+                mark = n if hit[s] else n + 1
                 cut = len(stack)
                 while True:
                     cut -= 1
-                    index[stack[cut]] = n
+                    index[stack[cut]] = mark
                     if stack[cut] == s:
                         break
                 done += stack[cut:]
@@ -169,25 +185,24 @@ def scc_decompose(mc: Model) -> Components:
     rank = np.minimum.reduceat(done, done_at[:-1]).argsort(kind="stable")
     of = np.empty(n, dtype=np.int64)
     of[done] = rank.argsort(kind="stable").repeat(sizes)
-    sizes = sizes[rank]
+    sizes, live = sizes[rank], (np.array(index) == n)[done[done_at[:-1]]][rank]
     # a lone state is nontrivial with a self loop only
     nontrivial = sizes > 1
     nontrivial[of[rows.succ[rows.succ == rows.source]]] = True
-    return Components(of, rank, nontrivial, of.argsort(kind="stable"), offsets(sizes))
+    return Components(of, rank, nontrivial, live, of.argsort(kind="stable"), offsets(sizes))
 
 
 def scc_io(mc: Model, comps: Components) -> Components:
     """comps with every nontrivial component's inputs (reachable from
-    outside, plus the initial state if it lies inside) and outputs
-    (targets of edges leaving the component), read off the mask of the
-    edges that leave their component."""
+    outside, plus the initial state if it lies inside) and every live
+    one's outputs (targets of its leaving edges), read off one edge mask."""
     rows, n, of = mc.rows, mc.num_states, comps.of
     come, go = of[rows.source], of[rows.succ]
     leaves = come != go
     is_input = np.zeros(n, dtype=bool)
     is_input[rows.succ[leaves & comps.nontrivial[go]]] = True
     is_input[mc.initial] |= comps.nontrivial[of[mc.initial]]
-    exits = leaves & comps.nontrivial[come]
+    exits = leaves & (comps.nontrivial & comps.live)[come]
     # each leaving edge as (component, output), sorted, each pair once
     keys = come[exits] * n + rows.succ[exits]
     keys = keys[keys.argsort(kind="stable")]
@@ -207,7 +222,7 @@ _STACK_FLOATS = 1 << 15
 
 def scc_reach(mc: Model, comps: Components) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The escape probabilities from each member to each output of every
-    nontrivial component that has outputs, all outputs solved in one
+    live component that has outputs, all outputs solved in one
     state reduction of the component block, as stacks (ids, members,
     outputs, escapes) of components of one shape: escapes[i] is component
     ids[i]'s, from its members (rows) to its outputs (columns), ascending.
@@ -221,7 +236,7 @@ def scc_reach(mc: Model, comps: Components) -> List[Tuple[np.ndarray, np.ndarray
     alone.
     """
     sizes, widths = (at[1:] - at[:-1] for at in (comps.member_at, comps.output_at))
-    ids = widths.nonzero()[0]  # only nontrivial components have outputs
+    ids = widths.nonzero()[0]  # only live nontrivial components have outputs
     ids = ids[np.lexsort((widths[ids], sizes[ids]))]  # grouped by shape, ids ascending in each
     shape = sizes[ids] * len(comps.of) + widths[ids]  # fewer outputs than states
     bounds = [0, *((shape[1:] != shape[:-1]).nonzero()[0] + 1).tolist(), len(ids)]
@@ -269,21 +284,21 @@ def _solve_stack(mc: Model, members: np.ndarray, outputs: np.ndarray) -> np.ndar
     return np.ascontiguousarray(x.swapaxes(0, 1))
 
 
-def acyclic_reduce(mc_psi: Model) -> AcyclicReduction:
-    """Collapse every nontrivial component to direct input-to-output jumps.
+def acyclic_reduce(mc_psi: Model, targets: Iterable[int]) -> AcyclicReduction:
+    """Collapse every live nontrivial component to input-to-output jumps.
 
     Kept states are those in trivial components plus the inputs of
     nontrivial ones; kept rows either copy the source chain (trivial) or
-    carry the component's escape distribution (inputs). Absorbing inputs
-    keep their Dirac self loop. Dropped states become unreachable Dirac
-    self loops so the index space stays shared with the source chain.
+    carry the component's escape distribution (inputs). Unsolved inputs,
+    absorbing or dead, become Dirac self loops, and so do dropped states,
+    unreachable, so the index space stays shared with the source chain.
     The reduced chain's rows are built as arrays, from the source's rows
     and the solved escapes; its `actions` only when asked for.
     """
     if not is_markov_chain(mc_psi):
         raise ModelError("acyclic_reduce expects a Markov chain")
     n, rows = mc_psi.num_states, mc_psi.rows
-    comps = scc_io(mc_psi, scc_decompose(mc_psi))
+    comps = scc_io(mc_psi, scc_decompose(mc_psi, targets))
     stacks = scc_reach(mc_psi, comps)
     of, is_input = comps.of, comps.is_input
     # the inputs' escape rows, outputs ascending and zero entries dropped:

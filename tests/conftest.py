@@ -36,7 +36,7 @@ def successors(m: Model, s: int) -> set:
 def reduce_to_psi(mc: Model):
     """Absorb the psi states and reduce; returns (reduction, psi set)."""
     psi = sat_states(mc, Atom("psi"))
-    red = acyclic_reduce(make_absorbing(mc, psi))
+    red = acyclic_reduce(make_absorbing(mc, psi), psi)
     return red, psi
 
 
@@ -314,6 +314,61 @@ def line_mdp_doc(k, delta, end=False):
     return {"states": names + ["goal", "trap"], "initial": "s0", "labels": {"goal": ["psi"]}, "transitions": rows}
 
 
+def _ring_rows(rng, names):
+    """Each of `names` steps to the next, around, and to one more of them
+    at random, weights random."""
+    rows = {}
+    for i, s in enumerate(names):
+        succ = {names[(i + 1) % len(names)], names[int(rng.integers(len(names)))]}
+        w = rng.uniform(0.2, 1.0, len(succ))
+        rows[s] = [{t: float(x) for t, x in zip(sorted(succ), w / w.sum())}]
+    return rows
+
+
+def dead_ring_doc(rng, k):
+    """The initial state in a ring of k states that cannot reach `psi`:
+    the `psi` state steps into the ring, and nothing steps to it."""
+    names = ["r%d" % i for i in range(k)]
+    rows = {**_ring_rows(rng, names), "goal": [{names[0]: 1.0}]}
+    return {"states": names + ["goal"], "initial": names[0], "labels": {"goal": ["psi"]}, "transitions": rows}
+
+
+def dead_bottom_ring_doc(rng, k):
+    """A ring of k states, the initial one among them, where each state
+    also steps to the absorbing `psi` state and into a second ring of k
+    states that has no way out: runs go dead there."""
+    live, dead = ["a%d" % i for i in range(k)], ["b%d" % i for i in range(k)]
+    rows = {"goal": [{"goal": 1.0}], **_ring_rows(rng, dead)}
+    for s, row in _ring_rows(rng, live).items():
+        w = rng.uniform(0.05, 0.2, 2)
+        rows[s] = [{**{t: p * (1 - w.sum()) for t, p in row[0].items()}, "goal": float(w[0]),
+                    dead[int(rng.integers(k))]: float(w[1])}]
+    return {"states": live + dead + ["goal"], "initial": live[0], "labels": {"goal": ["psi"]}, "transitions": rows}
+
+
+DYADIC_SEEDS = range(200)
+
+
+def dyadic_chain_doc(seed, n=12):
+    """n states in a ring, each stepping to its ring successor and to 1-4
+    more random states, itself allowed; with probability 0.3 a state also
+    steps to the two absorbing `psi` states. Every probability is an
+    integer over 64, so each row sums to exactly 1 and the stored floats
+    are the exact values. The ring is one component, so where some state
+    leaks to `psi`, `psi` is reached with probability exactly 1."""
+    rng = np.random.default_rng(seed)
+    names = ["d%d" % i for i in range(n)] + ["psi0", "psi1"]
+    rows = {t: [{t: 1.0}] for t in names[n:]}
+    for i in range(n):
+        succ = sorted({(i + 1) % n, *rng.choice(n, int(rng.integers(1, 5)), replace=False).tolist()})
+        if rng.random() < 0.3:
+            succ += [n, n + 1]
+        cuts = np.sort(rng.choice(np.arange(1, 64), len(succ) - 1, replace=False))
+        weights = np.diff([0, *cuts.tolist(), 64])
+        rows[names[i]] = [{names[t]: w / 64 for t, w in zip(succ, weights.tolist())}]
+    return {"states": names, "initial": names[0], "labels": {t: ["psi"] for t in names[n:]}, "transitions": rows}
+
+
 # random corpus builders
 
 def _mc_doc(rng):
@@ -369,7 +424,7 @@ def _usable_mc(doc):
     psi = sat_states(m, Atom("psi"))
     if brute_force_max_reach(m, psi) < 0.05:
         return None
-    red = acyclic_reduce(make_absorbing(m, psi))
+    red = acyclic_reduce(make_absorbing(m, psi), psi)
     rails = []
     for rail, mass, _ in ranked_rails(red, psi):
         rails.append((rail, mass))

@@ -78,7 +78,7 @@ def test_max_reach_matches_solve_on_ring_chains(i):
     for states in (doc["states"], doc["states"][::-1]):
         m = parse_model(json.dumps(dict(doc, states=states)))
         goal = m.names.index(next(iter(doc["labels"])))
-        got = max_reach(acyclic_reduce(make_absorbing(m, {goal})), {goal})
+        got = max_reach(acyclic_reduce(make_absorbing(m, {goal}), {goal}), {goal})
         assert np.max(np.abs(got - _exact_reach(m, goal))) <= 1e-8
         by_order.append({m.names[s]: got[s] for s in range(m.num_states)})
     for name, v in by_order[0].items():
@@ -131,7 +131,7 @@ def test_scc_io_matches_networkx_condensation(i):
             ins.add(m.initial)
         outs = {t for s, t in g.edges if comp[s] == c and comp[t] != c}
         expected[members] = (frozenset(ins), frozenset(outs))
-    comps = scc_io(m, scc_decompose(m))
+    comps = scc_io(m, scc_decompose(m, range(m.num_states)))  # every component live, so with outputs
     table = component_sets(comps)
     assert {members for members, _, _ in table} == {frozenset(cond.nodes[c]["members"]) for c in cond.nodes}
     got = {members: (ins, outs) for (members, ins, outs), big in zip(table, comps.nontrivial) if big}
@@ -217,7 +217,7 @@ def test_rows_equal_flattened_actions(mc_corpus, mdp_corpus, dag_corpus):
         absorbing = make_absorbing(m, psi)
         _assert_rows_match(absorbing, absorbing.actions)
         rewritten += absorbing.rows is not m.rows
-        red = acyclic_reduce(absorbing)
+        red = acyclic_reduce(absorbing, psi)
         _assert_rows_match(red.chain, red.chain.actions)  # actions built from the rows
     assert rewritten > 0
     for m in mdp_corpus:

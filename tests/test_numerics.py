@@ -7,7 +7,7 @@ from railcheck.transform import acyclic_reduce, make_absorbing
 
 
 def _values(mc, target):
-    return max_reach(acyclic_reduce(make_absorbing(mc, target)), target)
+    return max_reach(acyclic_reduce(make_absorbing(mc, target), target), target)
 
 
 def test_prob0(m0, m0_trap):

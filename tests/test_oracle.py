@@ -3,14 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import dense_chain_doc, reduce_to_psi
+from conftest import dead_bottom_ring_doc, dead_ring_doc, dense_chain_doc, reduce_to_psi
 from railcheck import oracle
+from railcheck.cli import run_check
 from railcheck.model import mc_row, parse_model
 from railcheck.oracle import (
     OracleLimitError,
@@ -212,12 +214,19 @@ def test_classify_is_deterministic(m0):
 def _replay(mc, red, rails, n, seed):
     """monte_carlo_classify with scalar draws: runs are counted per
     (state, footprint) while the footprint is a prefix of a given rail,
-    and the groups split their counts in sorted (state, prefix number)
-    order, one row position at a time: entry j takes a binomial share of
-    what its earlier entries left, at p_j over the row's mass from j on,
-    and the last entry takes the rest."""
+    none if the initial state can reach no given rail's end, and the
+    groups split their counts in sorted (state, prefix number) order, one
+    row position at a time: entry j takes a binomial share of what its
+    earlier entries left, at p_j over the row's mass from j on, and the
+    last entry takes the rest."""
     rows = [mc_row(mc, s) for s in range(mc.num_states)]
     absorbing = [len(row) == 1 and row[0][0] == s for s, row in enumerate(rows)]
+    can = {rail[-1] for rail in rails if rail[0] == mc.initial}  # can end a rail
+    while True:
+        more = {s for s, row in enumerate(rows) if s not in can and any(t in can for t, _ in row)}
+        if not more:
+            break
+        can |= more
     shares = []
     for row in rows:
         tail, share = 0.0, []
@@ -235,7 +244,7 @@ def _replay(mc, red, rails, n, seed):
     groups = Counter()
     if absorbing[mc.initial]:
         ended[(mc.initial,)] = n
-    else:
+    elif mc.initial in can:
         groups[(mc.initial, (mc.initial,))] = n
     steps = 0
     while groups and steps < oracle.SAMPLE_STEP_LIMIT:
@@ -362,6 +371,35 @@ def test_sampler_on_an_absorbing_initial_state():
     assert run.classified == {(0,): 100} and run.unclassified == 0
 
 
+def test_verify_ends_the_runs_that_go_dead(tmp_path):
+    # Only the targets are absorbing, so a run can stay in a ring that
+    # cannot reach them. The sampler drops such runs at once, as
+    # unclassified, and the replay stops them: the initial state in a
+    # dead ring leaves every run unclassified, and runs that fall into a
+    # dead bottom ring are unclassified in the share the value leaves.
+    # Walked to the step limit instead, a dead ring's runs took 10 s.
+    rng = np.random.default_rng(4242)
+    for k in (3, 5, 40):
+        for make, prop in ((dead_ring_doc, "P<=0.5 [ F psi ]"), (dead_bottom_ring_doc, "P<=1 [ F psi ]")):
+            doc = make(rng, k)
+            path = tmp_path / "dead.json"
+            path.write_text(json.dumps(doc))
+            start = time.perf_counter()
+            code, report = run_check(str(path), prop, verify=True)
+            assert time.perf_counter() - start < 5.0
+            v, value = report["verification"], report["max_prob"]
+            assert code == 0 and v["pass"] is True
+            samples, unclassified = v["sampling"]["samples"], v["sampling"]["unclassified"]
+            if make is dead_ring_doc:
+                assert value == 0.0 and unclassified == samples
+            else:
+                assert 0.0 < value < 1.0 and report["witnesses"]
+                dead = 1.0 - value
+                assert abs(unclassified / samples - dead) <= 4.5 * math.sqrt(dead * value / samples)
+            red, psi = reduce_to_psi(parse_model(json.dumps(doc)))
+            _assert_replayed(red.origin, red, [r for r, *_ in ranked_rails(red, psi)], 500, seed=k)
+
+
 def test_sampler_memory_does_not_grow_with_the_runs(mc_corpus):
     # numpy reports its buffers to tracemalloc: a step holds arrays of
     # the live (state, node) groups and their row entries, never one
@@ -385,7 +423,7 @@ from railcheck import oracle
 from railcheck.model import parse_model
 from railcheck.transform import acyclic_reduce, make_absorbing
 m = parse_model(open(sys.argv[1]).read())
-red = acyclic_reduce(make_absorbing(m, {3, 4}))
+red = acyclic_reduce(make_absorbing(m, {3, 4}), {3, 4})
 oracle._RailTrie.step = lambda self, nodes, states: np.full_like(nodes, -1)
 try:
     oracle.monte_carlo_classify(red.origin, red, [(0, 2, 4), (0, 1, 3)], 100, 1)

@@ -13,7 +13,7 @@ import railcheck
 from railcheck import rails, search
 from railcheck.cli import run_check
 from railcheck.model import cylinder_mass, cylinder_prob, mc_row, parse_model, split_mass
-from railcheck.numerics import max_reach
+from railcheck.numerics import max_reach, prob0_states
 from railcheck.oracle import enumerate_freach
 from railcheck.props import Atom, PropertySpec, parse_property, sat_states
 from railcheck.rails import rail_mass, representant
@@ -127,7 +127,7 @@ def test_most_indicative_m0(m0):
 def test_most_indicative_holds(m0):
     # only s3 counts; the stream exhausts below the bound and reports
     # what it accumulated
-    red = acyclic_reduce(make_absorbing(m0, {3}))
+    red = acyclic_reduce(make_absorbing(m0, {3}), {3})
     out = most_indicative(red, parse_property("P<=0.5 [ F x ]"), {3})
     assert out.verdict == "holds"
     assert [w.rail for w in out.witnesses] == [(0, 1, 3)]
@@ -159,7 +159,7 @@ def test_max_prob_is_max_reach_bit_for_bit(mc_corpus, dag_corpus, mdp_corpus):
                 stack.append(t)
         # the initial state in the target; dead, with or without a target
         for target in (psi | {m.initial}, set(range(m.num_states)) - reached, set()):
-            cases.append((acyclic_reduce(make_absorbing(m, target)), target))
+            cases.append((acyclic_reduce(make_absorbing(m, target), target), target))
     seen, firsts = set(), 0
     for red, psi in cases:
         values = max_reach(red, psi)
@@ -248,7 +248,7 @@ def _sum_chains(family, dag_corpus, mc_corpus):
     if family == "layered":  # 2**12 rails: the guard's room doubles a dozen times
         m = parse_model(json.dumps(layered_dag_doc(np.random.default_rng(2323), 12)))
         psi = sat_states(m, Atom("goal"))
-        return [(acyclic_reduce(make_absorbing(m, psi)), psi)], 5000
+        return [(acyclic_reduce(make_absorbing(m, psi), psi), psi)], 5000
     # 2200 rings: the rails are about 1000 states long, and the heaviest
     # 40 weigh about 2**-1057 each, below the float range
     return [reduce_to_psi(parse_model(json.dumps(ring_chain_doc(np.random.default_rng(2424), 2200))))], 40
@@ -364,7 +364,7 @@ def test_witness_representants_equal_a_fresh_search(mc_corpus, mdp_corpus):
     deep = searched = 0
     for red, psi, prop in cases:
         out = most_indicative(red, parse_property(prop), psi)
-        fresh = acyclic_reduce(red.origin)
+        fresh = acyclic_reduce(red.origin, psi)
         for w in out.witnesses:
             rep = (w.representant, w.representant_prob, w.representant_prob_exp)
             assert rep == representant(fresh, w.rail)
@@ -453,25 +453,30 @@ def _dead_region_doc(rng):
 
 
 def test_dead_regions_need_no_absorbing():
-    # The stream needs no liveness pass: on a reduction whose dead states
-    # are not made absorbing, rails, masses and witnesses are the same as
-    # on the reduction of the absorbing chain.
+    # Only the targets are made absorbing: a dead state the reduction
+    # keeps keeps its row, and no dead component is solved. The stream
+    # needs no liveness pass, as a dead state's stream is empty: rails,
+    # masses, witnesses and every state's value are those of the reduction
+    # with every probability-0 state made absorbing too.
     rng = np.random.default_rng(606)
     dead_kept = 0
     for _ in range(60):
         m = parse_model(json.dumps(_dead_region_doc(rng)))
         psi = sat_states(m, Atom("psi"))
-        raw = acyclic_reduce(m)
-        absorbing = acyclic_reduce(make_absorbing(m, psi))
-        rails = list(ranked_rails(absorbing, psi))
-        assert rails and list(ranked_rails(raw, psi)) == rails
+        red = acyclic_reduce(make_absorbing(m, psi), psi)
+        pinned = acyclic_reduce(make_absorbing(m, psi | prob0_states(m, psi)), psi)
+        assert all(red.comps.live[ids].all() for ids, _, _, _ in red.stacks)
+        rails = list(ranked_rails(pinned, psi))
+        assert rails and list(ranked_rails(red, psi)) == rails
+        assert max_reach(red, psi).tolist() == max_reach(pinned, psi).tolist()
         mass = math.fsum(mass for _, mass, _ in rails)
         for threshold in (1.0, float(rng.uniform(0.0, mass))):
             spec = PropertySpec("<=", threshold, Atom("psi"))
-            assert most_indicative(raw, spec, psi) == most_indicative(absorbing, spec, psi)
-        dead_kept += sum(
-            raw.chain.actions[s] != absorbing.chain.actions[s] for s in raw.kept
-        )
+            assert most_indicative(red, spec, psi) == most_indicative(pinned, spec, psi)
+        for s in red.kept - psi:
+            if not red.comps.live[red.scc_of[s]] and not red.comps.nontrivial[red.scc_of[s]]:
+                assert red.chain.actions[s] == m.actions[s] != pinned.chain.actions[s]
+                dead_kept += 1
     assert dead_kept > 0
 
 
@@ -758,22 +763,23 @@ def test_stream_items_do_not_depend_on_request_order(mc_corpus, dag_corpus):
 def _reduce_goal(doc):
     m = parse_model(json.dumps(doc))
     goal = sat_states(m, Atom("goal"))
-    return acyclic_reduce(make_absorbing(m, goal)), goal
+    return acyclic_reduce(make_absorbing(m, goal), goal), goal
 
 
-def _sweep_states(red, streams):
-    """The states the sweep builds streams for, as `ranked_rails` picks them."""
-    s0, count = red.chain.initial, streams.count
+def _sweep_states(red, psi):
+    """The states the sweep builds streams for, as `_sweep` picks them:
+    up to the initial state in the reduction's order, those with rails,
+    but no more than the initial state."""
+    s0, count = red.chain.initial, _rail_counts(red.chain, psi)
     return [v for v in red.order[: red.order.index(s0) + 1] if 0 < count[v] <= count[s0]]
 
 
 def _swept(red, psi):
     """Every rail as the sweep reads it, whatever its guard would say, and
     the states it builds streams for."""
-    streams = search._SuffixStreams(red, set(psi), 2 ** 62)
-    assert streams.count[red.chain.initial] < 2 ** 62
-    states = _sweep_states(red, streams)
-    return search._sweep(red, streams, states), states
+    streams = search._SuffixStreams(red, set(psi))
+    assert search._sweep(red, streams, 2 ** 62)
+    return streams.swept, _sweep_states(red, psi)
 
 
 def _deep_doc(rng, depth, levels, spread=None):
@@ -812,7 +818,7 @@ def test_sweep_agrees_with_the_lazy_stream(mc_corpus, dag_corpus, mdp_corpus):
         for label in ("psi", "goal"):
             psi = sat_states(m, Atom(label))
             check(extract_max_scheduler(m, psi)[1] if m.num_states != m.rows.num_dists
-                  else acyclic_reduce(make_absorbing(m, psi)), psi)
+                  else acyclic_reduce(make_absorbing(m, psi), psi), psi)
     for _, psi, red, _ in mc_corpus + dag_corpus:
         check(red, psi)
     for m in mdp_corpus:  # the reduction policy iteration ends on
@@ -820,7 +826,7 @@ def test_sweep_agrees_with_the_lazy_stream(mc_corpus, dag_corpus, mdp_corpus):
         check(extract_max_scheduler(m, psi)[1], psi)
     m = load_model("m0.json")  # the initial state in the target, and no target
     for target in ({m.initial}, set()):
-        assert check(acyclic_reduce(make_absorbing(m, target)), target) == ([((0,), 1.0, 0)] if target else [])
+        assert check(acyclic_reduce(make_absorbing(m, target), target), target) == ([((0,), 1.0, 0)] if target else [])
     rng = np.random.default_rng(2020)
     for levels in (1, 4, 9):  # every rail ties at spread 0
         lazy = check(*reduce_to_psi(parse_model(json.dumps(diamond_chain_doc(rng, levels, 0)))))
@@ -837,16 +843,17 @@ def test_sweep_agrees_with_the_lazy_stream(mc_corpus, dag_corpus, mdp_corpus):
 
 
 class _Sweeps:
-    """Records the sweeps `ranked_rails` runs, by their rail counts."""
+    """Records the sweeps `most_indicative` builds, by their rail counts."""
 
     def __init__(self, monkeypatch):
         self.rails = []
         original = search._sweep
 
-        def sweep(*args):
-            rails = original(*args)
-            self.rails.append(len(rails))
-            return rails
+        def sweep(red, streams, cap):
+            built = original(red, streams, cap)
+            if built:
+                self.rails.append(len(streams.swept))
+            return built
 
         monkeypatch.setattr(search, "_sweep", sweep)
 
@@ -926,32 +933,29 @@ def test_ring_chain_998_stays_lazy(monkeypatch, tmp_path):
 
 
 def test_rail_counts_saturate_at_the_cap(mc_corpus, dag_corpus, monkeypatch, tmp_path):
-    # Phase 1 counts each state's rails, the cap where they are more: a
-    # count is exact below the cap, so a chain whose rails grow
-    # exponentially along the order keeps small counts. A state past the
-    # initial one in the reduction's order counts 0, a target 1. Ring
-    # chain 998's 2.4e67 rails count 1001 under a cap of 1000 witnesses,
-    # so P<=1 holds with no rail listed.
+    # The sweep counts each state's rails, saturating one above the cap,
+    # and builds them only where the initial state has at most the cap,
+    # exactly then. Ring chain 998's 2.4e67 rails stop its count at 1001
+    # under a cap of 1000 witnesses, so P<=1 holds with no rail listed.
     for _, psi, red, _ in mc_corpus + dag_corpus:
-        want = _rail_counts(red.chain, psi)
-        passed = set(red.order[: red.order.index(red.chain.initial) + 1])
-        for cap in (1, 2, 5, 32, 2 ** 62):
-            assert search._SuffixStreams(red, set(psi), cap).count == [
-                min(n, cap) if u in passed or u in psi else 0 for u, n in enumerate(want)]
-    sweeps, made = _Sweeps(monkeypatch), []
+        rails = _rail_counts(red.chain, psi)[red.chain.initial]
+        for cap in (0, 1, 2, 5, 32, 2 ** 62):
+            streams = search._SuffixStreams(red, set(psi))
+            assert search._sweep(red, streams, cap) == (rails <= cap)
+            assert streams.swept is None if rails > cap else len(streams.swept) == rails
+    calls = []
+    original = search._sweep
 
-    class Recorded(search._SuffixStreams):
-        def __init__(self, red, targets, cap=1):
-            super().__init__(red, targets, cap)
-            made.append((cap, self.count))
+    def recorded(red, streams, cap):
+        calls.append((cap, original(red, streams, cap)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(search, "_SuffixStreams", Recorded)
+    monkeypatch.setattr(search, "_sweep", recorded)
     path = tmp_path / "ring998.json"
     path.write_text(json.dumps(make_golden.load_gen().ring_chain(np.random.default_rng(1), 998)))
     code, report = run_check(str(path), "P<=1 [ F goal ]", max_witnesses=1000)
     assert (code, report["witnesses"], report["complete"]) == (0, [], False)
-    [(cap, count)] = made
-    assert cap == 1001 and max(count) == 1001 and sweeps.rails == []
+    assert calls == [(1000, False)]
 
 
 def test_the_sweep_streams_through_the_module_global(monkeypatch):

@@ -5,14 +5,15 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import (assert_completion_order, assert_rows_equal, component_sets, diamond_chain_doc, reduce_to_psi,
-                      ring_chain_doc, successors)
-from railcheck import transform
+import make_golden
+from conftest import (DYADIC_SEEDS, assert_completion_order, assert_rows_equal, component_sets, diamond_chain_doc,
+                      dyadic_chain_doc, reduce_to_psi, ring_chain_doc, successors)
+from railcheck import cli, transform
 from railcheck.model import ModelError, mc_row, parse_model
-from railcheck.numerics import SingularMatrixError, max_reach, solve_linear
+from railcheck.numerics import SingularMatrixError, max_reach, prob0_states, solve_linear
 from railcheck.oracle import brute_force_max_reach
 from railcheck.props import Atom, sat_states
-from railcheck.scheduling import extract_max_scheduler
+from railcheck.scheduling import Scheduler, extract_max_scheduler, induced_mc
 from railcheck.transform import acyclic_reduce, make_absorbing, scc_decompose, scc_io, scc_reach
 
 
@@ -21,12 +22,15 @@ def test_make_absorbing(m0, m0_trap):
     assert mc_row(m, 3) == ((3, 1.0),)
     assert mc_row(m, 4) == ((4, 1.0),)
     assert m.actions[:3] == m0.actions[:3]
-    # the trap cannot reach the target, so it gets pinned as well
+    # only the target is pinned: s2, s4 and the trap cannot reach it and
+    # keep their rows, and the component pass marks them dead; s2's loop
+    # leaves for s4, but only the live loop on s1 lists an output
     t = make_absorbing(m0_trap, {3})
-    assert mc_row(t, 2) == ((2, 1.0),)
-    assert mc_row(t, 4) == ((4, 1.0),)
-    assert mc_row(t, 5) == ((5, 1.0),)
-    assert mc_row(t, 0) == mc_row(m0_trap, 0)
+    assert mc_row(t, 3) == ((3, 1.0),)
+    assert [t.actions[s] for s in (0, 1, 2, 4, 5)] == [m0_trap.actions[s] for s in (0, 1, 2, 4, 5)]
+    comps = scc_io(t, scc_decompose(t, {3}))
+    assert {s for s in range(t.num_states) if not comps.live[comps.of[s]]} == {2, 4, 5}
+    assert comps.outputs.tolist() == [3] and comps.output_at[comps.of[1] + 1] == 1
 
 
 def test_make_absorbing_rejects_mdp(mdp2):
@@ -47,7 +51,7 @@ def test_scc_decompose_matches_networkx(m0, big1, fig5, mc_corpus, dag_corpus, m
     # the absorbing chains of the schedulers policy iteration settles on
     models += [extract_max_scheduler(m, sat_states(m, Atom("psi")))[1].origin for m in mdp_corpus]
     for m in models:
-        comps = scc_decompose(m)
+        comps = scc_decompose(m, ())
         # ids are positional and ordered by smallest member
         members = [mem for mem, _, _ in component_sets(comps)]
         assert set(members) == _nx_partition(m)
@@ -55,7 +59,61 @@ def test_scc_decompose_matches_networkx(m0, big1, fig5, mc_corpus, dag_corpus, m
             assert big == any(t in mem for s in mem for t in successors(m, s))
         assert_completion_order(m, comps)
     with pytest.raises(ModelError):
-        scc_decompose(mdp2)
+        scc_decompose(mdp2, ())
+
+
+def test_live_components_are_the_states_that_reach_the_target(mc_corpus, dag_corpus, mdp_corpus):
+    # The flag Tarjan sets as each component completes is the complement
+    # of the backward closure of the targets, on the chain and on its
+    # absorbing version alike, for no target, one, and several.
+    rng = np.random.default_rng(3131)
+    chains = [m for m, _, _, _ in mc_corpus + dag_corpus]
+    for m in mdp_corpus:  # the first distribution everywhere, a random policy and the best one
+        chains.append(induced_mc(m, Scheduler((0,) * m.num_states)))
+        chains.append(induced_mc(m, Scheduler(tuple(int(rng.integers(len(d))) for d in m.actions))))
+        chains.append(extract_max_scheduler(m, sat_states(m, Atom("psi")))[1].origin)
+    chains += [parse_model(json.dumps(dyadic_chain_doc(seed))) for seed in DYADIC_SEEDS]
+    dead_seen = live_seen = 0
+    for m in chains:
+        n = m.num_states
+        psi = sat_states(m, Atom("psi"))
+        some = rng.choice(n, int(rng.integers(2, max(3, n // 3))), replace=False).tolist()
+        for targets in (set(), psi, {int(rng.integers(n))}, set(some)):
+            for mc in (m, make_absorbing(m, targets)):
+                comps = scc_decompose(mc, targets)
+                dead = {s for s in range(n) if not comps.live[comps.of[s]]}
+                assert dead == prob0_states(m, targets)
+                dead_seen += len(dead)
+                live_seen += n - len(dead)
+    assert dead_seen > 1000 and live_seen > 1000
+
+
+def test_no_dead_component_is_solved(mc_corpus, tmp_path, monkeypatch):
+    # scc_reach solves the live components with outputs only. On the
+    # one-state-per-row cut of an MDP whose states form one component,
+    # with the target on a state nothing enters, that component is dead:
+    # no block reaches solve_linear, and the check holds at value 0.
+    for _, _, red, _ in mc_corpus:
+        assert all(red.comps.live[ids].all() for ids, _, _, _ in red.stacks)
+    calls = []
+
+    def counted(q, r):
+        calls.append(len(q))
+        return solve_linear(q, r)
+
+    monkeypatch.setattr(transform, "solve_linear", counted)
+    gen = make_golden.load_gen()
+    doc = gen.big_ec_mdp(np.random.default_rng(1), 2000)
+    doc["transitions"] = {s: dists[-1:] for s, dists in doc["transitions"].items()}
+    doc["states"].append("far")
+    doc["transitions"]["far"] = [{doc["states"][0]: 1.0}]
+    doc["labels"]["far"] = ["psi"]
+    path = tmp_path / "one_scc.json"
+    path.write_text(json.dumps(doc))
+    code, report = cli.run_check(str(path), "P<=0.5 [ F psi ]")
+    assert (code, report["max_prob"], calls) == (0, 0.0, [])
+    code, report = cli.run_check(str(path), "P<=0.5 [ F goal ]")
+    assert code == 1 and calls and max(calls) > 1000
 
 
 def _by_members(comps):
@@ -63,12 +121,12 @@ def _by_members(comps):
 
 
 def test_fig5_components(fig5):
-    big = {mem for mem, _, _ in component_sets(scc_decompose(fig5)) if len(mem) > 1}
+    big = {mem for mem, _, _ in component_sets(scc_decompose(fig5, ())) if len(mem) > 1}
     assert big == {frozenset({1, 3, 4, 7}), frozenset({5, 6, 8})}
 
 
 def test_fig5_io(fig5):
-    by_members = _by_members(scc_io(fig5, scc_decompose(fig5)))
+    by_members = _by_members(scc_io(fig5, scc_decompose(fig5, range(fig5.num_states))))
     assert by_members[frozenset({1, 3, 4, 7})] == (frozenset({1}), frozenset({9, 10}))
     assert by_members[frozenset({5, 6, 8})] == (frozenset({5, 6}), frozenset({11, 14}))
 
@@ -85,7 +143,7 @@ def test_initial_state_counts_as_input():
         },
     }
     m = parse_model(json.dumps(doc))
-    ins, _ = _by_members(scc_io(m, scc_decompose(m)))[frozenset({0, 1})]
+    ins, _ = _by_members(scc_io(m, scc_decompose(m, ())))[frozenset({0, 1})]
     assert 0 in ins
 
 
@@ -114,13 +172,13 @@ def input_rows(comps, stacks):
 
 def test_scc_reach_values(m0, big1):
     m = make_absorbing(m0, {3, 4})
-    comps = scc_io(m, scc_decompose(m))
+    comps = scc_io(m, scc_decompose(m, {3, 4}))
     stacks = scc_reach(m, comps)
     # the self loops {1} and {2} share a shape; the targets have no outputs
     assert [ids.tolist() for ids, _, _, _ in stacks] == [[1, 2]]
     assert input_rows(comps, stacks) == {1: ((3, 1.0),), 2: ((4, 1.0),)}
     b = make_absorbing(big1, {3})
-    comps = scc_io(b, scc_decompose(b))
+    comps = scc_io(b, scc_decompose(b, {3}))
     stacks = scc_reach(b, comps)
     ((ids, members, outputs, escapes),) = stacks
     assert ids.tolist() == [comps.of[1]] and members.tolist() == [[1, 2]] and outputs.tolist() == [[3]]
@@ -133,16 +191,16 @@ def test_reduced_rows_equal_the_tuple_construction(mc_corpus, dag_corpus):
     # solved input carries its escape row, a kept state of a trivial
     # component its source row, every other state a Dirac self loop.
     rng = np.random.default_rng(905)
-    chains = [red.origin for _, _, red, _ in mc_corpus + dag_corpus]
+    chains = [(red.origin, psi) for _, psi, red, _ in mc_corpus + dag_corpus]
     for rings in (1, 3, 40):
         m = parse_model(json.dumps(ring_chain_doc(rng, rings)))
-        chains.append(make_absorbing(m, {m.num_states - 2}))
+        chains.append((make_absorbing(m, {m.num_states - 2}), {m.num_states - 2}))
     for _ in range(10):
-        doc = _sticky_rings_doc(rng, int(rng.integers(2, 6)), [0] * 5)
-        chains.append(parse_model(json.dumps(doc)))
+        m = parse_model(json.dumps(_sticky_rings_doc(rng, int(rng.integers(2, 6)), [0] * 5)))
+        chains.append((m, {m.names.index("goal")}))
     solved = 0
-    for mc in chains:
-        red = acyclic_reduce(mc)
+    for mc, psi in chains:
+        red = acyclic_reduce(mc, psi)
         rows = input_rows(red.comps, red.stacks)
         kept = set()
         nontrivial = red.comps.nontrivial.tolist()
@@ -211,9 +269,10 @@ def test_scc_reach_batch_matches_each_component_alone(stack_floats, monkeypatch)
         k = int(rng.integers(2, 7))
         sticky = [int(rng.integers(1, k)) if trial % 2 and rng.random() < 0.5 else 0 for _ in range(8)]
         m = parse_model(json.dumps(_sticky_rings_doc(rng, k, sticky)))
-        mc = make_absorbing(m, {m.names.index("goal")})
+        goal = {m.names.index("goal")}
+        mc = make_absorbing(m, goal)
         alone = {}
-        comps = scc_io(mc, scc_decompose(mc))
+        comps = scc_io(mc, scc_decompose(mc, goal))
         for c, (members, _, outputs) in enumerate(component_sets(comps)):
             if comps.nontrivial[c] and outputs:
                 assert len(members) == k and len(outputs) == 2
@@ -227,11 +286,11 @@ def test_scc_reach_batch_matches_each_component_alone(stack_floats, monkeypatch)
         assert [p for p in alone.values() if isinstance(p, int)] == failed
         if failed:
             with pytest.raises(SingularMatrixError) as err:
-                acyclic_reduce(mc)
+                acyclic_reduce(mc, goal)
             assert err.value.pivot == failed[0]
             decided_by_id += min(failed) != failed[0]
         else:
-            solved = escapes_of(acyclic_reduce(mc).stacks)
+            solved = escapes_of(acyclic_reduce(mc, goal).stacks)
             assert solved.keys() == alone.keys()
             assert all(solved[c][2].tobytes() == x.tobytes() for c, x in alone.items())
     assert decided_by_id >= 5
@@ -251,7 +310,8 @@ def test_scc_reach_stacks_small_blocks_only(monkeypatch):
     for k, rings, expected in ((4, 8, [(4, 8, 4)]), (130, 2, [(130, 130)] * 2)):
         shapes.clear()
         m = parse_model(json.dumps(_sticky_rings_doc(rng, k, [0] * rings)))
-        acyclic_reduce(make_absorbing(m, {m.names.index("goal")}))
+        goal = {m.names.index("goal")}
+        acyclic_reduce(make_absorbing(m, goal), goal)
         assert shapes == expected
 
 
@@ -339,7 +399,7 @@ def test_order_is_a_post_order_of_the_kept_states(mc_corpus, dag_corpus, mdp_cor
 
 def test_reduction_is_acyclic(mc_corpus):
     for m, psi, red, rails in mc_corpus[:30]:
-        comps = scc_decompose(red.chain)
+        comps = scc_decompose(red.chain, psi)
         for (members, _, _), big in zip(component_sets(comps), comps.nontrivial.tolist()):
             if big:
                 (s,) = members
@@ -364,4 +424,4 @@ def test_reduction_preserves_reachability(m0, big1, fig5):
 
 def test_reduce_rejects_mdp(mdp2):
     with pytest.raises(ModelError):
-        acyclic_reduce(mdp2)
+        acyclic_reduce(mdp2, {3})
